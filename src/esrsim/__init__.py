@@ -96,4 +96,35 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # apparatus
+    "ApparatusModel", "CompoundState", "compound_density", "couple_and_evolve",
+    "reduced_object_state",
+    # errors
+    "DegenerateSpectrumError", "DimensionMismatchError", "EsrError",
+    "EventContainsNoRegistrationError", "NotHermitianError", "NotNormalizedError",
+    "NotSquareError", "ProbabilityRangeError", "ScenarioParseError",
+    "ScenarioValidationError", "ZeroProbabilityBranchError",
+    # linalg
+    "SpectralDecomposition", "hermitian_eigendecompose", "is_positive_semidefinite",
+    "partial_trace_second", "spectral_defects", "tensor_product",
+    # measurement
+    "MeasurementOperatorFamily", "MeasurementOutcomeRecord", "complement_event",
+    "fix_phase", "measurement_operators", "nonselective_state", "outcome_probability",
+    "post_measurement_density", "post_measurement_state_no",
+    "post_measurement_state_yes", "state_after_outcome",
+    # model
+    "ConstantDetection", "DensityOperator", "DetectionModel", "Effect",
+    "ExpectationDetection", "GeneralizedObservable", "OutcomeEvent", "PovAxiomReport",
+    "PureState", "QuantumObservable", "as_event", "canonical_outcome",
+    "conditional_probability", "default_no_registration_outcome",
+    "detection_probability", "effect", "overall_probability",
+    "overall_probability_density", "pv_projector", "split_event", "to_density",
+    "verify_pov_axioms",
+    # sampling
+    "RngSpec", "RunReport", "born_probabilities", "predicted_probabilities",
+    "run_experiment", "sample_measurement", "sample_sequence",
+    # scenario
+    "BuiltScenario", "Scenario", "build_scenario", "load_scenario", "parse_scenario",
+    "scenario_digest", "serialize_scenario",
+]

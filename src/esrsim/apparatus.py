@@ -23,9 +23,13 @@ from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
 )
-from .model import DensityOperator, GeneralizedObservable, PureState, detection_probability
-
-NORM_TOL = 1e-10
+from .model import (
+    NORM_TOL,
+    DensityOperator,
+    GeneralizedObservable,
+    PureState,
+    detection_probability,
+)
 
 
 @dataclass(frozen=True)

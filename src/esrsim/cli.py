@@ -52,6 +52,27 @@ DEFAULT_TOL = 1e-10
 DEFAULT_SIGMA = 4.0
 
 
+def _int_arg(bounds: str, low: int, high: int | None = None):
+    """argparse type: an integer ``>= low`` and, when ``high`` is set, ``< high``.
+
+    ``bounds`` describes the range in the error message.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_arg("a positive integer", 1)
+# RNG seeds and stream ids are unsigned 64-bit integers.
+_uint64 = _int_arg("an integer in [0, 2**64)", 0, 2 ** 64)
+
+
 def _outcome_subsets(gobs, limit: int = 256) -> list[tuple[float, ...]]:
     outcomes = [float(v) for v in gobs.outcomes]
     n = len(outcomes)
@@ -319,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", parents=[common],
                               help="run a Monte Carlo sampling experiment")
-    p_sample.add_argument("--trials", type=int, default=None,
+    p_sample.add_argument("--trials", type=_positive_int, default=None,
                           help="override the scenario's trial count")
-    p_sample.add_argument("--seed", type=int, default=None,
+    p_sample.add_argument("--seed", type=_uint64, default=None,
                           help="override the scenario's RNG seed")
-    p_sample.add_argument("--stream", type=int, default=None,
+    p_sample.add_argument("--stream", type=_uint64, default=None,
                           help="override the scenario's RNG stream id")
-    p_sample.add_argument("--workers", type=int, default=1,
+    p_sample.add_argument("--workers", type=_positive_int, default=1,
                           help="worker threads; the report does not depend on this")
     p_sample.set_defaults(handler=cmd_sample)
 

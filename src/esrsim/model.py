@@ -19,6 +19,7 @@ they collapse to the usual projection-valued measure and Born rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -101,6 +102,12 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
+    @cached_property
+    def _density(self) -> "DensityOperator":
+        # the state is immutable, so its gated density is built at most once
+        v = self.amplitudes
+        return DensityOperator(np.outer(v, v.conj()))
+
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -155,6 +162,27 @@ class QuantumObservable:
     def is_nondegenerate(self, tol: float = 1e-6) -> bool:
         """True iff every spectral projector has rank 1."""
         return all(abs(float(np.trace(p).real) - 1.0) <= tol for p in self.projectors)
+
+    @cached_property
+    def _eigen_index(self) -> dict[float, int]:
+        """Position of each eigenvalue, for quoted values that equal one exactly."""
+        return {v: k for k, v in enumerate(self.eigenvalues.tolist())}
+
+    @cached_property
+    def _effects_certified(self) -> bool:
+        """Whether every effect built from these projectors passes the Effect gate.
+
+        The inequalities are stated in :func:`effect`. By Weyl's inequalities
+        they put the spectrum of every ``p_d * P(E) + c * I`` (``p_d`` in [0, 1],
+        ``c`` in {0, 1 - p_d}) inside [-tol/2, 1 + tol/2] and its Hermiticity
+        defect below tol/2; the other half of the tolerance absorbs roundoff.
+        """
+        half = 0.5 * OPERATOR_GATE_TOL
+        syms = [(p + p.conj().T) / 2.0 for p in self.projectors]
+        eps = sum(max(0.0, -float(np.linalg.eigvalsh(s)[0])) for s in syms)
+        skew = sum(linalg.hermiticity_defect(p) for p in self.projectors)
+        top = float(np.linalg.eigvalsh(sum(syms))[-1])
+        return eps <= half and skew <= half and top - 1.0 + eps <= half
 
 
 @dataclass(frozen=True)
@@ -266,13 +294,18 @@ def split_event(gobs: GeneralizedObservable, event) -> tuple[bool, np.ndarray]:
     """
     values = as_event(event)
     eigs = gobs.base.eigenvalues
+    exact = gobs.base._eigen_index
     mask = np.zeros(eigs.size, dtype=bool)
     has_a0 = False
     for v in values:
-        if abs(v - gobs.a0) <= _match_atol(v):
-            has_a0 = True
-            continue
-        k = _nearest_index(eigs, v)
+        # An exact eigenvalue lies outside a0's match window (construction keeps
+        # a0 more than twice that window away), so the lookup may come first.
+        k = exact.get(v)
+        if k is None:
+            if abs(v - gobs.a0) <= _match_atol(v):
+                has_a0 = True
+                continue
+            k = _nearest_index(eigs, v)
         if k is not None:
             mask[k] = True
     return has_a0, mask
@@ -280,9 +313,9 @@ def split_event(gobs: GeneralizedObservable, event) -> tuple[bool, np.ndarray]:
 
 def _masked_projector(observable: QuantumObservable, mask: np.ndarray) -> np.ndarray:
     out = np.zeros((observable.dim, observable.dim), dtype=complex)
-    for selected, p in zip(mask, observable.projectors):
-        if selected:
-            out += p
+    projectors = observable.projectors
+    for k in np.flatnonzero(mask):
+        out += projectors[k]
     return out
 
 
@@ -314,9 +347,8 @@ def _require_dim(gobs: GeneralizedObservable, psi: PureState) -> None:
 
 
 def to_density(psi: PureState) -> DensityOperator:
-    """Rank-1 density operator projecting onto the state."""
-    v = psi.amplitudes
-    return DensityOperator(np.outer(v, v.conj()))
+    """Rank-1 density operator projecting onto the state (built once per state)."""
+    return psi._density
 
 
 def detection_probability(gobs: GeneralizedObservable, psi: PureState) -> float:
@@ -369,15 +401,29 @@ class Effect:
             float(np.vdot(psi.amplitudes, self.operator @ psi.amplitudes).real))
 
 
-def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
-    """Raw effect matrix, bypassing the Effect construction gate."""
+def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event,
+                     pd: float | None = None) -> np.ndarray:
+    """Raw effect matrix, bypassing the Effect construction gate.
+
+    ``pd`` is the state's detection probability, computed here when omitted.
+    """
     _require_dim(gobs, psi)
     has_a0, mask = split_event(gobs, event)
-    pd = detection_probability(gobs, psi)
+    if pd is None:
+        pd = detection_probability(gobs, psi)
     op = pd * _masked_projector(gobs.base, mask)
     if has_a0:
         op += (1.0 - pd) * np.eye(gobs.dim)
     return op
+
+
+def _certified_effect(op: np.ndarray) -> Effect:
+    """Wrap an effect matrix proven to pass the gate, storing what the gate would."""
+    out = object.__new__(Effect)
+    sym = (op + op.conj().T) / 2.0
+    sym.flags.writeable = False
+    object.__setattr__(out, "operator", sym)
+    return out
 
 
 def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
@@ -385,12 +431,29 @@ def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
 
     Without the no-registration outcome this is ``p_d * P(event)``; with it,
     ``(1 - p_d) * I + p_d * P(event minus a0)``.
+
+    The per-call :class:`Effect` gate (Hermiticity and an ``eigvalsh`` of the
+    effect) is skipped when ``0 <= p_d <= 1`` and the observable's projectors
+    carry a certificate, computed once per observable: with
+    ``sym(P) = (P + P†)/2`` and ``eps = sum_k max(0, -lambda_min(sym P_k))``,
+    each of ``eps``, ``sum_k ||P_k - P_k†||_F`` and
+    ``lambda_max(sum_k sym P_k) - 1 + eps`` is at most
+    ``OPERATOR_GATE_TOL / 2``. That implies the effect's spectrum lies in
+    [-tol/2, 1 + tol/2], so the gate would pass; otherwise the gate runs.
     """
-    return Effect(_effect_operator(gobs, psi, event))
+    pd = detection_probability(gobs, psi)
+    op = _effect_operator(gobs, psi, event, pd)
+    if 0.0 <= pd <= 1.0 and gobs.base._effects_certified:
+        return _certified_effect(op)
+    return Effect(op)
 
 
 def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> float:
-    """Overall probability that the measured value falls in the event."""
+    """Overall probability that the measured value falls in the event.
+
+    Evaluates ``<psi|T(event)|psi>`` with ``T`` from :func:`effect`, so the
+    per-call effect gate is skipped under the same certificate (see there).
+    """
     return effect(gobs, psi, event).expectation(psi)
 
 

@@ -36,7 +36,7 @@ Parsing and the canonical serializer round-trip: ``parse(serialize(s)) == s``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -467,8 +467,3 @@ def load_scenario(path) -> tuple[Scenario, BuiltScenario]:
     with open(path, "r", encoding="utf-8") as handle:
         sc = parse_scenario(handle.read())
     return sc, build_scenario(sc)
-
-
-def with_experiment(sc: Scenario, **overrides) -> Scenario:
-    """Copy a scenario with experiment fields replaced (trials, seed, ...)."""
-    return replace(sc, experiment=replace(sc.experiment, **overrides))

@@ -70,6 +70,16 @@ def random_event(rng: np.random.Generator, gobs: GeneralizedObservable,
     return frozenset(float(v) for v in outcomes[mask])
 
 
+def scenario_stream(seed: int, count: int, max_dim: int = 8, degenerate_share: bool = True):
+    """Deterministic stream of (gobs, psi) pairs with mixed detection models."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
+        degenerate = degenerate_share and dim > 2 and bool(rng.integers(0, 2))
+        gobs = random_generalized(rng, dim, degenerate=degenerate)
+        yield rng, gobs, random_state(rng, dim)
+
+
 def sigma_z_scenario(p_detect: float = 0.8, a0: float = 0.0):
     """The workhorse qubit fixture: diag(1, -1) with an equal superposition."""
     gobs = GeneralizedObservable.from_matrix(

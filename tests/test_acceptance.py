@@ -38,20 +38,11 @@ from helpers import (
     random_event,
     random_generalized,
     random_state,
+    scenario_stream,
     sigma_z_scenario,
 )
 
 PHASES = (0.0, np.pi / 3.0, np.pi, 1.7)
-
-
-def scenario_stream(seed: int, count: int, max_dim: int = 8, degenerate_share: bool = True):
-    """Deterministic stream of (gobs, psi) pairs with mixed detection models."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        dim = int(rng.integers(2, max_dim + 1))
-        degenerate = degenerate_share and dim > 2 and bool(rng.integers(0, 2))
-        gobs = random_generalized(rng, dim, degenerate=degenerate)
-        yield rng, gobs, random_state(rng, dim)
 
 
 def test_criterion_1_pov_axiom_suite():

@@ -168,6 +168,21 @@ class TestErrorPaths:
         assert main(["verify", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "-3"), ("--workers", "0"), ("--trials", "0"),
+        ("--seed", "-5"), ("--seed", str(2 ** 64)), ("--stream", "-1"),
+        ("--trials", "ten"),
+    ])
+    def test_invalid_sample_flags_are_usage_errors(self, good_scenario, flag, value,
+                                                   capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", str(good_scenario), flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+        assert "Traceback" not in err
+
     def test_validation_error(self, tmp_path, capsys):
         path = tmp_path / "clash.esr"
         path.write_text(GOOD.replace("a0: 0", "a0: 1"))

@@ -15,24 +15,35 @@ from esrsim import (
     EventContainsNoRegistrationError,
     ExpectationDetection,
     GeneralizedObservable,
+    NotHermitianError,
     NotNormalizedError,
     ProbabilityRangeError,
     PureState,
     QuantumObservable,
+    SpectralDecomposition,
     conditional_probability,
     detection_probability,
     effect,
     overall_probability,
     overall_probability_density,
     pv_projector,
+    split_event,
     to_density,
     verify_pov_axioms,
 )
-from esrsim.model import clamp_probability
+from esrsim.model import (
+    _effect_operator,
+    _match_atol,
+    _nearest_index,
+    as_event,
+    clamp_probability,
+)
 from helpers import (
     random_event,
     random_generalized,
     random_state,
+    random_unitary,
+    scenario_stream,
     sigma_z_scenario,
 )
 
@@ -61,6 +72,10 @@ class TestToDensity:
         psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
         np.testing.assert_allclose(to_density(psi).matrix,
                                    np.full((2, 2), 0.5), atol=1e-12)
+
+    def test_built_once_per_state(self):
+        psi = PureState(np.array([0.6, 0.8j]))
+        assert to_density(psi) is to_density(psi)
 
     def test_trace_and_idempotency_random(self):
         rng = np.random.default_rng(21)
@@ -322,3 +337,139 @@ class TestPovAxioms:
             x = effect(gobs, psi, random_event(rng, gobs)).operator
             y = effect(gobs, psi, random_event(rng, gobs)).operator
             assert np.linalg.norm(x @ y - y @ x) <= 1e-10
+
+
+def _hand_built(projectors, a0: float = -1.0, p: float = 0.8):
+    """Observable with eigenvalues 0, 1, ... over caller-supplied projectors."""
+    sd = SpectralDecomposition(np.arange(len(projectors), dtype=float), tuple(projectors))
+    return GeneralizedObservable(QuantumObservable(sd), a0, ConstantDetection(p))
+
+
+def _near_degenerate(rng, dim: int) -> GeneralizedObservable:
+    """Clusters of eigenvalues a few cluster tolerances apart, randomly rotated."""
+    centres = np.repeat(rng.uniform(-2.0, 2.0, size=(dim + 1) // 2), 2)[:dim]
+    diag = centres + rng.choice([0.0, 3e-8, 3e-7], size=dim)
+    u = random_unitary(rng, dim)
+    return GeneralizedObservable.from_matrix(u @ np.diag(diag) @ u.conj().T,
+                                             ConstantDetection(float(rng.uniform(0, 1))))
+
+
+class TestEffectGateCertificate:
+    """Skipping the per-call effect gate never changes a result or an error."""
+
+    def test_projector_spectrum_above_one_still_rejected(self):
+        gobs = _hand_built([np.diag([1.5, 0.0]), np.diag([0.0, 1.0])])
+        psi = PureState(np.array([1.0, 0.0]))
+        for call in (effect, overall_probability):
+            with pytest.raises(ValueError) as excinfo:
+                call(gobs, psi, (0.0,))
+            assert excinfo.type is ValueError
+
+    def test_non_hermitian_projector_still_rejected(self):
+        gobs = _hand_built([np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.0, 1.0])])
+        psi = PureState(np.array([1.0, 0.0]))
+        for call in (effect, overall_probability):
+            with pytest.raises(NotHermitianError):
+                call(gobs, psi, (0.0,))
+
+    def test_detection_outside_unit_interval_still_rejected(self):
+        class Overshoot:
+            def probability(self, psi):
+                return 1.5
+
+        gobs, psi = sigma_z_scenario(0.8)
+        gobs = GeneralizedObservable(gobs.base, gobs.a0, Overshoot())
+        for call in (effect, overall_probability):
+            with pytest.raises(ValueError):
+                call(gobs, psi, (1.0,))
+
+    def test_gate_decides_just_outside_the_certificate(self):
+        # 1 + 0.75e-6 fails the certificate (margin tol/2) but passes the gate;
+        # 1 + 2e-6 fails both
+        psi = PureState(np.array([1.0, 0.0]))
+        ok = _hand_built([np.diag([1.0 + 0.75e-6, 0.0]), np.diag([0.0, 1.0])], p=1.0)
+        assert effect(ok, psi, (0.0,)).operator[0, 0] == 1.0 + 0.75e-6
+        bad = _hand_built([np.diag([1.0 + 2e-6, 0.0]), np.diag([0.0, 1.0])], p=1.0)
+        with pytest.raises(ValueError):
+            overall_probability(bad, psi, (0.0,))
+
+    def test_certified_observable_skips_the_per_call_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        gobs = random_generalized(rng, 6)
+        psi = random_state(rng, 6)
+        overall_probability(gobs, psi, ())  # computes the certificate once
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(m) or eigvalsh(m))
+        for _ in range(20):
+            overall_probability(gobs, psi, random_event(rng, gobs))
+        assert calls == []
+
+    def test_bitwise_equal_to_the_gated_path(self):
+        rng = np.random.default_rng(43)
+        cases = [(gobs, psi) for _, gobs, psi in scenario_stream(seed=1043, count=60)]
+        for _ in range(20):
+            gobs = _near_degenerate(rng, int(rng.integers(2, 9)))
+            cases.append((gobs, random_state(rng, gobs.dim)))
+        for gobs, psi in cases:
+            for _ in range(8):
+                event = random_event(rng, gobs)
+                gated = Effect(_effect_operator(gobs, psi, event))
+                assert effect(gobs, psi, event).operator.tobytes() == gated.operator.tobytes()
+                assert overall_probability(gobs, psi, event) == gated.expectation(psi)
+
+
+def _reference_split(gobs, event):
+    """Resolve each value through the match window alone, as before exact lookup."""
+    eigs = gobs.base.eigenvalues
+    mask = np.zeros(eigs.size, dtype=bool)
+    has_a0 = False
+    for v in as_event(event):
+        if abs(v - gobs.a0) <= _match_atol(v):
+            has_a0 = True
+            continue
+        k = _nearest_index(eigs, v)
+        if k is not None:
+            mask[k] = True
+    return has_a0, mask
+
+
+class TestSplitEvent:
+    def _values(self, gobs):
+        out = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e6, -1e6]
+        for x in gobs.outcomes.tolist():
+            w = _match_atol(x)
+            out += [x, x + 0.5 * w, x - 0.5 * w, x + 2.0 * w, x - 2.0 * w,
+                    np.nextafter(x, np.inf), (x + 0.37) * 1.01]
+        return out
+
+    @pytest.mark.parametrize("a0", [0.0, -3.0])
+    def test_matches_window_reference(self, a0):
+        gobs = GeneralizedObservable.from_matrix(np.diag([-1.0, 0.0, 1.0, 2.5]),
+                                                 ConstantDetection(0.7), a0=a0 - 5.0)
+        zero_a0, _ = sigma_z_scenario(0.7, a0=a0)
+        rng = np.random.default_rng(47)
+        for g in (gobs, zero_a0, random_generalized(rng, 5), _near_degenerate(rng, 6)):
+            values = self._values(g)
+            for v in values:
+                has_a0, mask = split_event(g, (v,))
+                ref_a0, ref_mask = _reference_split(g, (v,))
+                assert has_a0 == ref_a0 and np.array_equal(mask, ref_mask), v
+            for _ in range(30):
+                event = [values[i] for i in rng.integers(0, len(values), size=4)]
+                has_a0, mask = split_event(g, event)
+                ref_a0, ref_mask = _reference_split(g, event)
+                assert has_a0 == ref_a0 and np.array_equal(mask, ref_mask), event
+
+    def test_negative_zero_matches_zero(self):
+        gobs, _ = sigma_z_scenario(0.7, a0=0.0)
+        assert split_event(gobs, (-0.0,))[0]
+        obs = GeneralizedObservable.from_matrix(np.diag([-1.0, 0.0, 1.0]),
+                                                ConstantDetection(0.7), a0=-4.0)
+        assert split_event(obs, (-0.0,))[1].tolist() == [False, True, False]
+
+    def test_nan_matches_nothing(self):
+        gobs, _ = sigma_z_scenario(0.7, a0=0.0)
+        has_a0, mask = split_event(gobs, (float("nan"),))
+        assert not has_a0 and not mask.any()
