@@ -18,16 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegenerateSpectrumError,
-    DimensionMismatchError,
-    NotNormalizedError,
-)
+from .errors import DegenerateSpectrumError, DimensionMismatchError
 from .model import (
-    NORM_TOL,
     DensityOperator,
     GeneralizedObservable,
     PureState,
+    _freeze_unit,
     detection_probability,
 )
 
@@ -47,6 +43,8 @@ class ApparatusModel:
     def __post_init__(self):
         if self.dim_pointer < 2:
             raise ValueError("pointer needs the ready state plus at least one outcome state")
+        if not np.isfinite([self.theta, self.phi]).all():
+            raise ValueError(f"phases must be finite, got theta={self.theta!r}, phi={self.phi!r}")
 
     @classmethod
     def for_observable(cls, gobs: GeneralizedObservable, theta: float = 0.0,
@@ -74,11 +72,7 @@ class CompoundState:
         if v.ndim != 1 or v.size != self.dim_object * self.dim_pointer:
             raise DimensionMismatchError(
                 f"amplitude count {v.size} != {self.dim_object} * {self.dim_pointer}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalizedError(f"compound norm is {norm!r}, expected 1")
-        v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _freeze_unit(v, "compound"))
 
 
 def couple_and_evolve(gobs: GeneralizedObservable, psi: PureState,

@@ -78,6 +78,8 @@ class SpectralDecomposition:
         projs = tuple(as_matrix(p) for p in self.projectors)
         if eigs.ndim != 1 or eigs.size == 0:
             raise ValueError("eigenvalues must form a nonempty 1-D sequence")
+        if not np.all(np.isfinite(eigs)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(eigs) <= 0):
             raise ValueError("eigenvalues must be strictly increasing")
         if len(projs) != eigs.size:
@@ -136,6 +138,22 @@ def default_cluster_tol(eigenvalues) -> float:
     return CLUSTER_TOL_FACTOR * float(w.max() - w.min())
 
 
+def _cluster(values: np.ndarray, vectors: np.ndarray,
+             cluster_tol: float) -> SpectralDecomposition:
+    """Merge ascending ``values`` closer than ``cluster_tol`` into one eigenvalue
+    (their mean) whose projector spans their eigenvectors, the columns of ``vectors``."""
+    eigenvalues = []
+    projectors = []
+    start = 0
+    for stop in range(1, values.size + 1):
+        if stop == values.size or values[stop] - values[stop - 1] > cluster_tol:
+            block = vectors[:, start:stop]
+            eigenvalues.append(float(np.mean(values[start:stop])))
+            projectors.append(block @ block.conj().T)
+            start = stop
+    return SpectralDecomposition(np.array(eigenvalues), tuple(projectors))
+
+
 def hermitian_eigendecompose(m, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix into distinct eigenvalues and projectors.
 
@@ -151,18 +169,9 @@ def hermitian_eigendecompose(m, cluster_tol: float | None = None) -> SpectralDec
     w, v = np.linalg.eigh(h)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(w)
-    if cluster_tol < 0:
+    if not cluster_tol >= 0:
         raise ValueError("cluster_tol must be nonnegative")
-    eigenvalues = []
-    projectors = []
-    start = 0
-    for stop in range(1, w.size + 1):
-        if stop == w.size or w[stop] - w[stop - 1] > cluster_tol:
-            block = v[:, start:stop]
-            eigenvalues.append(float(np.mean(w[start:stop])))
-            projectors.append(block @ block.conj().T)
-            start = stop
-    return SpectralDecomposition(np.array(eigenvalues), tuple(projectors))
+    return _cluster(w, v, cluster_tol)
 
 
 def tensor_product(a, b) -> np.ndarray:

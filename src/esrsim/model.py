@@ -71,6 +71,17 @@ def _nearest_index(sorted_values: np.ndarray, value: float) -> int | None:
     return None
 
 
+def _freeze_unit(v: np.ndarray, name: str) -> np.ndarray:
+    """Check that ``v`` is finite with unit norm, make it read-only and return it."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError("amplitudes must be finite")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NotNormalizedError(f"{name} norm is {norm!r}, expected 1")
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector in an n-dimensional complex inner-product space."""
@@ -81,13 +92,7 @@ class PureState:
         v = np.array(self.amplitudes, dtype=complex)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("amplitudes must form a nonempty 1-D sequence")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalizedError(f"state norm is {norm!r}, expected 1")
-        v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _freeze_unit(v, "state"))
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
@@ -252,7 +257,7 @@ class GeneralizedObservable:
         eigs = self.base.eigenvalues
         separation = float(np.min(np.abs(eigs - a0)))
         floor = max(linalg.default_cluster_tol(eigs), 2.0 * _match_atol(a0))
-        if separation <= floor:
+        if not separation > floor:
             raise ValueError(
                 f"no-registration outcome {a0!r} clashes with the spectrum "
                 f"(separation {separation:.3e}, required > {floor:.3e})")
@@ -278,13 +283,11 @@ class GeneralizedObservable:
 
 def canonical_outcome(gobs: GeneralizedObservable, value: float) -> float | None:
     """The outcome of ``gobs`` matching ``value`` within tolerance, else None."""
-    value = float(value)
-    if abs(value - gobs.a0) <= _match_atol(value):
+    has_a0, mask = split_event(gobs, (value,))
+    if has_a0:
         return gobs.a0
-    k = _nearest_index(gobs.base.eigenvalues, value)
-    if k is not None:
-        return float(gobs.base.eigenvalues[k])
-    return None
+    matched = gobs.base.eigenvalues[mask]
+    return float(matched[0]) if matched.size else None
 
 
 def split_event(gobs: GeneralizedObservable, event) -> tuple[bool, np.ndarray]:
@@ -495,14 +498,16 @@ class PovAxiomReport:
 
 
 def _event_subsets(outcomes: np.ndarray, rng: np.random.Generator,
-                   limit: int = 1024) -> list[np.ndarray]:
-    """All subsets of the outcome set, or a random sample when too many."""
-    n = outcomes.size
+                   limit: int) -> list[tuple[float, ...]]:
+    """All subsets of the outcome set, or ``limit`` random ones drawn from ``rng``
+    when there are more; the rng is left untouched when all are enumerated."""
+    values = [float(v) for v in outcomes]
+    n = len(values)
     if 2 ** n <= limit:
-        return [outcomes[[bool(bits >> i & 1) for i in range(n)]]
-                for bits in range(2 ** n)]
-    picks = rng.integers(0, 2, size=(limit, n)).astype(bool)
-    return [outcomes[row] for row in picks]
+        rows = ([bits >> i & 1 for i in range(n)] for bits in range(2 ** n))
+    else:
+        rows = rng.integers(0, 2, size=(limit, n)).astype(bool)
+    return [tuple(v for v, on in zip(values, row) if on) for row in rows]
 
 
 def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
@@ -525,7 +530,7 @@ def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
     identity = np.eye(gobs.dim)
     normalization = linalg.frobenius(op(outcomes) - identity)
 
-    subsets = _event_subsets(outcomes, rng)
+    subsets = _event_subsets(outcomes, rng, limit=1024)
     positivity = 0.0
     for s in subsets:
         eigs = np.linalg.eigvalsh(op(s))

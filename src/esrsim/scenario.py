@@ -46,7 +46,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .linalg import SpectralDecomposition, default_cluster_tol, frobenius
+from .linalg import _cluster, default_cluster_tol, frobenius
 from .model import (
     ConstantDetection,
     DetectionModel,
@@ -288,10 +288,11 @@ def _parse_experiment(entries) -> ExperimentSpec:
             spec.trials = _parse_int(value, key, line)
             if spec.trials < 1:
                 raise ScenarioParseError(line, "trials must be at least 1")
-        elif key == "seed":
-            spec.seed = _parse_int(value, key, line)
         else:
-            spec.stream = _parse_int(value, key, line)
+            number = _parse_int(value, key, line)
+            if not 0 <= number < 2 ** 64:
+                raise ScenarioParseError(line, f"{key}: must lie in [0, 2**64), got {number}")
+            setattr(spec, key, number)
     return spec
 
 
@@ -365,6 +366,14 @@ def _fail(field_name: str, message: str) -> ScenarioValidationError:
     return ScenarioValidationError(f"{field_name}: {message}")
 
 
+def _build(field_name: str, factory, *args):
+    """``factory(*args)``, reporting a model error as a validation error naming the field."""
+    try:
+        return factory(*args)
+    except (EsrError, ValueError) as exc:
+        raise _fail(field_name, str(exc)) from exc
+
+
 def _rectangular(rows, field_name: str, shape: tuple[int, int]) -> np.ndarray:
     try:
         matrix = np.array(rows, dtype=complex)
@@ -379,47 +388,26 @@ def _build_observable(sc: Scenario) -> QuantumObservable:
     dim = sc.dimension
     if sc.observable_rows is not None:
         matrix = _rectangular(sc.observable_rows, "observable", (dim, dim))
-        try:
-            return QuantumObservable.from_matrix(matrix)
-        except EsrError as exc:
-            raise _fail("observable", str(exc)) from exc
+        return _build("observable", QuantumObservable.from_matrix, matrix)
 
     pairs = sc.observable_spectral
     vectors = _rectangular([vec for _, vec in pairs], "observable", (dim, dim))
     gram = vectors.conj() @ vectors.T
     defect = frobenius(gram - np.eye(dim))
-    if defect > ORTHONORMALITY_TOL:
+    if not defect <= ORTHONORMALITY_TOL:
         raise _fail("observable", f"eigenvectors are not orthonormal (defect {defect:.3e})")
     values = np.array([ev for ev, _ in pairs], dtype=float)
     order = np.argsort(values, kind="stable")
-    values, vectors = values[order], vectors[order]
-    # group eigenvalues closer than the clustering tolerance
-    tol = default_cluster_tol(values)
-    eigenvalues, projectors = [], []
-    start = 0
-    for stop in range(1, values.size + 1):
-        if stop == values.size or values[stop] - values[stop - 1] > tol:
-            block = vectors[start:stop]
-            eigenvalues.append(float(np.mean(values[start:stop])))
-            projectors.append(block.T @ block.conj())
-            start = stop
-    try:
-        return QuantumObservable(SpectralDecomposition(np.array(eigenvalues), tuple(projectors)))
-    except (EsrError, ValueError) as exc:
-        raise _fail("observable", str(exc)) from exc
+    values = values[order]
+    return _build("observable", lambda: QuantumObservable(
+        _cluster(values, vectors[order].T, default_cluster_tol(values))))
 
 
 def _build_detection(sc: Scenario) -> DetectionModel:
     if sc.detection.kind == "constant":
-        try:
-            return ConstantDetection(sc.detection.p)
-        except ValueError as exc:
-            raise _fail("detection", str(exc)) from exc
+        return _build("detection", ConstantDetection, sc.detection.p)
     matrix = _rectangular(sc.detection.rows, "detection", (sc.dimension, sc.dimension))
-    try:
-        return ExpectationDetection(matrix)
-    except (EsrError, ValueError) as exc:
-        raise _fail("detection", str(exc)) from exc
+    return _build("detection", ExpectationDetection, matrix)
 
 
 def build_scenario(sc: Scenario) -> BuiltScenario:
@@ -429,18 +417,12 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     """
     if len(sc.state) != sc.dimension:
         raise _fail("state", f"needs {sc.dimension} amplitudes, got {len(sc.state)}")
-    try:
-        psi = PureState(np.array(sc.state, dtype=complex))
-    except (EsrError, ValueError) as exc:
-        raise _fail("state", str(exc)) from exc
+    psi = _build("state", PureState, np.array(sc.state, dtype=complex))
 
     base = _build_observable(sc)
     detection = _build_detection(sc)
     a0 = sc.a0 if sc.a0 is not None else default_no_registration_outcome(base)
-    try:
-        gobs = GeneralizedObservable(base, a0, detection)
-    except ValueError as exc:
-        raise _fail("a0", str(exc)) from exc
+    gobs = _build("a0", GeneralizedObservable, base, a0, detection)
 
     events = []
     for event in sc.experiment.events:
@@ -455,7 +437,7 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     return BuiltScenario(
         gobs=gobs,
         psi=psi,
-        apparatus=ApparatusModel.for_observable(gobs, sc.theta, sc.phi),
+        apparatus=_build("apparatus", ApparatusModel.for_observable, gobs, sc.theta, sc.phi),
         experiment=sc.experiment,
         events=tuple(events),
         digest=scenario_digest(sc),

@@ -10,6 +10,7 @@ import pytest
 
 from esrsim import (
     ApparatusModel,
+    CompoundState,
     ConstantDetection,
     DegenerateSpectrumError,
     DimensionMismatchError,
@@ -203,3 +204,14 @@ class TestNonlinearity:
                       + couple_and_evolve(gobs, psi2, app).amplitudes)
         branch_sum = branch_sum / np.linalg.norm(branch_sum)
         assert np.linalg.norm(evolved_plus - branch_sum) > 1e-3
+
+
+class TestValidation:
+    def test_compound_state_rejects_non_finite_amplitudes(self):
+        with pytest.raises(ValueError, match="finite"):
+            CompoundState(np.array([np.nan, 0.0]), 1, 2)
+
+    @pytest.mark.parametrize("theta, phi", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_apparatus_rejects_non_finite_phases(self, theta, phi):
+        with pytest.raises(ValueError, match="finite"):
+            ApparatusModel(3, theta, phi)

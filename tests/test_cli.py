@@ -1,6 +1,7 @@
 """CLI tests: verbs, exit codes, machine records, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -40,6 +41,25 @@ detection:
   kind: constant
   p: 0.8
 """
+
+# without events, so that no event diagnostic can stand in for the observable's
+SPECTRAL = GOOD.replace("  row: 1,0 0,0\n  row: 0,0 -1,0\n",
+                        "  eigenvalue: 1\n  vector: 1,0 0,0\n"
+                        "  eigenvalue: -1\n  vector: 0,0 1,0\n"
+                        ).replace("  event: 1\n  event: a0 1\n", "")
+
+# (id, scenario text, field the one-line diagnostic must name)
+INVALID_SCENARIOS = [
+    ("eigenvalue-inf", SPECTRAL.replace("eigenvalue: 1\n", "eigenvalue: inf\n"), "observable"),
+    ("eigenvalue-nan", SPECTRAL.replace("eigenvalue: 1\n", "eigenvalue: nan\n"), "observable"),
+    ("a0-nan", GOOD.replace("a0: 0", "a0: nan"), "a0"),
+    ("theta-nan", GOOD.replace("experiment:", "apparatus:\n  theta: nan\nexperiment:"),
+     "apparatus"),
+    ("row-nan", GOOD.replace("row: 1,0 0,0", "row: nan,0 0,0"), "observable"),
+    ("seed-negative", GOOD.replace("seed: 42", "seed: -1"), "seed"),
+    ("seed-2**64", GOOD.replace("seed: 42", f"seed: {2 ** 64}"), "seed"),
+    ("stream-negative", GOOD.replace("seed: 42", "seed: 42\n  stream: -1"), "stream"),
+]
 
 DEGENERATE = """\
 esrsim scenario v1
@@ -171,7 +191,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("flag, value", [
         ("--workers", "-3"), ("--workers", "0"), ("--trials", "0"),
         ("--seed", "-5"), ("--seed", str(2 ** 64)), ("--stream", "-1"),
-        ("--trials", "ten"),
+        ("--trials", "ten"), ("--tol", "nan"), ("--tol", "-1"), ("--sigma", "inf"),
     ])
     def test_invalid_sample_flags_are_usage_errors(self, good_scenario, flag, value,
                                                    capsys):
@@ -188,3 +208,15 @@ class TestErrorPaths:
         path.write_text(GOOD.replace("a0: 0", "a0: 1"))
         assert main(["verify", str(path)]) == 2
         assert "a0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["verify", "sample", "evolve"])
+    @pytest.mark.parametrize("text, field", [case[1:] for case in INVALID_SCENARIOS],
+                             ids=[case[0] for case in INVALID_SCENARIOS])
+    def test_invalid_scenario_numbers_are_named_errors(self, tmp_path, capsys, verb,
+                                                      text, field):
+        path = tmp_path / "invalid.esr"
+        path.write_text(text)
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert re.match(rf"esrsim: (line \d+: )?{re.escape(field)}: ", err)

@@ -7,10 +7,12 @@ from esrsim import (
     ScenarioParseError,
     ScenarioValidationError,
     build_scenario,
+    hermitian_eigendecompose,
     parse_scenario,
     scenario_digest,
     serialize_scenario,
 )
+from helpers import random_unitary
 
 MINIMAL = """\
 esrsim scenario v1
@@ -192,6 +194,22 @@ class TestBuild:
         with pytest.raises(ScenarioValidationError) as err:
             build_scenario(parse_scenario(bad))
         assert "detection" in str(err.value)
+
+    def test_spectral_form_merges_near_degenerate_pair(self):
+        u = random_unitary(np.random.default_rng(5), 3)
+        values = [0.5, 2.0, 0.5 + 1e-12]
+        lines = ["esrsim scenario v1", "dimension: 3", "state: 1,0 0,0 0,0", "observable:"]
+        for value, vector in zip(values, u.T):
+            lines.append(f"  eigenvalue: {value!r}")
+            lines.append("  vector: " + " ".join(f"{z.real},{z.imag}" for z in vector.tolist()))
+        lines += ["detection:", "  kind: constant", "  p: 0.8"]
+        base = build_scenario(parse_scenario("\n".join(lines) + "\n")).gobs.base
+        assert base.eigenvalues.size == 2
+        assert np.trace(base.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
+        dense = hermitian_eigendecompose(u @ np.diag(values) @ u.conj().T)
+        np.testing.assert_allclose(base.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+        for got, want in zip(base.projectors, dense.projectors):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_ragged_rows_rejected(self):
         bad = MINIMAL.replace("  row: 0,0 -1,0", "  row: 0,0")
