@@ -253,6 +253,11 @@ class GeneralizedObservable:
     detection: DetectionModel
 
     def __post_init__(self):
+        if (isinstance(self.detection, ExpectationDetection)
+                and self.detection.operator.shape[0] != self.base.dim):
+            raise DimensionMismatchError(
+                f"detection operator dim {self.detection.operator.shape[0]} "
+                f"!= observable dim {self.base.dim}")
         a0 = float(self.a0)
         eigs = self.base.eigenvalues
         separation = float(np.min(np.abs(eigs - a0)))

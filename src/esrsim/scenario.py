@@ -392,11 +392,14 @@ def _build_observable(sc: Scenario) -> QuantumObservable:
 
     pairs = sc.observable_spectral
     vectors = _rectangular([vec for _, vec in pairs], "observable", (dim, dim))
+    values = np.array([ev for ev, _ in pairs], dtype=float)
+    # checked before any arithmetic, which would warn on inf before failing
+    if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
+        raise _fail("observable", "eigenvalues and eigenvectors must be finite")
     gram = vectors.conj() @ vectors.T
     defect = frobenius(gram - np.eye(dim))
     if not defect <= ORTHONORMALITY_TOL:
         raise _fail("observable", f"eigenvectors are not orthonormal (defect {defect:.3e})")
-    values = np.array([ev for ev, _ in pairs], dtype=float)
     order = np.argsort(values, kind="stable")
     values = values[order]
     return _build("observable", lambda: QuantumObservable(

@@ -52,6 +52,9 @@ SPECTRAL = GOOD.replace("  row: 1,0 0,0\n  row: 0,0 -1,0\n",
 INVALID_SCENARIOS = [
     ("eigenvalue-inf", SPECTRAL.replace("eigenvalue: 1\n", "eigenvalue: inf\n"), "observable"),
     ("eigenvalue-nan", SPECTRAL.replace("eigenvalue: 1\n", "eigenvalue: nan\n"), "observable"),
+    ("eigenvalues-inf-and-minus-inf", SPECTRAL.replace("eigenvalue: 1\n", "eigenvalue: inf\n")
+     .replace("eigenvalue: -1\n", "eigenvalue: -inf\n"), "observable"),
+    ("vector-inf", SPECTRAL.replace("vector: 1,0 0,0", "vector: inf,0 0,0"), "observable"),
     ("a0-nan", GOOD.replace("a0: 0", "a0: nan"), "a0"),
     ("theta-nan", GOOD.replace("experiment:", "apparatus:\n  theta: nan\nexperiment:"),
      "apparatus"),

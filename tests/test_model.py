@@ -293,6 +293,11 @@ class TestGeneralizedObservable:
             GeneralizedObservable.from_matrix(np.diag([1.0, -1.0]),
                                               ConstantDetection(0.5), a0=1.0)
 
+    def test_rejects_detection_operator_of_other_dimension(self):
+        base = QuantumObservable.from_matrix(np.diag([1.0, -1.0]))
+        with pytest.raises(DimensionMismatchError):
+            GeneralizedObservable(base, 0.0, ExpectationDetection(np.diag([0.2, 0.5, 0.9])))
+
 
 class TestPovAxioms:
     def test_random_scenarios_within_tolerance(self):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from esrsim import (
+    ConstantDetection,
+    GeneralizedObservable,
     PureState,
+    QuantumObservable,
     RngSpec,
     born_probabilities,
     predicted_probabilities,
@@ -16,7 +19,30 @@ from esrsim import (
     sample_measurement,
     sample_sequence,
 )
+from esrsim import sampling
+from esrsim.sampling import _BLOCKS_PER_TASK, BLOCK_SIZE
 from helpers import random_generalized, random_state, sigma_z_scenario
+
+TASK = _BLOCKS_PER_TASK * BLOCK_SIZE
+
+
+def block_oracle(gobs, psi, trials, spec):
+    """Counts drawn one 4096-trial block at a time, roundoff folded per trial."""
+    pd = sampling.detection_probability(gobs, psi)
+    born = sampling.born_probabilities(gobs, psi)
+    cum = np.cumsum(born)
+    cum[-1] = 1.0
+    counts = np.zeros(born.size + 1, dtype=np.int64)
+    for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        size = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        u = spec.block_generator(block).random((size, 2))
+        detected = u[:, 0] < pd
+        counts[0] += size - int(detected.sum())
+        idx = np.searchsorted(cum, u[detected, 1], side="right")
+        bad = (idx >= born.size) | (born[np.minimum(idx, born.size - 1)] <= 0.0)
+        idx = np.where(bad, int(np.argmax(born)), idx)
+        counts[1:] += np.bincount(idx, minlength=born.size)
+    return counts
 
 
 class TestRngSpec:
@@ -173,6 +199,45 @@ class TestRunExperiment:
             counts[sample_measurement(gobs, psi, gen).outcome] += 1
         np.testing.assert_array_equal(report.counts,
                                       [counts[0.0], counts[-1.0], counts[1.0]])
+
+    @pytest.mark.parametrize("trials", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                                        TASK, TASK + 1, 5 * TASK // 2])
+    def test_counts_match_block_oracle(self, trials):
+        rng = np.random.default_rng(trials)
+        gobs = random_generalized(rng, 5)
+        psi = random_state(rng, 5)
+        spec = RngSpec(seed=trials, stream_id=3)
+        expected = block_oracle(gobs, psi, trials, spec)
+        for workers in (1, 2, 3):
+            report = run_experiment(gobs, psi, trials, spec, workers=workers)
+            np.testing.assert_array_equal(report.counts, expected)
+
+    def test_empty_born_bin_counts_zero(self):
+        # the state is orthogonal to the top eigenvector, so its Born weight is 0
+        base = QuantumObservable.from_matrix(np.diag([-1.0, 0.0, 1.0]))
+        gobs = GeneralizedObservable(base, -2.0, ConstantDetection(0.7))
+        psi = PureState(np.array([0.6, 0.8j, 0.0]))
+        spec = RngSpec(seed=17)
+        expected = block_oracle(gobs, psi, TASK + 1, spec)
+        assert expected[3] == 0
+        for workers in (1, 2, 3):
+            report = run_experiment(gobs, psi, TASK + 1, spec, workers=workers)
+            np.testing.assert_array_equal(report.counts, expected)
+
+    def test_stray_draws_fold_onto_largest_bin(self, monkeypatch):
+        # weights summing to 0.75 leave a quarter of the draws past the last
+        # nonempty bin, on the empty top bin; they count for the largest bin
+        base = QuantumObservable.from_matrix(np.diag([-1.0, 0.0, 1.0]))
+        gobs = GeneralizedObservable(base, -2.0, ConstantDetection(0.8))
+        psi = PureState(np.array([1.0, 0.0, 0.0]))
+        monkeypatch.setattr(sampling, "born_probabilities",
+                            lambda g, p: np.array([0.25, 0.5, 0.0]))
+        spec = RngSpec(seed=23)
+        expected = block_oracle(gobs, psi, TASK + 1, spec)
+        assert expected[3] == 0 and expected[2] > 0.6 * expected[1:].sum()
+        for workers in (1, 2, 3):
+            report = run_experiment(gobs, psi, TASK + 1, spec, workers=workers)
+            np.testing.assert_array_equal(report.counts, expected)
 
     def test_statistical_envelope(self):
         gobs, psi = sigma_z_scenario(0.8)
