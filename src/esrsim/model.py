@@ -169,6 +169,13 @@ class QuantumObservable:
         return all(abs(float(np.trace(p).real) - 1.0) <= tol for p in self.projectors)
 
     @cached_property
+    def _projector_stack(self) -> np.ndarray:
+        """The projectors as one read-only ``(K, d, d)`` array, for stacked products."""
+        stack = np.array(self.projectors)
+        stack.flags.writeable = False
+        return stack
+
+    @cached_property
     def _eigen_index(self) -> dict[float, int]:
         """Position of each eigenvalue, for quoted values that equal one exactly."""
         return {v: k for k, v in enumerate(self.eigenvalues.tolist())}

@@ -13,6 +13,12 @@ and counts the buffer, so ``workers > 1`` speeds up large runs; the grouping
 never changes which draws a trial uses, so the reports stay the same.
 
 Every trial consumes exactly two uniform draws.
+
+Single draws (``sample_measurement``, ``sample_sequence``) take the Born
+weights from one stacked product of all projectors with the state. A
+sequence computes the weights and the detection probability once per state:
+an undetected draw returns the same state, so they are reused until a
+detected draw replaces it. Records equal those of chained single draws.
 """
 
 from __future__ import annotations
@@ -72,8 +78,9 @@ class RngSpec:
 def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
     """Conditional (detected) outcome distribution over the eigenvalues."""
     v = psi.amplitudes
-    p = np.array([float(np.vdot(v, proj @ v).real) for proj in gobs.base.projectors])
-    p = np.clip(p, 0.0, None)
+    # one stacked product; each of its rows is P_k @ v to the bit
+    p = np.array([float(np.vdot(v, row).real) for row in gobs.base._projector_stack @ v])
+    p = np.maximum(p, 0.0)
     return p / p.sum()
 
 
@@ -102,6 +109,29 @@ def _as_generator(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngSpec) else rng
 
 
+def _weights(gobs: GeneralizedObservable,
+             psi: PureState) -> tuple[float, np.ndarray, np.ndarray]:
+    """(detection probability, Born weights, their cumulative sums) of one state."""
+    born = born_probabilities(gobs, psi)
+    return detection_probability(gobs, psi), born, _cumulative(born)
+
+
+def _draw(gobs: GeneralizedObservable, psi: PureState, gen: np.random.Generator,
+          pd: float, born: np.ndarray, cum: np.ndarray) -> MeasurementOutcomeRecord:
+    """One two-uniform draw on ``psi``, whose ``_weights`` are (pd, born, cum)."""
+    u = gen.random(DRAWS_PER_TRIAL)
+    if u[0] >= pd:
+        return MeasurementOutcomeRecord(
+            outcome=gobs.a0, detected=False, pre_state=psi, post_state=psi,
+            probability=1.0 - pd)
+    k = _conditional_index(born, cum, float(u[1]))
+    v = gobs.base.projectors[k] @ psi.amplitudes
+    post = PureState(fix_phase(v / np.linalg.norm(v)))
+    return MeasurementOutcomeRecord(
+        outcome=float(gobs.base.eigenvalues[k]), detected=True, pre_state=psi,
+        post_state=post, probability=pd * float(born[k]))
+
+
 def sample_measurement(gobs: GeneralizedObservable, psi: PureState,
                        rng) -> MeasurementOutcomeRecord:
     """Draw one measurement: detection Bernoulli, then a Born draw if detected.
@@ -111,34 +141,29 @@ def sample_measurement(gobs: GeneralizedObservable, psi: PureState,
     whose state advances by exactly two uniforms. An undetected draw leaves
     the state object untouched; a detected one applies the Lüders update.
     """
-    gen = _as_generator(rng)
-    pd = detection_probability(gobs, psi)
-    born = born_probabilities(gobs, psi)
-    u = gen.random(DRAWS_PER_TRIAL)
-    if u[0] >= pd:
-        return MeasurementOutcomeRecord(
-            outcome=gobs.a0, detected=False, pre_state=psi, post_state=psi,
-            probability=1.0 - pd)
-    k = _conditional_index(born, _cumulative(born), float(u[1]))
-    v = gobs.base.projectors[k] @ psi.amplitudes
-    post = PureState(fix_phase(v / np.linalg.norm(v)))
-    return MeasurementOutcomeRecord(
-        outcome=float(gobs.base.eigenvalues[k]), detected=True, pre_state=psi,
-        post_state=post, probability=pd * float(born[k]))
+    return _draw(gobs, psi, _as_generator(rng), *_weights(gobs, psi))
 
 
 def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
                     rng) -> list[MeasurementOutcomeRecord]:
-    """Chain measurements, feeding each post-state into the next draw."""
+    """Chain measurements, feeding each post-state into the next draw.
+
+    The records equal those of chained :func:`sample_measurement` calls on one
+    generator. An undetected draw keeps the state, so its weights are reused
+    until a detected draw replaces it.
+    """
     if length < 1:
         raise ValueError("length must be at least 1")
     gen = _as_generator(rng)
     records = []
-    state = psi
+    state, weights = psi, None
     for _ in range(length):
-        record = sample_measurement(gobs, state, gen)
+        if weights is None:
+            weights = _weights(gobs, state)
+        record = _draw(gobs, state, gen, *weights)
         records.append(record)
-        state = record.post_state
+        if record.detected:
+            state, weights = record.post_state, None
     return records
 
 

@@ -367,9 +367,16 @@ def _fail(field_name: str, message: str) -> ScenarioValidationError:
 
 
 def _build(field_name: str, factory, *args):
-    """``factory(*args)``, reporting a model error as a validation error naming the field."""
+    """``factory(*args)``, reporting a model error as a validation error naming the field.
+
+    Floating-point overflow raises here instead of warning, so finite numbers
+    too large to compute with get the same one-line error as any other.
+    """
     try:
-        return factory(*args)
+        with np.errstate(over="raise"):
+            return factory(*args)
+    except FloatingPointError as exc:
+        raise _fail(field_name, f"numbers too large to compute with ({exc})") from exc
     except (EsrError, ValueError) as exc:
         raise _fail(field_name, str(exc)) from exc
 
@@ -396,14 +403,17 @@ def _build_observable(sc: Scenario) -> QuantumObservable:
     # checked before any arithmetic, which would warn on inf before failing
     if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
         raise _fail("observable", "eigenvalues and eigenvectors must be finite")
-    gram = vectors.conj() @ vectors.T
-    defect = frobenius(gram - np.eye(dim))
-    if not defect <= ORTHONORMALITY_TOL:
-        raise _fail("observable", f"eigenvectors are not orthonormal (defect {defect:.3e})")
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    return _build("observable", lambda: QuantumObservable(
-        _cluster(values, vectors[order].T, default_cluster_tol(values))))
+
+    def spectral() -> QuantumObservable:
+        defect = frobenius(vectors.conj() @ vectors.T - np.eye(dim))
+        if not defect <= ORTHONORMALITY_TOL:
+            raise ValueError(f"eigenvectors are not orthonormal (defect {defect:.3e})")
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        return QuantumObservable(_cluster(ordered, vectors[order].T,
+                                          default_cluster_tol(ordered)))
+
+    return _build("observable", spectral)
 
 
 def _build_detection(sc: Scenario) -> DetectionModel:
@@ -431,6 +441,9 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     for event in sc.experiment.events:
         resolved = []
         for v in event:
+            if v != "a0" and not np.isfinite(v):
+                # an infinite value would fall inside a0's infinitely wide match window
+                raise _fail("event", f"{v!r} is not a finite number")
             value = gobs.a0 if v == "a0" else canonical_outcome(gobs, v)
             if value is None:
                 raise _fail("event", f"{v!r} matches no outcome of the observable")

@@ -62,6 +62,17 @@ INVALID_SCENARIOS = [
     ("seed-negative", GOOD.replace("seed: 42", "seed: -1"), "seed"),
     ("seed-2**64", GOOD.replace("seed: 42", f"seed: {2 ** 64}"), "seed"),
     ("stream-negative", GOOD.replace("seed: 42", "seed: 42\n  stream: -1"), "stream"),
+    ("event-inf", GOOD.replace("event: 1\n", "event: inf\n"), "event"),
+    ("event-minus-inf", GOOD.replace("event: 1\n", "event: -inf\n"), "event"),
+    # finite, but large enough that the build's arithmetic overflows
+    ("state-overflow", GOOD.replace("state: 0.7071067811865476,0 0.7071067811865476,0",
+                                    "state: 1e300,0 1e300,0"), "state"),
+    ("row-overflow", GOOD.replace("row: 1,0 0,0", "row: 1e308,0 0,0")
+     .replace("row: 0,0 -1,0", "row: 0,0 -1e308,0"), "observable"),
+    ("eigenvalues-overflow", SPECTRAL.replace("eigenvalue: 1\n", "eigenvalue: 1e308\n")
+     .replace("eigenvalue: -1\n", "eigenvalue: -1e308\n"), "observable"),
+    ("vector-overflow", SPECTRAL.replace("vector: 1,0 0,0", "vector: 1e200,0 0,0"),
+     "observable"),
 ]
 
 DEGENERATE = """\

@@ -9,6 +9,7 @@ import pytest
 
 from esrsim import (
     ConstantDetection,
+    ExpectationDetection,
     GeneralizedObservable,
     PureState,
     QuantumObservable,
@@ -21,7 +22,13 @@ from esrsim import (
 )
 from esrsim import sampling
 from esrsim.sampling import _BLOCKS_PER_TASK, BLOCK_SIZE
-from helpers import random_generalized, random_state, sigma_z_scenario
+from helpers import (
+    random_generalized,
+    random_hermitian,
+    random_state,
+    random_unitary,
+    sigma_z_scenario,
+)
 
 TASK = _BLOCKS_PER_TASK * BLOCK_SIZE
 
@@ -43,6 +50,25 @@ def block_oracle(gobs, psi, trials, spec):
         idx = np.where(bad, int(np.argmax(born)), idx)
         counts[1:] += np.bincount(idx, minlength=born.size)
     return counts
+
+
+def per_projector_born(gobs, psi):
+    """Born weights from one mat-vec and one vdot per projector, clipped at 0."""
+    v = psi.amplitudes
+    p = np.array([float(np.vdot(v, proj @ v).real) for proj in gobs.base.projectors])
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
+
+
+def benchmark_scenario(seed, dim=8):
+    """The benchmark generator's recipe: dense observable, expectation detection."""
+    rng = np.random.default_rng([seed, dim])
+    observable = random_hermitian(rng, dim, scale=1.0)
+    u = random_unitary(rng, dim)
+    b = (u * rng.uniform(0.45, 0.55, size=dim)) @ u.conj().T
+    gobs = GeneralizedObservable.from_matrix(
+        observable, ExpectationDetection((b + b.conj().T) / 2.0))
+    return gobs, random_state(rng, dim)
 
 
 class TestRngSpec:
@@ -86,6 +112,32 @@ class TestPredictedProbabilities:
             born = born_probabilities(gobs, psi)
             assert abs(born.sum() - 1.0) < 1e-12
             assert np.all(born >= 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 32, 40])
+    def test_born_matches_per_projector_form(self, dim):
+        rng = np.random.default_rng(dim)
+        u = random_unitary(rng, dim)
+        # every eigenvalue twice (one unpaired when dim is odd)
+        paired = (u * (np.arange(dim) // 2)) @ u.conj().T
+        for matrix in (random_hermitian(rng, dim), (paired + paired.conj().T) / 2.0):
+            gobs = GeneralizedObservable.from_matrix(matrix, ConstantDetection(0.7))
+            psi = random_state(rng, dim)
+            np.testing.assert_array_equal(born_probabilities(gobs, psi),
+                                          per_projector_born(gobs, psi))
+
+    @pytest.mark.parametrize("seed", [523, 617, 4243])
+    def test_born_matches_per_projector_form_on_benchmark_scenarios(self, seed):
+        gobs, psi = benchmark_scenario(seed)
+        np.testing.assert_array_equal(born_probabilities(gobs, psi),
+                                      per_projector_born(gobs, psi))
+
+    def test_projector_stack_is_read_only(self):
+        rng = np.random.default_rng(191)
+        base = random_generalized(rng, 4, degenerate=True).base
+        stack = base._projector_stack
+        np.testing.assert_array_equal(stack, np.array(base.projectors))
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
 
 
 class TestSampleMeasurement:
@@ -159,6 +211,35 @@ class TestSampleSequence:
         seq = sample_sequence(gobs, psi, 1, spec)
         assert len(seq) == 1
         assert seq[0].outcome == single.outcome
+
+    @pytest.mark.parametrize("case", ["benchmark", "expectation", "never", "always"])
+    def test_matches_chained_single_draws(self, case):
+        # the weights a sequence reuses must give the records fresh ones would
+        rng = np.random.default_rng(197)
+        if case == "benchmark":
+            gobs, psi = benchmark_scenario(4243)
+        elif case == "expectation":
+            gobs = random_generalized(rng, 5, degenerate=True, detection=ExpectationDetection(
+                np.diag(rng.uniform(0.2, 0.8, size=5))))
+            psi = random_state(rng, 5)
+        else:
+            p = 0.0 if case == "never" else 1.0
+            gobs = random_generalized(rng, 4, detection=ConstantDetection(p))
+            psi = random_state(rng, 4)
+        for seed in range(40):
+            records = sample_sequence(gobs, psi, 7, RngSpec(seed=seed, stream_id=1))
+            gen = RngSpec(seed=seed, stream_id=1).generator()
+            state = psi
+            for record in records:
+                expected = sample_measurement(gobs, state, gen)
+                assert record.outcome == expected.outcome
+                assert record.detected == expected.detected
+                assert record.probability == expected.probability
+                np.testing.assert_array_equal(record.pre_state.amplitudes,
+                                              expected.pre_state.amplitudes)
+                np.testing.assert_array_equal(record.post_state.amplitudes,
+                                              expected.post_state.amplitudes)
+                state = expected.post_state
 
     def test_length_validation(self):
         gobs, psi = sigma_z_scenario(0.5)
