@@ -18,6 +18,7 @@ they collapse to the usual projection-valued measure and Born rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -47,10 +48,19 @@ OutcomeEvent = frozenset
 
 
 def as_event(values) -> frozenset:
-    """Coerce a single value or an iterable of values to an outcome event."""
+    """Coerce a single value or an iterable of values to an outcome event.
+
+    A non-finite value raises ValueError: NaN matches no outcome, and an
+    infinite value would fall inside a0's infinitely wide match window.
+    """
     if isinstance(values, (int, float, np.integer, np.floating)):
-        return frozenset((float(values),))
-    return frozenset(float(v) for v in values)
+        event = frozenset((float(values),))
+    else:
+        event = frozenset(float(v) for v in values)
+    if not all(map(math.isfinite, event)):
+        bad = next(v for v in event if not math.isfinite(v))
+        raise ValueError(f"{bad!r} is not a finite number")
+    return event
 
 
 def _match_atol(value: float) -> float:

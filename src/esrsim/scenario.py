@@ -441,10 +441,7 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     for event in sc.experiment.events:
         resolved = []
         for v in event:
-            if v != "a0" and not np.isfinite(v):
-                # an infinite value would fall inside a0's infinitely wide match window
-                raise _fail("event", f"{v!r} is not a finite number")
-            value = gobs.a0 if v == "a0" else canonical_outcome(gobs, v)
+            value = gobs.a0 if v == "a0" else _build("event", canonical_outcome, gobs, v)
             if value is None:
                 raise _fail("event", f"{v!r} matches no outcome of the observable")
             resolved.append(value)

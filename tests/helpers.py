@@ -35,7 +35,9 @@ def random_observable(rng: np.random.Generator, dim: int,
     if not degenerate:
         return QuantumObservable.from_matrix(random_hermitian(rng, dim))
     n_distinct = int(rng.integers(1, dim))  # at least one repeated eigenvalue
-    values = np.sort(rng.choice(np.arange(-4.0, 5.0, 1.0), size=n_distinct, replace=False))
+    # the integers -4..4, widened only when more than 9 distinct values are needed
+    pool = np.arange(9 if n_distinct <= 9 else 2 * n_distinct) - 4.0
+    values = np.sort(rng.choice(pool, size=n_distinct, replace=False))
     multiplicity = np.ones(n_distinct, dtype=int)
     for _ in range(dim - n_distinct):
         multiplicity[rng.integers(0, n_distinct)] += 1

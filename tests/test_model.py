@@ -36,11 +36,13 @@ from esrsim.model import (
     _match_atol,
     _nearest_index,
     as_event,
+    canonical_outcome,
     clamp_probability,
 )
 from helpers import (
     random_event,
     random_generalized,
+    random_observable,
     random_state,
     random_unitary,
     scenario_stream,
@@ -281,6 +283,20 @@ class TestClamping:
             clamp_probability(1.1)
 
 
+@pytest.mark.parametrize("dim", [11, 19, 32])
+def test_random_degenerate_observable_beyond_nine_values(dim):
+    # more than 9 distinct eigenvalues need a wider pool than the integers -4..4
+    rng = np.random.default_rng(dim)
+    sizes = set()
+    for _ in range(8):
+        obs = random_observable(rng, dim, degenerate=True)
+        ranks = [int(round(np.trace(p).real)) for p in obs.projectors]
+        assert sum(ranks) == dim and max(ranks) > 1
+        np.testing.assert_allclose(obs.eigenvalues, np.round(obs.eigenvalues), atol=1e-9)
+        sizes.add(obs.eigenvalues.size)
+    assert max(sizes) > 9
+
+
 class TestGeneralizedObservable:
     def test_default_a0_below_spectrum(self):
         gobs = GeneralizedObservable.from_matrix(np.diag([1.0, -1.0]),
@@ -442,7 +458,7 @@ def _reference_split(gobs, event):
 
 class TestSplitEvent:
     def _values(self, gobs):
-        out = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e6, -1e6]
+        out = [-0.0, 0.0, 1e6, -1e6]
         for x in gobs.outcomes.tolist():
             w = _match_atol(x)
             out += [x, x + 0.5 * w, x - 0.5 * w, x + 2.0 * w, x - 2.0 * w,
@@ -474,7 +490,17 @@ class TestSplitEvent:
                                                 ConstantDetection(0.7), a0=-4.0)
         assert split_event(obs, (-0.0,))[1].tolist() == [False, True, False]
 
-    def test_nan_matches_nothing(self):
+    def test_non_finite_values_are_rejected(self):
+        # an infinite value would fall inside a0's infinitely wide match window,
+        # and NaN would silently match nothing
         gobs, _ = sigma_z_scenario(0.7, a0=0.0)
-        has_a0, mask = split_event(gobs, (float("nan"),))
-        assert not has_a0 and not mask.any()
+        for bad in (float("nan"), float("inf"), float("-inf"), np.float64("inf")):
+            for event in ((bad,), (1.0, bad, 0.0), bad):
+                with pytest.raises(ValueError, match="not a finite number"):
+                    as_event(event)
+                with pytest.raises(ValueError, match="not a finite number"):
+                    split_event(gobs, event)
+                with pytest.raises(ValueError, match="not a finite number"):
+                    pv_projector(gobs.base, event)
+            with pytest.raises(ValueError, match="not a finite number"):
+                canonical_outcome(gobs, bad)

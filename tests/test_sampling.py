@@ -52,6 +52,16 @@ def block_oracle(gobs, psi, trials, spec):
     return counts
 
 
+def assert_same_state(a, b):
+    """Two bit generator states are equal, arrays compared element for element."""
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            assert_same_state(a[key], b[key])
+        else:
+            np.testing.assert_array_equal(a[key], b[key])
+
+
 def per_projector_born(gobs, psi):
     """Born weights from one mat-vec and one vdot per projector, clipped at 0."""
     v = psi.amplitudes
@@ -96,6 +106,57 @@ class TestRngSpec:
             RngSpec(seed=-1)
         with pytest.raises(ValueError):
             RngSpec(seed=0, stream_id=-2)
+
+    @pytest.mark.parametrize("block", [0, 1, 15, 16, 17, 2 ** 32 + 3])
+    def test_repositioned_generator_matches_fresh_block_generator(self, block):
+        spec = RngSpec(seed=11, stream_id=4)
+        gen = spec.block_generator(5)
+        fresh = gen.bit_generator.state
+        # move the counter and leave a part-used buffer and a held 32-bit half
+        gen.random(3 * BLOCK_SIZE + 1)
+        gen.integers(0, 2 ** 32, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        sampling._reposition(gen, fresh, block)
+        expected = spec.block_generator(block)
+        assert_same_state(gen.bit_generator.state, expected.bit_generator.state)
+        np.testing.assert_array_equal(gen.random(2 * BLOCK_SIZE),
+                                      expected.random(2 * BLOCK_SIZE))
+
+
+def bincount_bins(x, cum):
+    """The bins as one binary search per draw: side="right" index, past-the-top last."""
+    return np.bincount(np.searchsorted(cum, x, side="right"), minlength=cum.size + 1)
+
+
+class TestBinCounts:
+    @pytest.mark.parametrize("born, x", [
+        ([0.25, 0.25, 0.5], [0.25, 0.5, 0.1, 0.25, 0.7, 0.5]),  # draws equal to cum entries
+        ([0.3, 0.0, 0.0, 0.7], [0.3, 0.29, 0.3, 0.31, 0.0]),  # ties from zero-weight bins
+        ([0.0, 0.4, 0.0, 0.6, 0.0], [0.0, 0.4, 0.4, 0.99, 0.2]),  # zero-weight ends
+        ([0.2, 0.8], []),  # no detected draw
+        ([1.0], [0.0, 0.5, np.nextafter(1.0, 0.0)]),  # K = 1
+        ([0.5, 0.5], [np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0)]),  # just below 1
+    ])
+    def test_matches_binary_search_per_draw(self, born, x):
+        cum = sampling._cumulative(np.array(born))
+        x = np.array(x, dtype=float)
+        expected = bincount_bins(x, cum)
+        bins = sampling._bin_counts(x.copy(), cum)
+        assert bins.shape == expected.shape
+        np.testing.assert_array_equal(bins, expected)
+
+    def test_matches_on_random_draws_with_cum_entries(self):
+        rng = np.random.default_rng(211)
+        for k in (1, 2, 7, 33):
+            born = rng.random(k) * (rng.random(k) < 0.6)
+            if not born.any():
+                born[0] = 1.0
+            cum = sampling._cumulative(born / born.sum())
+            x = np.concatenate((rng.random(5000), cum, cum[:-1], np.nextafter(cum, 0.0)))
+            x = x[x < 1.0]
+            rng.shuffle(x)
+            np.testing.assert_array_equal(sampling._bin_counts(x.copy(), cum),
+                                          bincount_bins(x, cum))
 
 
 class TestPredictedProbabilities:
@@ -291,6 +352,18 @@ class TestRunExperiment:
         expected = block_oracle(gobs, psi, trials, spec)
         for workers in (1, 2, 3):
             report = run_experiment(gobs, psi, trials, spec, workers=workers)
+            np.testing.assert_array_equal(report.counts, expected)
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_degenerate_d32_counts_match_block_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        gobs = random_generalized(rng, 32, degenerate=True)
+        assert gobs.base.eigenvalues.size < 32
+        psi = random_state(rng, 32)
+        spec = RngSpec(seed=seed, stream_id=1)
+        expected = block_oracle(gobs, psi, TASK + BLOCK_SIZE + 1, spec)
+        for workers in (1, 2, 3):
+            report = run_experiment(gobs, psi, TASK + BLOCK_SIZE + 1, spec, workers=workers)
             np.testing.assert_array_equal(report.counts, expected)
 
     def test_empty_born_bin_counts_zero(self):
