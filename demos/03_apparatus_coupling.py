@@ -4,7 +4,8 @@ The pointer starts "ready" (basis state 0) and ends correlated with the
 detected eigenvalue, or stays ready if the object escapes detection. The
 coupling is nonlinear in the object state (its weights depend on the state's
 detection probability) yet norm-preserving, and tracing out the pointer
-reproduces exactly the nonselective post-measurement mixture.
+reproduces exactly the nonselective post-measurement mixture. The pointer has
+one state per distinct eigenvalue, so degenerate spectra couple the same way.
 """
 
 import numpy as np
@@ -63,3 +64,15 @@ print("  |evolve(up+down) - (evolve(up)+evolve(down))| =",
       round(float(np.linalg.norm(evolved_plus - branch_sum)), 4))
 print("  yet the norm is always preserved:",
       np.linalg.norm(evolved_plus), "= 1")
+
+print("\ndegenerate spectrum: eigenvalue 1 twice, one pointer state for it")
+gobs_dg = GeneralizedObservable.from_matrix(
+    np.diag([1.0, 1.0, 2.0]), ConstantDetection(0.8), a0=0.0)
+psi_dg = PureState(np.array([0.6, 0.48j, 0.64]))
+app_dg = ApparatusModel.for_observable(gobs_dg)
+compound_dg = couple_and_evolve(gobs_dg, psi_dg, app_dg)
+print("  pointer dim:", app_dg.dim_pointer, "for object dim", gobs_dg.dim)
+print("  norm:", np.linalg.norm(compound_dg.amplitudes))
+mixture_dg = nonselective_state(measurement_operators(gobs_dg, psi_dg))
+print("  reduced state vs nonselective mixture:",
+      np.linalg.norm(reduced_object_state(compound_dg).matrix - mixture_dg.matrix))

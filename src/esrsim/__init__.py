@@ -18,7 +18,6 @@ from .apparatus import (
     reduced_object_state,
 )
 from .errors import (
-    DegenerateSpectrumError,
     DimensionMismatchError,
     EsrError,
     EventContainsNoRegistrationError,
@@ -101,10 +100,10 @@ __all__ = [
     "ApparatusModel", "CompoundState", "compound_density", "couple_and_evolve",
     "reduced_object_state",
     # errors
-    "DegenerateSpectrumError", "DimensionMismatchError", "EsrError",
-    "EventContainsNoRegistrationError", "NotHermitianError", "NotNormalizedError",
-    "NotSquareError", "ProbabilityRangeError", "ScenarioParseError",
-    "ScenarioValidationError", "ZeroProbabilityBranchError",
+    "DimensionMismatchError", "EsrError", "EventContainsNoRegistrationError",
+    "NotHermitianError", "NotNormalizedError", "NotSquareError",
+    "ProbabilityRangeError", "ScenarioParseError", "ScenarioValidationError",
+    "ZeroProbabilityBranchError",
     # linalg
     "SpectralDecomposition", "hermitian_eigendecompose", "is_positive_semidefinite",
     "partial_trace_second", "spectral_defects", "tensor_product",

@@ -1,13 +1,13 @@
 """Object-apparatus compound model.
 
 The measured object couples to a pointer whose basis states are "ready / not
-detected" (index 0) plus one state per eigenvalue (indices 1..K). The
-coupling sends the initial product state into a detected branch entangled
-with the pointer plus an undisturbed no-detection branch. Branch weights
-derive from the detection probability of the object's state, so the map is
-nonlinear in that state (hence nonunitary), yet it preserves the norm for
-every input. Tracing out the pointer reproduces the nonselective
-post-measurement mixture, which is the consistency content of the model.
+detected" (index 0) plus one state per distinct eigenvalue (indices 1..K),
+however degenerate. The coupling sends the initial product state into a
+detected branch entangled with the pointer plus an undisturbed no-detection
+branch. Its weights derive from the detection probability of the object's
+state, so the map is nonlinear in that state (hence nonunitary), yet it
+preserves the norm for every input. Tracing out the pointer reproduces the
+nonselective post-measurement mixture: the consistency content of the model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrumError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .model import (
     DensityOperator,
     GeneralizedObservable,
@@ -79,11 +79,11 @@ def couple_and_evolve(gobs: GeneralizedObservable, psi: PureState,
                       apparatus: ApparatusModel) -> CompoundState:
     """Couple the object to the ready pointer and apply the measurement evolution.
 
-    Defined for nondegenerate spectra only, where the pointer registers one
-    basis state per eigenvalue. The result is
+    The pointer registers one basis state per distinct eigenvalue, whatever
+    the rank of its projector. The result is
     ``alpha * sum_k (P_k psi)⊗|k> + beta * psi⊗|0>`` with
     ``|alpha|^2 = p_d`` and ``|beta|^2 = 1 - p_d``; orthogonality of the
-    pointer states makes the norm exactly 1.
+    pointer states and completeness of the projectors make the norm exactly 1.
     """
     if psi.dim != gobs.dim:
         raise DimensionMismatchError(f"state dim {psi.dim} != observable dim {gobs.dim}")
@@ -91,14 +91,10 @@ def couple_and_evolve(gobs: GeneralizedObservable, psi: PureState,
         raise DimensionMismatchError(
             f"pointer dim {apparatus.dim_pointer} != "
             f"{gobs.base.eigenvalues.size} eigenvalues + 1")
-    if not gobs.base.is_nondegenerate():
-        raise DegenerateSpectrumError(
-            "the coupling is defined for nondegenerate spectra only")
     alpha, beta = apparatus.branch_amplitudes(detection_probability(gobs, psi))
     grid = np.zeros((psi.dim, apparatus.dim_pointer), dtype=complex)
     grid[:, 0] = beta * psi.amplitudes
-    for j, p in enumerate(gobs.base.projectors):
-        grid[:, j + 1] = alpha * (p @ psi.amplitudes)
+    grid[:, 1:] = alpha * (gobs.base._projector_stack @ psi.amplitudes).T
     return CompoundState(grid.reshape(-1), psi.dim, apparatus.dim_pointer)
 
 
@@ -108,12 +104,7 @@ def compound_density(cs: CompoundState) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def reduced_object_state(cs: CompoundState, dim_object: int | None = None) -> DensityOperator:
+def reduced_object_state(cs: CompoundState) -> DensityOperator:
     """Partial trace over the pointer: the object's reduced density operator."""
-    if dim_object is None:
-        dim_object = cs.dim_object
-    if dim_object != cs.dim_object:
-        raise DimensionMismatchError(
-            f"requested object dim {dim_object} != compound object dim {cs.dim_object}")
     w = np.outer(cs.amplitudes, cs.amplitudes.conj())
-    return DensityOperator(linalg.partial_trace_second(w, dim_object, cs.dim_pointer))
+    return DensityOperator(linalg.partial_trace_second(w, cs.dim_object, cs.dim_pointer))

@@ -31,11 +31,6 @@ class ZeroProbabilityBranchError(EsrError, ValueError):
     occur."""
 
 
-class DegenerateSpectrumError(EsrError, ValueError):
-    """An operation defined only for nondegenerate spectra received a
-    degenerate observable."""
-
-
 class ProbabilityRangeError(EsrError, ArithmeticError):
     """A computed probability fell outside [0, 1] by more than roundoff
     tolerance, indicating a logic error rather than rounding."""

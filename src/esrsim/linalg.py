@@ -147,6 +147,10 @@ def _cluster(values: np.ndarray, vectors: np.ndarray,
     start = 0
     for stop in range(1, values.size + 1):
         if stop == values.size or values[stop] - values[stop - 1] > cluster_tol:
+            width = values[stop - 1] - values[start]
+            if width > cluster_tol:
+                raise ValueError(f"eigenvalues closer than the merge tolerance "
+                                 f"{cluster_tol:.3e} chain over a width of {width:.3e}")
             block = vectors[:, start:stop]
             eigenvalues.append(float(np.mean(values[start:stop])))
             projectors.append(block @ block.conj().T)
@@ -163,7 +167,8 @@ def hermitian_eigendecompose(m, cluster_tol: float | None = None) -> SpectralDec
     reproduces exactly equal eigenvalues, so merging is how intended
     degeneracies are recovered.
 
-    Raises NotSquareError or NotHermitianError for invalid input.
+    Raises NotSquareError or NotHermitianError for invalid input, and ValueError
+    when neighbours closer than ``cluster_tol`` chain into a wider cluster.
     """
     h = require_hermitian(as_matrix(m))
     w, v = np.linalg.eigh(h)

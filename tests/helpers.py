@@ -82,6 +82,19 @@ def scenario_stream(seed: int, count: int, max_dim: int = 8, degenerate_share: b
         yield rng, gobs, random_state(rng, dim)
 
 
+def spectral_scenario_text(values, vectors) -> str:
+    """Scenario text with a spectral-form observable (eigenvalue k with column k
+    of ``vectors``), the first basis state and constant detection 0.8."""
+    dim = len(values)
+    state = " ".join(["1,0"] + ["0,0"] * (dim - 1))
+    lines = ["esrsim scenario v1", f"dimension: {dim}", f"state: {state}", "observable:"]
+    for value, vector in zip(values, vectors.T):
+        lines.append(f"  eigenvalue: {value!r}")
+        lines.append("  vector: " + " ".join(f"{z.real},{z.imag}" for z in vector.tolist()))
+    lines += ["detection:", "  kind: constant", "  p: 0.8"]
+    return "\n".join(lines) + "\n"
+
+
 def sigma_z_scenario(p_detect: float = 0.8, a0: float = 0.0):
     """The workhorse qubit fixture: diag(1, -1) with an equal superposition."""
     gobs = GeneralizedObservable.from_matrix(

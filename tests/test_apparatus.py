@@ -12,19 +12,27 @@ from esrsim import (
     ApparatusModel,
     CompoundState,
     ConstantDetection,
-    DegenerateSpectrumError,
     DimensionMismatchError,
     ExpectationDetection,
     GeneralizedObservable,
     PureState,
     QuantumObservable,
+    build_scenario,
     compound_density,
     couple_and_evolve,
     measurement_operators,
     nonselective_state,
+    parse_scenario,
     reduced_object_state,
 )
-from helpers import random_generalized, random_state, sigma_z_scenario
+from helpers import (
+    random_generalized,
+    random_state,
+    random_unitary,
+    scenario_stream,
+    sigma_z_scenario,
+    spectral_scenario_text,
+)
 
 PHASES = (0.0, np.pi / 3.0, np.pi, 1.7)
 
@@ -92,12 +100,24 @@ class TestCoupleAndEvolve:
                                    atol=1e-12)
         assert abs(np.linalg.norm(cs.amplitudes) - 1.0) < 1e-12
 
-    def test_rejects_degenerate_spectrum(self):
-        gobs = GeneralizedObservable.from_matrix(np.diag([1.0, 1.0, 2.0]),
-                                                 ConstantDetection(0.5))
-        psi = PureState(np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(DegenerateSpectrumError):
-            couple_and_evolve(gobs, psi, ApparatusModel(dim_pointer=3))
+    def test_degenerate_spectra_keep_norm_and_partial_trace(self):
+        rng = np.random.default_rng(179)
+        cases = [(gobs, psi) for _, gobs, psi in scenario_stream(seed=181, count=40)]
+        cases += [(random_generalized(rng, 32, degenerate=True), random_state(rng, 32))
+                  for _ in range(3)]
+        # spectral scenario whose eigenvalues 0.5 and 0.5 + 1e-12 merge into one
+        text = spectral_scenario_text([0.5, 2.0, 0.5 + 1e-12], random_unitary(rng, 3))
+        cases.append((build_scenario(parse_scenario(text)).gobs, random_state(rng, 3)))
+        degenerate = [gobs for gobs, _ in cases if not gobs.base.is_nondegenerate()]
+        assert len(degenerate) >= 10 and cases[-1][0] in degenerate
+        for gobs, psi in cases:
+            theta, phi = rng.uniform(0, 2 * np.pi, size=2)
+            app = ApparatusModel.for_observable(gobs, theta, phi)
+            cs = couple_and_evolve(gobs, psi, app)
+            assert abs(np.linalg.norm(cs.amplitudes) - 1.0) <= 1e-12
+            reduced = reduced_object_state(cs).matrix
+            mixture = nonselective_state(measurement_operators(gobs, psi)).matrix
+            assert np.linalg.norm(reduced - mixture) <= 1e-10
 
     def test_rejects_wrong_pointer_dimension(self):
         gobs, psi = sigma_z_scenario(0.5)
@@ -180,12 +200,6 @@ class TestReducedObjectState:
         for p in gobs.base.projectors:
             expected += p @ w @ p
         np.testing.assert_allclose(reduced, expected, atol=1e-12)
-
-    def test_dim_argument_must_match(self):
-        gobs, psi = sigma_z_scenario(0.5)
-        cs = couple_and_evolve(gobs, psi, ApparatusModel.for_observable(gobs))
-        with pytest.raises(DimensionMismatchError):
-            reduced_object_state(cs, dim_object=3)
 
 
 class TestNonlinearity:

@@ -3,9 +3,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from esrsim.cli import main
+from helpers import spectral_scenario_text
 
 GOOD = """\
 esrsim scenario v1
@@ -73,6 +75,9 @@ INVALID_SCENARIOS = [
      .replace("eigenvalue: -1\n", "eigenvalue: -1e308\n"), "observable"),
     ("vector-overflow", SPECTRAL.replace("vector: 1,0 0,0", "vector: 1e200,0 0,0"),
      "observable"),
+    # neighbours 6e-9 apart, within the 1e-8 merge tolerance, span 1.2e-8 together
+    ("eigenvalues-chain", spectral_scenario_text([0.0, 6e-9, 1.2e-8, 1.0], np.eye(4)),
+     "observable"),
 ]
 
 DEGENERATE = """\
@@ -117,12 +122,17 @@ class TestVerify:
         assert "pov-normalization" in out
         assert "FAIL" in out
 
-    def test_degenerate_scenario_skips_apparatus_checks(self, tmp_path, capsys):
+    def test_degenerate_scenario_runs_every_check(self, tmp_path, capsys):
         path = tmp_path / "degenerate.esr"
         path.write_text(DEGENERATE)
-        assert main(["verify", str(path)]) == 0
+        record_path = tmp_path / "records.jsonl"
+        assert main(["verify", str(path), "--out", str(record_path)]) == 0
         out = capsys.readouterr().out
-        assert "apparatus-consistency" not in out
+        assert "all 15 checks within tolerance" in out
+        checks = json.loads(record_path.read_text())["checks"]
+        assert len(checks) == 15
+        assert checks["coupling-norm"] <= 1e-10
+        assert checks["apparatus-consistency"] <= 1e-10
 
     def test_record_written(self, good_scenario, tmp_path, capsys):
         record_path = tmp_path / "records.jsonl"
@@ -184,11 +194,13 @@ class TestEvolve:
         out = capsys.readouterr().out
         assert "reduced-vs-mixture deviation" in out
 
-    def test_degenerate_is_usage_error(self, tmp_path, capsys):
+    def test_degenerate_scenario_passes(self, tmp_path, capsys):
         path = tmp_path / "degenerate.esr"
         path.write_text(DEGENERATE)
-        assert main(["evolve", str(path)]) == 2
-        assert "nondegenerate" in capsys.readouterr().err
+        assert main(["evolve", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "pointer dim=3" in captured.out and "status: pass" in captured.out
+        assert captured.err == ""
 
 
 class TestErrorPaths:

@@ -81,6 +81,15 @@ class TestEigendecompose:
         assert abs(np.trace(sd.projectors[0]).real - 2.0) < 1e-12
         assert abs(sd.eigenvalues[0] - (1.0 + 5e-13)) < 1e-12
 
+    @pytest.mark.parametrize("values, cluster_tol", [
+        # 200 values 6e-9 apart span 1.2e-6, 120 times the default 1e-8 tolerance
+        (np.r_[np.arange(200) * 6e-9, 1.0], None),
+        ([1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 2.0], 1e-9),
+    ])
+    def test_clustering_refuses_chained_neighbours(self, values, cluster_tol):
+        with pytest.raises(ValueError, match="chain over a width of"):
+            hermitian_eigendecompose(np.diag(values), cluster_tol=cluster_tol)
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_invariants_random(self, dim):
         rng = np.random.default_rng(100 + dim)

@@ -12,7 +12,7 @@ from esrsim import (
     scenario_digest,
     serialize_scenario,
 )
-from helpers import random_unitary
+from helpers import random_unitary, spectral_scenario_text
 
 MINIMAL = """\
 esrsim scenario v1
@@ -198,12 +198,7 @@ class TestBuild:
     def test_spectral_form_merges_near_degenerate_pair(self):
         u = random_unitary(np.random.default_rng(5), 3)
         values = [0.5, 2.0, 0.5 + 1e-12]
-        lines = ["esrsim scenario v1", "dimension: 3", "state: 1,0 0,0 0,0", "observable:"]
-        for value, vector in zip(values, u.T):
-            lines.append(f"  eigenvalue: {value!r}")
-            lines.append("  vector: " + " ".join(f"{z.real},{z.imag}" for z in vector.tolist()))
-        lines += ["detection:", "  kind: constant", "  p: 0.8"]
-        base = build_scenario(parse_scenario("\n".join(lines) + "\n")).gobs.base
+        base = build_scenario(parse_scenario(spectral_scenario_text(values, u))).gobs.base
         assert base.eigenvalues.size == 2
         assert np.trace(base.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
         dense = hermitian_eigendecompose(u @ np.diag(values) @ u.conj().T)
