@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionMismatchError
 from .model import (
     DensityOperator,
@@ -105,6 +104,7 @@ def compound_density(cs: CompoundState) -> DensityOperator:
 
 
 def reduced_object_state(cs: CompoundState) -> DensityOperator:
-    """Partial trace over the pointer: the object's reduced density operator."""
-    w = np.outer(cs.amplitudes, cs.amplitudes.conj())
-    return DensityOperator(linalg.partial_trace_second(w, cs.dim_object, cs.dim_pointer))
+    """Partial trace over the pointer: the object's reduced density operator,
+    ``G G†`` for the amplitudes ``G`` as an (object, pointer) grid."""
+    grid = cs.amplitudes.reshape(cs.dim_object, cs.dim_pointer)
+    return DensityOperator(grid @ grid.conj().T)

@@ -90,17 +90,19 @@ def _coupling_checks(built: BuiltScenario, mixture) -> tuple:
     return compound, reduced, dict(zip(_COUPLING_CHECKS, deviations))
 
 
-def verification_checks(built: BuiltScenario) -> dict[str, float]:
+def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[str, str]]:
     """Named invariant checks; each value is a deviation to compare with a
-    tolerance. A check that cannot even run reports infinity."""
+    tolerance. A check that cannot even run reports infinity, and the second
+    dict maps its name to the exception as ``"ExcType: message"``."""
     gobs, psi = built.gobs, built.psi
     checks: dict[str, float] = {}
+    errors: dict[str, str] = {}
 
     def run(name: str, fn) -> None:
         try:
             checks[name] = float(fn())
-        except Exception:
-            checks[name] = float("inf")
+        except Exception as exc:
+            checks[name], errors[name] = float("inf"), f"{type(exc).__name__}: {exc}"
 
     report = verify_pov_axioms(gobs, psi, partition_trials=PARTITION_TRIALS, seed=VERIFY_SEED)
     checks["pov-normalization"] = report.normalization
@@ -178,10 +180,11 @@ def verification_checks(built: BuiltScenario) -> dict[str, float]:
 
     try:
         checks.update(_coupling_checks(built, nonselective_state(family))[2])
-    except Exception:
+    except Exception as exc:
         checks.update(dict.fromkeys(_COUPLING_CHECKS, float("inf")))
+        errors.update(dict.fromkeys(_COUPLING_CHECKS, f"{type(exc).__name__}: {exc}"))
 
-    return checks
+    return checks, errors
 
 
 def _record_path(out: str | None) -> Path | None:
@@ -217,18 +220,21 @@ def _event_label(gobs, event) -> str:
 
 def cmd_verify(args) -> int:
     _, built = load_scenario(args.scenario)
-    checks = verification_checks(built)
+    checks, errors = verification_checks(built)
     failed = {k: v for k, v in checks.items() if not v <= args.tol}
     print(f"scenario {built.digest[:12]}  dim={built.gobs.dim}  "
           f"outcomes={built.gobs.outcomes.size}")
     print(f"{'check':<28} {'deviation':>12}  status")
     for name, dev in checks.items():
         status = "pass" if dev <= args.tol else "FAIL"
-        print(f"{name:<28} {dev:>12.3e}  {status}")
+        print(f"{name:<28} {dev:>12.3e}  {status}"
+              + (f"  {errors[name]}" if name in errors else ""))
     record = _base_record("verify", built)
     record["tolerance"] = args.tol
     record["rng"] = f"pcg64:seed={VERIFY_SEED}"  # drives the random event partitions
     record["checks"] = {k: (v if np.isfinite(v) else None) for k, v in checks.items()}
+    if errors:
+        record["errors"] = errors
     record["passed"] = not failed
     _write_record(_record_path(args.out), record)
     if failed:

@@ -11,9 +11,13 @@ Outcome events are finite sets of outcome values (the finite-dimensional
 stand-in for Borel sets: only the intersection with the outcome set ever
 matters). The effect attached to an event is a positive operator between 0
 and the identity; its expectation value in the prepared state is the overall
-probability of the event. Effects over events form, for each state, a
-commutative positive-operator-valued measure, and with detection certain
-they collapse to the usual projection-valued measure and Born rule.
+probability of the event. It depends on the state only through the
+detection probability and the Born weights ``<psi|P_k|psi>``, so overall
+probabilities are computed from those; dense effect matrices serve
+:func:`effect`, the state updates and the verification oracles. Effects over
+events form, for each state, a commutative positive-operator-valued measure,
+and with detection certain they collapse to the usual projection-valued
+measure and Born rule.
 """
 
 from __future__ import annotations
@@ -190,22 +194,6 @@ class QuantumObservable:
         """Position of each eigenvalue, for quoted values that equal one exactly."""
         return {v: k for k, v in enumerate(self.eigenvalues.tolist())}
 
-    @cached_property
-    def _effects_certified(self) -> bool:
-        """Whether every effect built from these projectors passes the Effect gate.
-
-        The inequalities are stated in :func:`effect`. By Weyl's inequalities
-        they put the spectrum of every ``p_d * P(E) + c * I`` (``p_d`` in [0, 1],
-        ``c`` in {0, 1 - p_d}) inside [-tol/2, 1 + tol/2] and its Hermiticity
-        defect below tol/2; the other half of the tolerance absorbs roundoff.
-        """
-        half = 0.5 * OPERATOR_GATE_TOL
-        syms = [(p + p.conj().T) / 2.0 for p in self.projectors]
-        eps = sum(max(0.0, -float(np.linalg.eigvalsh(s)[0])) for s in syms)
-        skew = sum(linalg.hermiticity_defect(p) for p in self.projectors)
-        top = float(np.linalg.eigvalsh(sum(syms))[-1])
-        return eps <= half and skew <= half and top - 1.0 + eps <= half
-
 
 @dataclass(frozen=True)
 class ConstantDetection:
@@ -380,9 +368,13 @@ def detection_probability(gobs: GeneralizedObservable, psi: PureState) -> float:
     """Probability that the measured object is detected at all.
 
     Depends on the observable and the state, never on the queried event.
+    A detection model returning a value outside [0, 1] raises ValueError.
     """
     _require_dim(gobs, psi)
-    return gobs.detection.probability(psi)
+    pd = gobs.detection.probability(psi)
+    if not 0.0 <= pd <= 1.0:
+        raise ValueError(f"detection probability {pd!r} outside [0, 1]")
+    return pd
 
 
 def conditional_probability(gobs: GeneralizedObservable, psi: PureState, event) -> float:
@@ -426,65 +418,52 @@ class Effect:
             float(np.vdot(psi.amplitudes, self.operator @ psi.amplitudes).real))
 
 
-def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event,
-                     pd: float | None = None) -> np.ndarray:
-    """Raw effect matrix, bypassing the Effect construction gate.
-
-    ``pd`` is the state's detection probability, computed here when omitted.
-    """
+def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
+    """Raw effect matrix, bypassing the Effect construction gate."""
     _require_dim(gobs, psi)
     has_a0, mask = split_event(gobs, event)
-    if pd is None:
-        pd = detection_probability(gobs, psi)
+    pd = detection_probability(gobs, psi)
     op = pd * _masked_projector(gobs.base, mask)
     if has_a0:
         op += (1.0 - pd) * np.eye(gobs.dim)
     return op
 
 
-def _certified_effect(op: np.ndarray) -> Effect:
-    """Wrap an effect matrix proven to pass the gate, storing what the gate would."""
-    out = object.__new__(Effect)
-    sym = (op + op.conj().T) / 2.0
-    sym.flags.writeable = False
-    object.__setattr__(out, "operator", sym)
-    return out
-
-
 def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
-    """Effect operator of an event for the given state.
+    """Effect operator of an event for the given state, through the Effect gate.
 
     Without the no-registration outcome this is ``p_d * P(event)``; with it,
     ``(1 - p_d) * I + p_d * P(event minus a0)``.
-
-    The per-call :class:`Effect` gate (Hermiticity and an ``eigvalsh`` of the
-    effect) is skipped when ``0 <= p_d <= 1`` and the observable's projectors
-    carry a certificate, computed once per observable: with
-    ``sym(P) = (P + P†)/2`` and ``eps = sum_k max(0, -lambda_min(sym P_k))``,
-    each of ``eps``, ``sum_k ||P_k - P_k†||_F`` and
-    ``lambda_max(sum_k sym P_k) - 1 + eps`` is at most
-    ``OPERATOR_GATE_TOL / 2``. That implies the effect's spectrum lies in
-    [-tol/2, 1 + tol/2], so the gate would pass; otherwise the gate runs.
     """
-    pd = detection_probability(gobs, psi)
-    op = _effect_operator(gobs, psi, event, pd)
-    if 0.0 <= pd <= 1.0 and gobs.base._effects_certified:
-        return _certified_effect(op)
-    return Effect(op)
+    return Effect(_effect_operator(gobs, psi, event))
+
+
+def _born_weights(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
+    """Unnormalized Born weights ``<psi|P_k|psi>``, one per eigenvalue."""
+    v = psi.amplitudes
+    return ((gobs.base._projector_stack @ v) @ v.conj()).real
 
 
 def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> float:
     """Overall probability that the measured value falls in the event.
 
-    Evaluates ``<psi|T(event)|psi>`` with ``T`` from :func:`effect`, so the
-    per-call effect gate is skipped under the same certificate (see there).
+    This is ``<psi|T(event)|psi>`` for the effect ``T`` of :func:`effect`,
+    evaluated as ``p_d * sum_{k in event} w_k + (1 - p_d) * [a0 in event]``
+    from the Born weights ``w_k = <psi|P_k|psi>``; no effect matrix is built.
+    Like :func:`conditional_probability`, it trusts the spectral
+    decomposition; :func:`verify_pov_axioms` measures how far it is off.
     """
-    return effect(gobs, psi, event).expectation(psi)
+    _require_dim(gobs, psi)
+    has_a0, mask = split_event(gobs, event)
+    pd = detection_probability(gobs, psi)
+    weight = float(_born_weights(gobs, psi)[mask].sum())
+    return clamp_probability(pd * weight + (1.0 - pd) * has_a0)
 
 
 def overall_probability_density(gobs: GeneralizedObservable, psi: PureState, event) -> float:
-    """Trace-form evaluation Tr[W T(event)]; agrees with the vector form."""
-    t = effect(gobs, psi, event).operator
+    """Trace-form evaluation Tr[W T(event)] with the dense effect matrix; an
+    independent check on :func:`overall_probability`."""
+    t = _effect_operator(gobs, psi, event)
     w = to_density(psi).matrix
     return clamp_probability(float(np.trace(w @ t).real))
 

@@ -1,6 +1,8 @@
-"""Shared builders for randomized test scenarios."""
+"""Shared builders for randomized test scenarios, and a record comparator."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -101,3 +103,25 @@ def sigma_z_scenario(p_detect: float = 0.8, a0: float = 0.0):
         np.diag([1.0, -1.0]), ConstantDetection(p_detect), a0=a0)
     psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
     return gobs, psi
+
+
+# Float tolerance of records_close: an absolute floor for deviations near 0
+# (where one roundoff moves a value by many ulps) plus a few ulps of its size.
+RECORD_ATOL = 1e-15
+RECORD_ULPS = 8
+
+
+def records_close(a, b) -> bool:
+    """Whether two decoded JSON records agree: same keys, list lengths,
+    strings, ints, bools and None, and floats within
+    ``RECORD_ATOL + RECORD_ULPS * ulp(max(|a|, |b|))``."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(records_close(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(records_close, a, b))
+    if isinstance(a, float):
+        bound = RECORD_ATOL + RECORD_ULPS * math.ulp(max(abs(a), abs(b)))
+        return a == b or abs(a - b) <= bound
+    return a == b

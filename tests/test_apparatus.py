@@ -23,6 +23,7 @@ from esrsim import (
     measurement_operators,
     nonselective_state,
     parse_scenario,
+    partial_trace_second,
     reduced_object_state,
 )
 from helpers import (
@@ -176,6 +177,19 @@ class TestReducedObjectState:
             reduced = reduced_object_state(cs).matrix
             mixture = nonselective_state(measurement_operators(gobs, psi)).matrix
             assert np.linalg.norm(reduced - mixture) <= 1e-10
+
+    def test_matches_dense_partial_trace(self):
+        # the dense partial trace of the compound density is the reference
+        rng = np.random.default_rng(179)
+        cases = [(gobs, psi) for _, gobs, psi in scenario_stream(seed=181, count=40)]
+        for _ in range(4):
+            gobs = random_generalized(rng, 32, degenerate=True)
+            cases.append((gobs, random_state(rng, 32)))
+        for gobs, psi in cases:
+            app = ApparatusModel.for_observable(gobs, *rng.uniform(0.0, 3.0, size=2))
+            cs = couple_and_evolve(gobs, psi, app)
+            dense = partial_trace_second(compound_density(cs).matrix, gobs.dim, app.dim_pointer)
+            assert np.max(np.abs(reduced_object_state(cs).matrix - dense)) <= 1e-15
 
     def test_phase_independence(self):
         gobs, psi = sigma_z_scenario(0.5, a0=0.0)

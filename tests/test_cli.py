@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from esrsim import cli
 from esrsim.cli import main
 from helpers import spectral_scenario_text
 
@@ -143,6 +144,23 @@ class TestVerify:
         assert record["mode"] == "verify"
         assert record["passed"] is True
         assert "pov-additivity" in record["checks"]
+
+    def test_failed_check_names_its_cause(self, good_scenario, tmp_path, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "post_measurement_density", broken)
+        monkeypatch.setattr(cli, "couple_and_evolve", broken)
+        record_path = tmp_path / "records.jsonl"
+        assert main(["verify", str(good_scenario), "--out", str(record_path)]) == 1
+        out = capsys.readouterr().out
+        failing = ("update-form-agreement", "coupling-norm", "apparatus-consistency")
+        for name in failing:
+            assert re.search(rf"^{name} +inf  FAIL  RuntimeError: injected fault$", out, re.M)
+        record = json.loads(record_path.read_text())
+        assert record["errors"] == dict.fromkeys(failing, "RuntimeError: injected fault")
+        assert all(record["checks"][name] is None for name in failing)
+        assert record["passed"] is False
 
 
 class TestSample:

@@ -31,6 +31,7 @@ from esrsim import (
     to_density,
     verify_pov_axioms,
 )
+from esrsim import model
 from esrsim.model import (
     _effect_operator,
     _match_atol,
@@ -376,22 +377,27 @@ def _near_degenerate(rng, dim: int) -> GeneralizedObservable:
 
 
 class TestEffectGateCertificate:
-    """Skipping the per-call effect gate never changes a result or an error."""
+    """The Effect gate runs on every effect(); overall probabilities come from
+    the Born weights and reject only probabilities out of range."""
 
     def test_projector_spectrum_above_one_still_rejected(self):
         gobs = _hand_built([np.diag([1.5, 0.0]), np.diag([0.0, 1.0])])
         psi = PureState(np.array([1.0, 0.0]))
-        for call in (effect, overall_probability):
-            with pytest.raises(ValueError) as excinfo:
-                call(gobs, psi, (0.0,))
-            assert excinfo.type is ValueError
+        with pytest.raises(ValueError) as excinfo:
+            effect(gobs, psi, (0.0,))
+        assert excinfo.type is ValueError
+        with pytest.raises(ProbabilityRangeError):
+            overall_probability(gobs, psi, (0.0,))  # 0.8 * 1.5
 
     def test_non_hermitian_projector_still_rejected(self):
         gobs = _hand_built([np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.0, 1.0])])
         psi = PureState(np.array([1.0, 0.0]))
-        for call in (effect, overall_probability):
-            with pytest.raises(NotHermitianError):
-                call(gobs, psi, (0.0,))
+        with pytest.raises(NotHermitianError):
+            effect(gobs, psi, (0.0,))
+        # the weights trust the decomposition, as conditional_probability does;
+        # the POV check is what reports the defect
+        assert overall_probability(gobs, psi, (0.0,)) == pytest.approx(0.8)
+        assert verify_pov_axioms(gobs, psi, partition_trials=5).normalization > 1e-10
 
     def test_detection_outside_unit_interval_still_rejected(self):
         class Overshoot:
@@ -404,41 +410,50 @@ class TestEffectGateCertificate:
             with pytest.raises(ValueError):
                 call(gobs, psi, (1.0,))
 
-    def test_gate_decides_just_outside_the_certificate(self):
-        # 1 + 0.75e-6 fails the certificate (margin tol/2) but passes the gate;
-        # 1 + 2e-6 fails both
+    def test_gate_decides_at_its_tolerance(self):
+        # OPERATOR_GATE_TOL is 1e-6: 1 + 0.75e-6 passes the gate, 1 + 2e-6 fails it
         psi = PureState(np.array([1.0, 0.0]))
         ok = _hand_built([np.diag([1.0 + 0.75e-6, 0.0]), np.diag([0.0, 1.0])], p=1.0)
         assert effect(ok, psi, (0.0,)).operator[0, 0] == 1.0 + 0.75e-6
         bad = _hand_built([np.diag([1.0 + 2e-6, 0.0]), np.diag([0.0, 1.0])], p=1.0)
         with pytest.raises(ValueError):
-            overall_probability(bad, psi, (0.0,))
+            effect(bad, psi, (0.0,))
+        for gobs in (ok, bad):
+            with pytest.raises(ProbabilityRangeError):
+                overall_probability(gobs, psi, (0.0,))
 
-    def test_certified_observable_skips_the_per_call_eigensolve(self, monkeypatch):
+    def test_overall_probability_builds_no_effect(self, monkeypatch):
         rng = np.random.default_rng(41)
         gobs = random_generalized(rng, 6)
         psi = random_state(rng, 6)
-        overall_probability(gobs, psi, ())  # computes the certificate once
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda m: calls.append(m) or eigvalsh(m))
+        solves, effects = [], []
+        for name in ("eigh", "eigvalsh"):
+            kernel = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, kernel=kernel: solves.append(m) or kernel(m))
+        build = model._effect_operator
+        monkeypatch.setattr(model, "_effect_operator",
+                            lambda *args: effects.append(args) or build(*args))
         for _ in range(20):
             overall_probability(gobs, psi, random_event(rng, gobs))
-        assert calls == []
+        assert solves == [] and effects == []
 
-    def test_bitwise_equal_to_the_gated_path(self):
+    def test_weights_effect_and_density_forms_agree(self):
         rng = np.random.default_rng(43)
         cases = [(gobs, psi) for _, gobs, psi in scenario_stream(seed=1043, count=60)]
         for _ in range(20):
             gobs = _near_degenerate(rng, int(rng.integers(2, 9)))
             cases.append((gobs, random_state(rng, gobs.dim)))
+        for _ in range(6):
+            gobs = random_generalized(rng, 32, degenerate=True)
+            cases.append((gobs, random_state(rng, 32)))
         for gobs, psi in cases:
             for _ in range(8):
                 event = random_event(rng, gobs)
-                gated = Effect(_effect_operator(gobs, psi, event))
-                assert effect(gobs, psi, event).operator.tobytes() == gated.operator.tobytes()
-                assert overall_probability(gobs, psi, event) == gated.expectation(psi)
+                weights = overall_probability(gobs, psi, event)
+                gated = Effect(_effect_operator(gobs, psi, event)).expectation(psi)
+                assert abs(weights - gated) <= 1e-15
+                assert abs(weights - overall_probability_density(gobs, psi, event)) <= 1e-15
 
 
 def _reference_split(gobs, event):
