@@ -190,6 +190,25 @@ class QuantumObservable:
         return stack
 
     @cached_property
+    def _eigenstates(self) -> tuple[PureState | None, ...]:
+        """The Lüders state of each rank-1 projector, ``None`` for higher ranks.
+
+        For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
+        ``P v != 0`` is ``e`` up to a global phase, so with the phase fixed it
+        is one state, built here from the projector's largest column.
+        """
+        from .measurement import fix_phase  # measurement imports this module
+
+        states = []
+        for p in self.projectors:
+            if round(float(np.trace(p).real)) != 1:
+                states.append(None)
+                continue
+            column = p[:, int(np.argmax(np.abs(np.diagonal(p))))]
+            states.append(PureState(fix_phase(column / np.linalg.norm(column))))
+        return tuple(states)
+
+    @cached_property
     def _eigen_index(self) -> dict[float, int]:
         """Position of each eigenvalue, for quoted values that equal one exactly."""
         return {v: k for k, v in enumerate(self.eigenvalues.tolist())}

@@ -19,10 +19,16 @@ reports stay the same.
 Every trial consumes exactly two uniform draws.
 
 Single draws (``sample_measurement``, ``sample_sequence``) take the Born
-weights from one stacked product of all projectors with the state. A
-sequence computes the weights and the detection probability once per state:
-an undetected draw returns the same state, so they are reused until a
-detected draw replaces it. Records equal those of chained single draws.
+weights from ``model._born_weights``, the one stacked product of all
+projectors with the state that overall probabilities use, clipped at 0 and
+normalized. A detected outcome whose projector has rank 1 takes its post-state
+from the observable's table of Lüders eigenstates, built once per observable:
+the Lüders state of a rank-1 projector does not depend on the pre-state.
+Higher ranks apply the Lüders rule to the state per draw. A sequence computes
+the weights and the detection probability again only when a draw returns a new
+state object: an undetected draw keeps the state, and so does a detected draw
+on an eigenstate that lands on its own outcome, so a nondegenerate sequence
+computes them at most twice. Records equal those of chained single draws.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .measurement import MeasurementOutcomeRecord, fix_phase
 from .model import (
     GeneralizedObservable,
     PureState,
+    _born_weights,
+    _require_dim,
     detection_probability,
 )
 
@@ -60,6 +68,11 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no seed
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not 0 <= int(self.stream_id) < 2 ** 64:
@@ -81,10 +94,8 @@ class RngSpec:
 
 def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
     """Conditional (detected) outcome distribution over the eigenvalues."""
-    v = psi.amplitudes
-    # one stacked product; each of its rows is P_k @ v to the bit
-    p = np.array([float(np.vdot(v, row).real) for row in gobs.base._projector_stack @ v])
-    p = np.maximum(p, 0.0)
+    _require_dim(gobs, psi)
+    p = np.maximum(_born_weights(gobs, psi), 0.0)
     return p / p.sum()
 
 
@@ -129,8 +140,10 @@ def _draw(gobs: GeneralizedObservable, psi: PureState, gen: np.random.Generator,
             outcome=gobs.a0, detected=False, pre_state=psi, post_state=psi,
             probability=1.0 - pd)
     k = _conditional_index(born, cum, float(u[1]))
-    v = gobs.base.projectors[k] @ psi.amplitudes
-    post = PureState(fix_phase(v / np.linalg.norm(v)))
+    post = gobs.base._eigenstates[k]
+    if post is None:
+        v = gobs.base.projectors[k] @ psi.amplitudes
+        post = PureState(fix_phase(v / np.linalg.norm(v)))
     return MeasurementOutcomeRecord(
         outcome=float(gobs.base.eigenvalues[k]), detected=True, pre_state=psi,
         post_state=post, probability=pd * float(born[k]))
@@ -143,7 +156,9 @@ def sample_measurement(gobs: GeneralizedObservable, psi: PureState,
     ``rng`` is either an :class:`RngSpec` (a fresh generator is derived, so
     the same spec always yields the same record) or a live numpy Generator
     whose state advances by exactly two uniforms. An undetected draw leaves
-    the state object untouched; a detected one applies the Lüders update.
+    the state object untouched; a detected one applies the Lüders update,
+    taken from the observable's eigenstate table when the projector has rank 1.
+    A state of the wrong dimension raises DimensionMismatchError.
     """
     return _draw(gobs, psi, _as_generator(rng), *_weights(gobs, psi))
 
@@ -153,8 +168,8 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     """Chain measurements, feeding each post-state into the next draw.
 
     The records equal those of chained :func:`sample_measurement` calls on one
-    generator. An undetected draw keeps the state, so its weights are reused
-    until a detected draw replaces it.
+    generator. The weights of a state are reused for as long as the draws
+    return that same state object.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -166,7 +181,7 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
             weights = _weights(gobs, state)
         record = _draw(gobs, state, gen, *weights)
         records.append(record)
-        if record.detected:
+        if record.post_state is not state:
             state, weights = record.post_state, None
     return records
 

@@ -9,6 +9,7 @@ import pytest
 
 from esrsim import (
     ConstantDetection,
+    DimensionMismatchError,
     ExpectationDetection,
     GeneralizedObservable,
     PureState,
@@ -20,7 +21,7 @@ from esrsim import (
     sample_measurement,
     sample_sequence,
 )
-from esrsim import sampling
+from esrsim import model, sampling
 from esrsim.sampling import _BLOCKS_PER_TASK, BLOCK_SIZE
 from helpers import (
     random_generalized,
@@ -70,6 +71,15 @@ def per_projector_born(gobs, psi):
     return p / p.sum()
 
 
+def assert_born_is_the_weights_kernel(gobs, psi):
+    """born_probabilities is the clipped, normalized model._born_weights to the
+    bit, and within 1e-15 of the independent per-projector form."""
+    born = born_probabilities(gobs, psi)
+    weights = np.clip(model._born_weights(gobs, psi), 0.0, None)
+    np.testing.assert_array_equal(born, weights / weights.sum())
+    np.testing.assert_allclose(born, per_projector_born(gobs, psi), rtol=0, atol=1e-15)
+
+
 def benchmark_scenario(seed, dim=8):
     """The benchmark generator's recipe: dense observable, expectation detection."""
     rng = np.random.default_rng([seed, dim])
@@ -106,6 +116,24 @@ class TestRngSpec:
             RngSpec(seed=-1)
         with pytest.raises(ValueError):
             RngSpec(seed=0, stream_id=-2)
+
+    @pytest.mark.parametrize("field", ["seed", "stream_id"])
+    @pytest.mark.parametrize("value", [1.5, 7.0, np.float64(2.0), True, np.bool_(True),
+                                       "7", None, 3 + 0j])
+    def test_rejects_non_integers(self, field, value):
+        # int() would turn 1.5 into seed 1 while describe() still said 1.5
+        kwargs = {"seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RngSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(9),
+                                       np.int64(5)])
+    def test_accepts_python_and_numpy_integers(self, value):
+        spec = RngSpec(seed=value, stream_id=value)
+        assert spec.describe() == f"philox4x64:seed={int(value)}:stream={int(value)}"
+        np.testing.assert_array_equal(
+            spec.generator().random(4),
+            RngSpec(seed=int(value), stream_id=int(value)).generator().random(4))
 
     @pytest.mark.parametrize("block", [0, 1, 15, 16, 17, 2 ** 32 + 3])
     def test_repositioned_generator_matches_fresh_block_generator(self, block):
@@ -182,15 +210,11 @@ class TestPredictedProbabilities:
         paired = (u * (np.arange(dim) // 2)) @ u.conj().T
         for matrix in (random_hermitian(rng, dim), (paired + paired.conj().T) / 2.0):
             gobs = GeneralizedObservable.from_matrix(matrix, ConstantDetection(0.7))
-            psi = random_state(rng, dim)
-            np.testing.assert_array_equal(born_probabilities(gobs, psi),
-                                          per_projector_born(gobs, psi))
+            assert_born_is_the_weights_kernel(gobs, random_state(rng, dim))
 
     @pytest.mark.parametrize("seed", [523, 617, 4243])
     def test_born_matches_per_projector_form_on_benchmark_scenarios(self, seed):
-        gobs, psi = benchmark_scenario(seed)
-        np.testing.assert_array_equal(born_probabilities(gobs, psi),
-                                      per_projector_born(gobs, psi))
+        assert_born_is_the_weights_kernel(*benchmark_scenario(seed))
 
     def test_projector_stack_is_read_only(self):
         rng = np.random.default_rng(191)
@@ -199,6 +223,87 @@ class TestPredictedProbabilities:
         np.testing.assert_array_equal(stack, np.array(base.projectors))
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 0.0
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("detection", [ConstantDetection(0.8),
+                                           ExpectationDetection(np.diag([0.3, 0.9]))])
+    def test_wrong_dimension_state_is_named(self, detection):
+        gobs = GeneralizedObservable.from_matrix(np.diag([1.0, -1.0]), detection, a0=0.0)
+        psi = PureState(np.ones(3) / np.sqrt(3.0))
+        calls = [
+            lambda: born_probabilities(gobs, psi),
+            lambda: predicted_probabilities(gobs, psi),
+            lambda: sample_measurement(gobs, psi, RngSpec(seed=1)),
+            lambda: sample_measurement(gobs, psi, RngSpec(seed=1).generator()),
+            lambda: sample_sequence(gobs, psi, 3, RngSpec(seed=1)),
+            lambda: run_experiment(gobs, psi, 10, RngSpec(seed=1)),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError):
+                call()
+
+
+def lueders_density(projector, psi):
+    """P v v† P / ‖P v‖², the Lüders post-state density of ``psi``."""
+    w = projector @ psi.amplitudes
+    return np.outer(w, w.conj()) / np.vdot(w, w).real
+
+
+def assert_table_matches_lueders(gobs, psi):
+    """Every rank-1 entry of the eigenstate table has the Lüders density of ``psi``."""
+    table = gobs.base._eigenstates
+    assert len(table) == gobs.base.eigenvalues.size
+    for projector, state in zip(gobs.base.projectors, table):
+        assert state is not None
+        e = state.amplitudes
+        np.testing.assert_allclose(np.outer(e, e.conj()), lueders_density(projector, psi),
+                                   rtol=0, atol=1e-12)
+
+
+class TestEigenstateTable:
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_rank_one_entries_are_lueders_states(self, dim):
+        rng = np.random.default_rng(dim + 300)
+        for _ in range(3):
+            gobs = random_generalized(rng, dim)
+            for _ in range(4):
+                assert_table_matches_lueders(gobs, random_state(rng, dim))
+
+    @pytest.mark.parametrize("seed", [523, 617, 4243])
+    def test_rank_one_entries_on_benchmark_scenarios(self, seed):
+        gobs, psi = benchmark_scenario(seed)
+        assert_table_matches_lueders(gobs, psi)
+        assert_table_matches_lueders(gobs, random_state(np.random.default_rng(seed), 8))
+
+    def test_built_once_per_observable(self):
+        gobs, _ = benchmark_scenario(523)
+        assert gobs.base._eigenstates is gobs.base._eigenstates
+        for state in gobs.base._eigenstates:
+            assert not state.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("dim", [4, 9, 32])
+    def test_higher_ranks_take_the_per_draw_lueders_update(self, dim):
+        rng = np.random.default_rng(dim + 700)
+        gobs = random_generalized(rng, dim, degenerate=True, detection=ConstantDetection(1.0))
+        table = gobs.base._eigenstates
+        ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
+        assert max(ranks) > 1
+        assert [state is None for state in table] == [r > 1 for r in ranks]
+        seen = set()
+        gen = RngSpec(seed=dim).generator()
+        for _ in range(60):
+            psi = random_state(rng, dim)
+            record = sample_measurement(gobs, psi, gen)
+            k = int(np.flatnonzero(gobs.base.eigenvalues == record.outcome)[0])
+            seen.add(ranks[k] > 1)
+            if ranks[k] == 1:
+                assert record.post_state is table[k]
+            e = record.post_state.amplitudes
+            np.testing.assert_allclose(np.outer(e, e.conj()),
+                                       lueders_density(gobs.base.projectors[k], psi),
+                                       rtol=0, atol=1e-12)
+        assert True in seen
 
 
 class TestSampleMeasurement:
@@ -301,6 +406,26 @@ class TestSampleSequence:
                 np.testing.assert_array_equal(record.post_state.amplitudes,
                                               expected.post_state.amplitudes)
                 state = expected.post_state
+
+    @pytest.mark.parametrize("case", ["benchmark", "sigma-z"])
+    def test_nondegenerate_sequence_computes_weights_at_most_twice(self, case, monkeypatch):
+        gobs, psi = benchmark_scenario(617) if case == "benchmark" else sigma_z_scenario(0.6)
+        calls = []
+        weights = sampling._weights
+
+        def counted(g, state):
+            calls.append(state)
+            return weights(g, state)
+
+        monkeypatch.setattr(sampling, "_weights", counted)
+        detected = 0
+        for seed in range(200):
+            calls.clear()
+            records = sample_sequence(gobs, psi, 12, RngSpec(seed=seed))
+            detected += any(r.detected for r in records)
+            assert 1 <= len(calls) <= 2
+            assert calls[0] is psi
+        assert detected > 100
 
     def test_length_validation(self):
         gobs, psi = sigma_z_scenario(0.5)
