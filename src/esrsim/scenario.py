@@ -24,11 +24,15 @@ Grammar (version header ``esrsim scenario v1``)::
       event: 1                 # whitespace-separated outcome values; the token
       event: a0 1              # `a0` names the no-registration outcome
 
-Every line is ``key: value``; section contents are indented by exactly two
-spaces. Complex numbers are ``re,im`` pairs. The observable may instead be
-given in spectral form as alternating ``eigenvalue:`` and ``vector:`` entries
-(one unit eigenvector per eigenvalue; the vectors must be orthonormal and
-span the space). Unknown or duplicated keys are rejected.
+Files are UTF-8. Every line is ``key: value``; section contents are indented
+by exactly two spaces. Complex numbers are ``re,im`` pairs. The observable may
+instead be given in spectral form as alternating ``eigenvalue:`` and
+``vector:`` entries (one unit eigenvector per eigenvalue; the vectors must be
+orthonormal and span the space). Only ``row``, ``eigenvalue``, ``vector`` and
+``event`` may repeat; any other key or section given twice is rejected at the
+line of the repeat, as is an unknown key. Each value is parsed at its own
+line, so of several bad lines the first is reported; the rules that tie lines
+together (required keys, one observable form, the detection kind) come after.
 
 Parsing and the canonical serializer round-trip: ``parse(serialize(s)) == s``.
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -63,14 +68,6 @@ MODES = ("verify", "sample", "evolve")
 # Orthonormality gate for spectral-form input; coarser than the 1e-10 the
 # verification suite asserts, so mild corruption is runnable and reportable.
 ORTHONORMALITY_TOL = 1e-6
-
-_TOP_KEYS = ("dimension", "state", "a0", "observable", "detection", "apparatus", "experiment")
-_SECTION_KEYS = {
-    "observable": ("row", "eigenvalue", "vector"),
-    "detection": ("kind", "p", "row"),
-    "apparatus": ("theta", "phi"),
-    "experiment": ("mode", "trials", "seed", "stream", "event"),
-}
 
 
 @dataclass
@@ -104,21 +101,22 @@ class Scenario:
     experiment: ExperimentSpec = field(default_factory=ExperimentSpec)
 
 
-def _parse_complex(token: str, line: int) -> complex:
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise ScenarioParseError(line, f"expected a re,im pair, got {token!r}")
+# Value parsers: ``parse(value, key, line)`` returns the value or raises a
+# ScenarioParseError naming the key at its line.
+
+def _parse_complex(token: str, key: str, line: int) -> complex:
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        real, imag = token.split(",")  # a token without exactly one comma fails to unpack
+        return complex(float(real), float(imag))
     except ValueError:
-        raise ScenarioParseError(line, f"bad complex number {token!r}") from None
+        raise ScenarioParseError(line, f"{key}: expected a re,im pair, got {token!r}") from None
 
 
-def _parse_complex_vector(value: str, line: int) -> list[complex]:
+def _parse_complex_vector(value: str, key: str, line: int) -> list[complex]:
     tokens = value.split()
     if not tokens:
-        raise ScenarioParseError(line, "expected at least one re,im entry")
-    return [_parse_complex(t, line) for t in tokens]
+        raise ScenarioParseError(line, f"{key}: expected at least one re,im entry")
+    return [_parse_complex(t, key, line) for t in tokens]
 
 
 def _parse_float(value: str, key: str, line: int) -> float:
@@ -133,6 +131,48 @@ def _parse_int(value: str, key: str, line: int) -> int:
         return int(value)
     except ValueError:
         raise ScenarioParseError(line, f"{key}: expected an integer, got {value!r}") from None
+
+
+def _parse_count(value: str, key: str, line: int) -> int:
+    number = _parse_int(value, key, line)
+    if number < 1:
+        raise ScenarioParseError(line, f"{key}: must be at least 1, got {number}")
+    return number
+
+
+def _parse_uint64(value: str, key: str, line: int) -> int:
+    number = _parse_int(value, key, line)
+    if not 0 <= number < 2 ** 64:
+        raise ScenarioParseError(line, f"{key}: must lie in [0, 2**64), got {number}")
+    return number
+
+
+def _parse_event(value: str, key: str, line: int) -> list[float | str]:
+    return ["a0" if token == "a0" else _parse_float(token, key, line) for token in value.split()]
+
+
+def _one_of(*choices: str):
+    def parse(value: str, key: str, line: int) -> str:
+        if value not in choices:
+            raise ScenarioParseError(line, f"{key}: must be one of {', '.join(choices)}, "
+                                           f"got {value!r}")
+        return value
+    return parse
+
+
+# Every key of the top level (None) and of each section: (value parser, may repeat).
+_KEYS = {
+    None: {"dimension": (_parse_count, False), "state": (_parse_complex_vector, False),
+           "a0": (_parse_float, False)},
+    "observable": {"row": (_parse_complex_vector, True), "eigenvalue": (_parse_float, True),
+                   "vector": (_parse_complex_vector, True)},
+    "detection": {"kind": (_one_of("constant", "expectation"), False),
+                  "p": (_parse_float, False), "row": (_parse_complex_vector, True)},
+    "apparatus": {"theta": (_parse_float, False), "phi": (_parse_float, False)},
+    "experiment": {"mode": (_one_of(*MODES), False), "trials": (_parse_count, False),
+                   "seed": (_parse_uint64, False), "stream": (_parse_uint64, False),
+                   "event": (_parse_event, True)},
+}
 
 
 def _split_line(raw: str, line: int) -> tuple[int, str, str]:
@@ -154,8 +194,8 @@ def parse_scenario(text: str) -> Scenario:
     if not lines or lines[0].strip() != HEADER:
         raise ScenarioParseError(1, f"first line must be {HEADER!r}")
 
-    top: dict[str, object] = {}
-    sections: dict[str, list[tuple[int, str, str]]] = {}
+    # parsed values by section (None: the top level); a repeating key holds a list
+    found: dict[str | None, dict[str, object]] = {None: {}}
     section_lines: dict[str, int] = {}
     current: str | None = None
     for i, raw in enumerate(lines[1:], start=2):
@@ -164,136 +204,64 @@ def parse_scenario(text: str) -> Scenario:
         indent, key, value = _split_line(raw, i)
         if indent == 0:
             current = None
-            if key not in _TOP_KEYS:
-                raise ScenarioParseError(i, f"unknown key {key!r}")
-            if key in _SECTION_KEYS:
+            if key in _KEYS:
                 if value:
-                    raise ScenarioParseError(i, f"section {key!r} takes no inline value")
-                if key in sections:
-                    raise ScenarioParseError(i, f"duplicate section {key!r}")
-                sections[key] = []
-                section_lines[key] = i
-                current = key
-            else:
-                if key in top:
-                    raise ScenarioParseError(i, f"duplicate key {key!r}")
-                top[key] = (i, value)
+                    raise ScenarioParseError(i, f"{key}: a section takes no inline value")
+                if key in found:
+                    raise ScenarioParseError(i, f"{key}: duplicate section")
+                found[key], section_lines[key], current = {}, i, key
+                continue
+        elif current is None:
+            raise ScenarioParseError(i, "indented line outside any section")
+        where = "" if current is None else f" in section {current!r}"
+        if key not in _KEYS[current]:
+            raise ScenarioParseError(i, f"unknown key {key!r}{where}")
+        parse, repeats = _KEYS[current][key]
+        entries = found[current]
+        if repeats:
+            entries.setdefault(key, []).append(parse(value, key, i))
+        elif key in entries:
+            raise ScenarioParseError(i, f"{key}: duplicate key{where}")
         else:
-            if current is None:
-                raise ScenarioParseError(i, "indented line outside any section")
-            if key not in _SECTION_KEYS[current]:
-                raise ScenarioParseError(i, f"unknown key {key!r} in section {current!r}")
-            sections[current].append((i, key, value))
+            entries[key] = parse(value, key, i)
 
+    top = found[None]
     for required in ("dimension", "state", "observable", "detection"):
-        if required not in top and required not in sections:
+        if required not in top and required not in found:
             raise ScenarioParseError(len(lines), f"missing required key {required!r}")
-
-    line, value = top["dimension"]
-    dimension = _parse_int(value, "dimension", line)
-    if dimension < 1:
-        raise ScenarioParseError(line, "dimension must be positive")
-    line, value = top["state"]
-    state = _parse_complex_vector(value, line)
-
-    a0 = None
-    if "a0" in top:
-        line, value = top["a0"]
-        a0 = _parse_float(value, "a0", line)
-
-    rows, spectral = _parse_observable(sections["observable"], section_lines["observable"])
-    detection = _parse_detection(sections["detection"], section_lines["detection"])
-
-    theta = phi = 0.0
-    for line, key, value in sections.get("apparatus", []):
-        if key == "theta":
-            theta = _parse_float(value, key, line)
-        else:
-            phi = _parse_float(value, key, line)
-
-    experiment = _parse_experiment(sections.get("experiment", []))
-
+    rows, spectral = _observable_form(found["observable"], section_lines["observable"])
+    apparatus = found.get("apparatus", {})
+    experiment = found.get("experiment", {})
+    events = experiment.pop("event", [])
     return Scenario(
-        dimension=dimension, state=state, detection=detection,
-        observable_rows=rows, observable_spectral=spectral, a0=a0,
-        theta=theta, phi=phi, experiment=experiment,
+        dimension=top["dimension"], state=top["state"], a0=top.get("a0"),
+        detection=_detection_spec(found["detection"], section_lines["detection"]),
+        observable_rows=rows, observable_spectral=spectral,
+        theta=apparatus.get("theta", 0.0), phi=apparatus.get("phi", 0.0),
+        experiment=ExperimentSpec(**experiment, events=events),
     )
 
 
-def _parse_observable(entries, section_line: int):
-    rows: list[list[complex]] = []
-    eigenvalues: list[tuple[int, float]] = []
-    vectors: list[list[complex]] = []
-    for line, key, value in entries:
-        if key == "row":
-            rows.append(_parse_complex_vector(value, line))
-        elif key == "eigenvalue":
-            eigenvalues.append((line, _parse_float(value, key, line)))
-        else:
-            vectors.append(_parse_complex_vector(value, line))
-    if rows and (eigenvalues or vectors):
-        raise ScenarioParseError(section_line, "observable must be dense or spectral, not both")
-    if not rows:
-        if not eigenvalues:
-            raise ScenarioParseError(section_line,
-                                     "observable needs row or eigenvalue/vector entries")
-        if len(eigenvalues) != len(vectors):
-            raise ScenarioParseError(eigenvalues[-1][0],
-                                     "need exactly one vector per eigenvalue")
-        return None, [(ev, vec) for (_, ev), vec in zip(eigenvalues, vectors)]
-    return rows, None
+def _observable_form(entries: dict, line: int):
+    """(rows, None) for the dense form, (None, [(eigenvalue, vector), ...]) for the spectral."""
+    rows = entries.get("row")
+    eigenvalues = entries.get("eigenvalue", [])
+    vectors = entries.get("vector", [])
+    if bool(rows) == bool(eigenvalues or vectors):
+        raise ScenarioParseError(line, "observable needs either row or eigenvalue/vector entries")
+    if len(eigenvalues) != len(vectors):
+        raise ScenarioParseError(line, "observable needs exactly one vector per eigenvalue")
+    return rows, (list(zip(eigenvalues, vectors)) if eigenvalues else None)
 
 
-def _parse_detection(entries, section_line: int) -> DetectionSpec:
-    kind = None
-    p = None
-    rows: list[list[complex]] = []
-    for line, key, value in entries:
-        if key == "kind":
-            if value not in ("constant", "expectation"):
-                raise ScenarioParseError(line, f"detection kind must be constant or "
-                                               f"expectation, got {value!r}")
-            kind = value
-        elif key == "p":
-            p = _parse_float(value, key, line)
-        else:
-            rows.append(_parse_complex_vector(value, line))
+def _detection_spec(entries: dict, line: int) -> DetectionSpec:
+    kind = entries.get("kind")
     if kind is None:
-        raise ScenarioParseError(section_line, "detection needs a kind")
-    if kind == "constant" and (p is None or rows):
-        raise ScenarioParseError(section_line, "constant detection needs p and no rows")
-    if kind == "expectation" and (not rows or p is not None):
-        raise ScenarioParseError(section_line, "expectation detection needs row entries and no p")
-    return DetectionSpec(kind=kind, p=p, rows=rows or None)
-
-
-def _parse_experiment(entries) -> ExperimentSpec:
-    spec = ExperimentSpec()
-    seen = set()
-    for line, key, value in entries:
-        if key == "event":
-            event: list[float | str] = []
-            for token in value.split():
-                event.append("a0" if token == "a0" else _parse_float(token, key, line))
-            spec.events.append(event)
-            continue
-        if key in seen:
-            raise ScenarioParseError(line, f"duplicate key {key!r} in experiment")
-        seen.add(key)
-        if key == "mode":
-            if value not in MODES:
-                raise ScenarioParseError(line, f"mode must be one of {', '.join(MODES)}")
-            spec.mode = value
-        elif key == "trials":
-            spec.trials = _parse_int(value, key, line)
-            if spec.trials < 1:
-                raise ScenarioParseError(line, "trials must be at least 1")
-        else:
-            number = _parse_int(value, key, line)
-            if not 0 <= number < 2 ** 64:
-                raise ScenarioParseError(line, f"{key}: must lie in [0, 2**64), got {number}")
-            setattr(spec, key, number)
-    return spec
+        raise ScenarioParseError(line, "detection needs a kind")
+    needs, other = ("p", "row") if kind == "constant" else ("row", "p")
+    if entries.keys() != {"kind", needs}:
+        raise ScenarioParseError(line, f"{kind} detection needs {needs} and no {other}")
+    return DetectionSpec(kind=kind, p=entries.get("p"), rows=entries.get("row"))
 
 
 def _format_float(x: float) -> str:
@@ -458,7 +426,13 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
 
 
 def load_scenario(path) -> tuple[Scenario, BuiltScenario]:
-    """Read, parse and build a scenario file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        sc = parse_scenario(handle.read())
+    """Read, parse and build a UTF-8 scenario file."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte lies on the line after the last break before it, as parse_scenario counts
+        line = len((data[:exc.start].decode("utf-8") + "-").splitlines())
+        raise ScenarioParseError(line, f"not valid UTF-8 (byte {data[exc.start]:#04x})") from None
+    sc = parse_scenario(text)
     return sc, build_scenario(sc)

@@ -111,17 +111,38 @@ RECORD_ATOL = 1e-15
 RECORD_ULPS = 8
 
 
+def _float_bound(a: float, b: float) -> float:
+    return RECORD_ATOL + RECORD_ULPS * math.ulp(max(abs(a), abs(b)))
+
+
+def _sigmas_close(a: dict, b: dict) -> bool:
+    """Sample-report sigma deviations ``|f - p| / se``: each may move by its own
+    float bound plus the move its ``predicted`` is allowed, magnified by 1/se."""
+    xs, ys = a["sigma_deviations"], b["sigma_deviations"]
+    if not (isinstance(xs, list) and isinstance(ys, list) and len(xs) == len(ys)):
+        return False
+    for x, y, p, q, se in zip(xs, ys, a["predicted"], b["predicted"], a["standard_errors"]):
+        if not (isinstance(x, float) and isinstance(y, float) and se > 0.0):
+            if not records_close(x, y):  # None (an infinite deviation), or se = 0
+                return False
+        elif abs(x - y) > _float_bound(x, y) + _float_bound(p, q) / se:
+            return False
+    return True
+
+
 def records_close(a, b) -> bool:
     """Whether two decoded JSON records agree: same keys, list lengths,
     strings, ints, bools and None, and floats within
-    ``RECORD_ATOL + RECORD_ULPS * ulp(max(|a|, |b|))``."""
+    ``RECORD_ATOL + RECORD_ULPS * ulp(max(|a|, |b|))``. A sample report's
+    ``sigma_deviations`` get the wider bound of ``_sigmas_close``."""
     if type(a) is not type(b):
         return False
     if isinstance(a, dict):
-        return a.keys() == b.keys() and all(records_close(a[k], b[k]) for k in a)
+        return (a.keys() == b.keys()
+                and ("sigma_deviations" not in a or _sigmas_close(a, b))
+                and all(records_close(a[k], b[k]) for k in a if k != "sigma_deviations"))
     if isinstance(a, list):
         return len(a) == len(b) and all(map(records_close, a, b))
     if isinstance(a, float):
-        bound = RECORD_ATOL + RECORD_ULPS * math.ulp(max(abs(a), abs(b)))
-        return a == b or abs(a - b) <= bound
+        return a == b or abs(a - b) <= _float_bound(a, b)
     return a == b

@@ -76,6 +76,11 @@ INVALID_SCENARIOS = [
      .replace("eigenvalue: -1\n", "eigenvalue: -1e308\n"), "observable"),
     ("vector-overflow", SPECTRAL.replace("vector: 1,0 0,0", "vector: 1e200,0 0,0"),
      "observable"),
+    # a second single-valued key is refused at its own line, not resolved last-wins
+    ("duplicate-p", GOOD.replace("  p: 0.8\n", "  p: 0.8\n  p: 0.3\n"), "p"),
+    ("duplicate-theta", GOOD.replace("experiment:", "apparatus:\n  theta: 0\n  theta: 1\n"
+                                                   "experiment:"), "theta"),
+    ("duplicate-section", GOOD + "detection:\n  kind: constant\n  p: 0.3\n", "detection"),
     # neighbours 6e-9 apart, within the 1e-8 merge tolerance, span 1.2e-8 together
     ("eigenvalues-chain", spectral_scenario_text([0.0, 6e-9, 1.2e-8, 1.0], np.eye(4)),
      "observable"),
@@ -252,6 +257,15 @@ class TestErrorPaths:
         path.write_text(GOOD.replace("a0: 0", "a0: 1"))
         assert main(["verify", str(path)]) == 2
         assert "a0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["verify", "sample", "evolve"])
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path, capsys, verb):
+        path = tmp_path / "latin1.esr"
+        path.write_bytes(b"esrsim scenario v1\ndimension: 2\xff\n")
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("esrsim: line 2: not valid UTF-8")
 
     @pytest.mark.parametrize("verb", ["verify", "sample", "evolve"])
     @pytest.mark.parametrize("text, field", [case[1:] for case in INVALID_SCENARIOS],

@@ -75,3 +75,33 @@ class TestRecordsClose:
         bound = RECORD_ATOL + 8 * math.ulp(value)
         assert records_close({"p": value}, {"p": value + 0.9 * bound})
         assert not records_close({"p": value}, {"p": value + 2.0 * bound})
+
+
+class TestSampleSigmas:
+    """``sigma_deviations`` magnify a move of ``predicted`` by 1/se; the bound does too.
+    A changed count still fails (``TestRecordsClose.test_rejects_changed_count``)."""
+
+    def test_accepts_predicted_moved_by_roundoff(self):
+        sample = _golden("qubit")[1]
+        moved = copy.deepcopy(sample)
+        report = moved["report"]
+        report["predicted"][1] += 1e-16
+        report["standard_errors"] = [math.sqrt(p * (1 - p) / report["trials"])
+                                     for p in report["predicted"]]
+        report["sigma_deviations"] = [abs(f - p) / se for f, p, se in zip(
+            report["frequencies"], report["predicted"], report["standard_errors"])]
+        # far past the plain float bound, well inside the scaled one
+        sigmas = (sample["report"]["sigma_deviations"][1], report["sigma_deviations"][1])
+        assert abs(sigmas[0] - sigmas[1]) > 10 * (RECORD_ATOL + 8 * math.ulp(max(sigmas)))
+        assert records_close(sample, moved)
+
+    def test_rejects_sigma_moved_alone(self):
+        sample = _golden("qubit")[1]
+        moved = copy.deepcopy(sample)
+        moved["report"]["sigma_deviations"][1] += 1e-9
+        assert not records_close(sample, moved)
+
+    def test_infinite_deviation_stays_exact(self):
+        a = {"sigma_deviations": [None], "predicted": [0.0], "standard_errors": [0.0]}
+        assert records_close(a, copy.deepcopy(a))
+        assert not records_close(a, dict(a, sigma_deviations=[0.0]))

@@ -8,10 +8,12 @@ from esrsim import (
     ScenarioValidationError,
     build_scenario,
     hermitian_eigendecompose,
+    load_scenario,
     parse_scenario,
     scenario_digest,
     serialize_scenario,
 )
+from esrsim import scenario
 from helpers import random_unitary, spectral_scenario_text
 
 MINIMAL = """\
@@ -66,6 +68,11 @@ detection:
   row: 0,0 0.6,0
 """
 
+# the lines of FULL whose key (or section header) may appear only once
+SINGLE_VALUED = ["dimension", "state", "a0", "observable", "detection", "apparatus",
+                 "experiment", "  kind", "  p", "  theta", "  phi", "  mode", "  trials",
+                 "  seed", "  stream"]
+
 
 class TestParsing:
     def test_minimal_scenario_fills_defaults(self):
@@ -112,9 +119,45 @@ class TestParsing:
             parse_scenario(bad)
         assert err.value.line == 3
 
-    def test_duplicate_key(self):
-        with pytest.raises(ScenarioParseError):
-            parse_scenario(MINIMAL + "dimension: 2\n")
+    @pytest.mark.parametrize("key", SINGLE_VALUED, ids=str.strip)
+    def test_duplicate_key(self, key):
+        # a copy of the key's line (for a section, of its header) right after it
+        lines = FULL.splitlines()
+        i = next(n for n, line in enumerate(lines) if line.startswith(f"{key}:"))
+        lines.insert(i + 1, lines[i])
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario("\n".join(lines) + "\n")
+        assert err.value.line == i + 2
+        assert "duplicate" in str(err.value)
+
+    def test_duplicate_cases_cover_every_single_valued_key(self):
+        expected = {f"  {key}" if section else key
+                    for section, keys in scenario._KEYS.items()
+                    for key, (_, repeats) in keys.items() if not repeats}
+        assert set(SINGLE_VALUED) == expected | {key for key in scenario._KEYS if key}
+
+    def test_first_bad_line_is_reported(self):
+        # the bad row comes before the bad a0 in the file
+        bad = MINIMAL.replace("  row: 0,0 -1,0", "  row: 0,0 x") + "a0: y\n"
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(bad)
+        assert err.value.line == 6 and "row" in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [("dimension", "0"), ("trials", "0"),
+                                            ("seed", "-1"), ("stream", str(2 ** 64)),
+                                            ("mode", "dance"), ("kind", "sometimes")])
+    def test_out_of_range_value_names_key_and_line(self, key, value):
+        lines = FULL.splitlines()
+        i = next(n for n, line in enumerate(lines) if line.strip().startswith(f"{key}:"))
+        lines[i] = lines[i].partition(":")[0] + f": {value}"
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario("\n".join(lines) + "\n")
+        assert err.value.line == i + 1
+        assert str(err.value).startswith(f"line {i + 1}: {key}: ")
+
+    def test_large_trials_accepted(self):
+        sc = parse_scenario(FULL.replace("trials: 5000", f"trials: {2 ** 70}"))
+        assert sc.experiment.trials == 2 ** 70
 
     def test_bad_indentation(self):
         bad = MINIMAL.replace("  kind: constant", "   kind: constant")
@@ -216,6 +259,22 @@ class TestBuild:
         bad = MINIMAL.replace("  kind: constant", "  kind: expectation")
         with pytest.raises(ScenarioParseError):
             parse_scenario(bad)
+
+
+class TestLoad:
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.esr"
+        path.write_bytes(b"esrsim scenario v1\ndimension: 2\xff\nstate: 1,0 0,0\n")
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(path)
+        assert err.value.line == 2 and "UTF-8" in str(err.value)
+
+    def test_invalid_utf8_after_a_final_line_break(self, tmp_path):
+        path = tmp_path / "latin1.esr"
+        path.write_bytes(MINIMAL.encode() + b"\xe9")
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(path)
+        assert err.value.line == len(MINIMAL.splitlines()) + 1
 
 
 class TestRoundTrip:
