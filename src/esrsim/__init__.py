@@ -35,7 +35,6 @@ from .linalg import (
     is_positive_semidefinite,
     partial_trace_second,
     spectral_defects,
-    tensor_product,
 )
 from .measurement import (
     MeasurementOperatorFamily,
@@ -106,7 +105,7 @@ __all__ = [
     "ZeroProbabilityBranchError",
     # linalg
     "SpectralDecomposition", "hermitian_eigendecompose", "is_positive_semidefinite",
-    "partial_trace_second", "spectral_defects", "tensor_product",
+    "partial_trace_second", "spectral_defects",
     # measurement
     "MeasurementOperatorFamily", "MeasurementOutcomeRecord", "complement_event",
     "fix_phase", "measurement_operators", "nonselective_state", "outcome_probability",

@@ -28,20 +28,22 @@ from .apparatus import couple_and_evolve, reduced_object_state
 from .errors import EsrError
 from .linalg import frobenius
 from .measurement import (
+    _branch_state,
+    _branch_density,
     measurement_operators,
     nonselective_state,
     outcome_probability,
-    post_measurement_density,
-    post_measurement_state_yes,
     state_after_outcome,
 )
 from .model import (
+    _born_weights,
+    _conditional,
+    _effect,
     _event_subsets,
-    conditional_probability,
+    _overall,
+    _trace_probability,
     detection_probability,
     overall_probability,
-    overall_probability_density,
-    split_event,
     to_density,
     verify_pov_axioms,
 )
@@ -105,37 +107,36 @@ def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[st
             checks[name], errors[name] = float("inf"), f"{type(exc).__name__}: {exc}"
 
     report = verify_pov_axioms(gobs, psi, partition_trials=PARTITION_TRIALS, seed=VERIFY_SEED)
-    checks["pov-normalization"] = report.normalization
-    checks["pov-positivity"] = report.positivity
-    checks["pov-additivity"] = report.additivity
-    checks["pov-commutativity"] = report.commutativity
+    checks.update({f"pov-{name}": value for name, value in report.as_dict().items()})
 
-    subsets = _event_subsets(gobs.outcomes, np.random.default_rng(VERIFY_SEED), limit=256)
-    detected_subsets = [s for s in subsets if not split_event(gobs, s)[0]]
+    # each event is a boolean row over the outcomes, a0 first, resolved once
+    rows = _event_subsets(gobs.outcomes.size, np.random.default_rng(VERIFY_SEED), limit=256)
+    singletons = np.eye(gobs.outcomes.size, dtype=bool)
+    pd = detection_probability(gobs, psi)
+    weights = _born_weights(gobs, psi)
+
+    def overall(row) -> float:
+        return _overall(pd, weights, row[0], row[1:])
 
     def factorization() -> float:
-        pd = detection_probability(gobs, psi)
-        return max(abs(overall_probability(gobs, psi, s)
-                       - pd * conditional_probability(gobs, psi, s))
-                   for s in detected_subsets)
+        return max(abs(overall(row) - pd * _conditional(gobs, psi, row[1:]))
+                   for row in rows[~rows[:, 0]])
 
     def form_agreement() -> float:
-        return max(abs(overall_probability(gobs, psi, s)
-                       - overall_probability_density(gobs, psi, s))
-                   for s in subsets)
+        return max(abs(overall(row) - _trace_probability(psi, _effect(gobs, pd, row)))
+                   for row in rows)
 
     def total_probability() -> float:
-        singles = sum(overall_probability(gobs, psi, (v,)) for v in gobs.outcomes)
-        return abs(singles - 1.0)
+        return abs(sum(map(overall, singletons)) - 1.0)
 
     def update_form_agreement() -> float:
         worst = 0.0
-        for s in subsets:
-            if not s or overall_probability(gobs, psi, s) < 1e-9:
+        for row in rows:
+            if not row.any() or overall(row) < 1e-9:
                 continue
-            vector_form = to_density(post_measurement_state_yes(gobs, psi, s))
-            density_form = post_measurement_density(gobs, psi, s)
-            worst = max(worst, frobenius(vector_form.matrix - density_form.matrix))
+            t = _effect(gobs, pd, row)
+            vector_form = to_density(_branch_state(psi, t)).matrix
+            worst = max(worst, frobenius(vector_form - _branch_density(psi, t).matrix))
         return worst
 
     run("factorization", factorization)
@@ -144,14 +145,11 @@ def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[st
     run("update-form-agreement", update_form_agreement)
 
     family = measurement_operators(gobs, psi)
-    family_dev = family.deviations()
-    checks["family-completeness"] = family_dev["completeness"]
-    checks["family-commutation"] = family_dev["commutation"]
+    checks.update({f"family-{name}": value for name, value in family.deviations().items()})
 
     def singleton_consistency() -> float:
-        return max(abs(outcome_probability(family, k)
-                       - overall_probability(gobs, psi, (v,)))
-                   for k, v in enumerate(family.outcomes))
+        return max(abs(outcome_probability(family, k) - overall(row))
+                   for k, row in enumerate(singletons))
 
     def nonselective_forms() -> float:
         mixture = nonselective_state(family).matrix

@@ -1,7 +1,7 @@
 """Dense complex-matrix kernel for small Hilbert spaces.
 
 Hermitian eigendecomposition with eigenvalue clustering, spectral projector
-assembly, Kronecker products, partial traces and positivity tests. Everything
+assembly, partial traces and a shifted-Cholesky positivity test. Everything
 works on plain ``numpy.ndarray`` values and is pure: inputs are never
 mutated. Intended for dense operators up to dimension of a few dozen.
 """
@@ -41,21 +41,17 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Frobenius distance between ``m`` and its conjugate transpose."""
-    return frobenius(m - m.conj().T)
-
-
 def require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Validate Hermiticity and return the symmetrized matrix (m + m†)/2.
 
     Symmetrizing stabilizes downstream projector algebra against roundoff.
     """
     require_square(m)
-    defect = hermiticity_defect(m)
+    adjoint = m.conj().T
+    defect = frobenius(m - adjoint)
     if defect > rtol * (1.0 + frobenius(m)):
         raise NotHermitianError(f"matrix is not Hermitian: defect {defect:.3e}")
-    return (m + m.conj().T) / 2.0
+    return (m + adjoint) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +113,7 @@ def spectral_defects(sd: SpectralDecomposition, source: np.ndarray | None = None
     eye = np.eye(sd.dim)
     out = {
         "completeness": frobenius(sum(sd.projectors) - eye),
-        "hermiticity": max(hermiticity_defect(p) for p in sd.projectors),
+        "hermiticity": max(frobenius(p - p.conj().T) for p in sd.projectors),
         "idempotency": max(frobenius(p @ p - p) for p in sd.projectors),
     }
     ortho = 0.0
@@ -179,11 +175,6 @@ def hermitian_eigendecompose(m, cluster_tol: float | None = None) -> SpectralDec
     return _cluster(w, v, cluster_tol)
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; composite row index (i, k) maps to i * rows(b) + k."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace_second(m, dim_first: int, dim_second: int) -> np.ndarray:
     """Trace out the second tensor factor of an operator on a product space.
 
@@ -201,6 +192,16 @@ def partial_trace_second(m, dim_first: int, dim_second: int) -> np.ndarray:
 
 
 def is_positive_semidefinite(m, tol: float = 1e-10) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol."""
-    h = require_hermitian(as_matrix(m))
-    return bool(np.linalg.eigvalsh(h)[0] >= -tol)
+    """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol, decided
+    by whether ``m + tol*I`` has a Cholesky factor (several times cheaper than
+    an eigensolver; only the rounding at the boundary differs)."""
+    return _shifted_cholesky_exists(require_hermitian(as_matrix(m)), tol)
+
+
+def _shifted_cholesky_exists(h: np.ndarray, tol: float) -> bool:
+    """:func:`is_positive_semidefinite` for a matrix its caller has symmetrized."""
+    try:
+        np.linalg.cholesky(h + tol * np.eye(h.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -62,11 +62,15 @@ def post_measurement_state_yes(gobs: GeneralizedObservable, psi: PureState,
     no-registration outcome alone leaves the state unchanged; conditioning on
     detected outcomes alone is the Lüders update.
     """
-    t = _effect_operator(gobs, psi, event)
-    v = t @ psi.amplitudes
+    return _branch_state(psi, _effect_operator(gobs, psi, event))
+
+
+def _branch_state(psi: PureState, op: np.ndarray, branch: str = "conditioning event") -> PureState:
+    """``op psi`` normalized, with its phase fixed; ``branch`` names it in the error."""
+    v = op @ psi.amplitudes
     norm = float(np.linalg.norm(v))
     if norm < ZERO_BRANCH_TOL:
-        raise ZeroProbabilityBranchError("conditioning event has zero probability")
+        raise ZeroProbabilityBranchError(f"{branch} has zero probability")
     return PureState(fix_phase(v / norm))
 
 
@@ -79,7 +83,10 @@ def post_measurement_state_no(gobs: GeneralizedObservable, psi: PureState,
 def post_measurement_density(gobs: GeneralizedObservable, psi: PureState,
                              event) -> DensityOperator:
     """Density form of the yes-branch update: T W T† over its trace."""
-    t = _effect_operator(gobs, psi, event)
+    return _branch_density(psi, _effect_operator(gobs, psi, event))
+
+
+def _branch_density(psi: PureState, t: np.ndarray) -> DensityOperator:
     w = to_density(psi).matrix
     numerator = t @ w @ t.conj().T
     weight = float(np.trace(numerator).real)
@@ -156,11 +163,7 @@ def state_after_outcome(family: MeasurementOperatorFamily, k: int) -> PureState:
     detected outcomes return the Lüders state of the matching projector.
     """
     _check_index(family, k)
-    v = family.operators[k] @ family.psi.amplitudes
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_BRANCH_TOL:
-        raise ZeroProbabilityBranchError(f"outcome index {k} has zero probability")
-    return PureState(fix_phase(v / norm))
+    return _branch_state(family.psi, family.operators[k], f"outcome index {k}")
 
 
 def nonselective_state(family: MeasurementOperatorFamily) -> DensityOperator:

@@ -1,23 +1,22 @@
 """Domain model for detection-conditioned measurements.
 
 A standard observable is kept in spectral form (distinct eigenvalues plus
-orthogonal projectors). A generalized observable augments it with a
-no-registration outcome ``a0`` reported when the measured object escapes
-detection, and with a detection model giving the per-state probability of
-being detected at all. That probability is event-independent, which is what
-makes the construction below consistent.
+orthogonal projectors). A generalized observable adds a no-registration
+outcome ``a0``, reported when the measured object escapes detection, and a
+detection model giving the per-state probability of being detected at all.
+That probability is event-independent, which makes the construction consistent.
 
 Outcome events are finite sets of outcome values (the finite-dimensional
-stand-in for Borel sets: only the intersection with the outcome set ever
-matters). The effect attached to an event is a positive operator between 0
-and the identity; its expectation value in the prepared state is the overall
-probability of the event. It depends on the state only through the
-detection probability and the Born weights ``<psi|P_k|psi>``, so overall
-probabilities are computed from those; dense effect matrices serve
-:func:`effect`, the state updates and the verification oracles. Effects over
-events form, for each state, a commutative positive-operator-valued measure,
-and with detection certain they collapse to the usual projection-valued
-measure and Born rule.
+stand-in for Borel sets). Each is resolved once into a boolean row over the
+outcomes, a0 first, and one formula turns rows into effects: positive
+operators between 0 and the identity whose expectation in the state is the
+event's overall probability. Overall probabilities come from the detection
+probability and the Born weights ``<psi|P_k|psi>``; dense effects serve
+:func:`effect`, the state updates and :func:`verify_pov_axioms`, which
+eigensolves its positivity events in stacks of at most 1 MiB. The gates of
+:class:`DensityOperator` and :class:`Effect` test positivity by a shifted
+Cholesky factorization. For each state the effects form a commutative POV
+measure; with detection certain it is the projection-valued one.
 """
 
 from __future__ import annotations
@@ -74,15 +73,10 @@ def _match_atol(value: float) -> float:
 def _nearest_index(sorted_values: np.ndarray, value: float) -> int | None:
     """Index of the entry matching ``value`` within tolerance, else None."""
     i = int(np.searchsorted(sorted_values, value))
-    best, dist = None, np.inf
-    for k in (i - 1, i):
-        if 0 <= k < sorted_values.size:
-            d = abs(float(sorted_values[k]) - value)
-            if d < dist:
-                best, dist = k, d
-    if best is not None and dist <= _match_atol(value):
-        return best
-    return None
+    dist = {k: abs(float(sorted_values[k]) - value) for k in (i - 1, i)
+            if 0 <= k < sorted_values.size}
+    best = min(dist, key=dist.get)  # the lower neighbour on a tie
+    return best if dist[best] <= _match_atol(value) else None
 
 
 def _freeze_unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -94,6 +88,14 @@ def _freeze_unit(v: np.ndarray, name: str) -> np.ndarray:
         raise NotNormalizedError(f"{name} norm is {norm!r}, expected 1")
     v.flags.writeable = False
     return v
+
+
+def _require_unit_spectrum(h: np.ndarray, tol: float, name: str) -> None:
+    """Raise ValueError unless the symmetrized ``h`` has its spectrum in [-tol, 1 + tol]."""
+    if not (linalg._shifted_cholesky_exists(h, tol)
+            and linalg._shifted_cholesky_exists(np.eye(h.shape[0]) - h, tol)):
+        eigs = np.linalg.eigvalsh(h)
+        raise ValueError(f"{name} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +141,7 @@ class DensityOperator:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > OPERATOR_GATE_TOL:
             raise ValueError(f"trace is {trace!r}, expected 1")
-        if float(np.linalg.eigvalsh(m)[0]) < -OPERATOR_GATE_TOL:
+        if not linalg._shifted_cholesky_exists(m, OPERATOR_GATE_TOL):
             raise ValueError("operator is not positive semidefinite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -240,10 +242,7 @@ class ExpectationDetection:
 
     def __post_init__(self):
         b = linalg.require_hermitian(linalg.as_matrix(self.operator))
-        eigs = np.linalg.eigvalsh(b)
-        if eigs[0] < -NORM_TOL or eigs[-1] > 1.0 + NORM_TOL:
-            raise ValueError(
-                f"operator spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] must lie in [0, 1]")
+        _require_unit_spectrum(b, NORM_TOL, "operator")
         b.flags.writeable = False
         object.__setattr__(self, "operator", b)
 
@@ -324,17 +323,20 @@ def split_event(gobs: GeneralizedObservable, event) -> tuple[bool, np.ndarray]:
 
     Values matching no outcome of the observable contribute nothing.
     """
-    values = as_event(event)
-    eigs = gobs.base.eigenvalues
-    exact = gobs.base._eigen_index
+    return _match_values(gobs.base, as_event(event), gobs.a0)
+
+
+def _match_values(observable: QuantumObservable, values, a0: float | None):
+    """(whether a value matched ``a0``, boolean mask of the matched eigenvalues)."""
+    eigs = observable.eigenvalues
     mask = np.zeros(eigs.size, dtype=bool)
     has_a0 = False
     for v in values:
         # An exact eigenvalue lies outside a0's match window (construction keeps
         # a0 more than twice that window away), so the lookup may come first.
-        k = exact.get(v)
+        k = observable._eigen_index.get(v)
         if k is None:
-            if abs(v - gobs.a0) <= _match_atol(v):
+            if a0 is not None and abs(v - a0) <= _match_atol(v):
                 has_a0 = True
                 continue
             k = _nearest_index(eigs, v)
@@ -343,11 +345,13 @@ def split_event(gobs: GeneralizedObservable, event) -> tuple[bool, np.ndarray]:
     return has_a0, mask
 
 
-def _masked_projector(observable: QuantumObservable, mask: np.ndarray) -> np.ndarray:
-    out = np.zeros((observable.dim, observable.dim), dtype=complex)
-    projectors = observable.projectors
-    for k in np.flatnonzero(mask):
-        out += projectors[k]
+def _projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
+    """``sum_{k in mask} P_k`` for each boolean row of ``masks``, as ``(m, d, d)``, added
+    one by one in ascending k: a row gives the same bits alone or in a stack."""
+    out = np.zeros((len(masks), observable.dim, observable.dim), dtype=complex)
+    for total, mask in zip(out, masks):
+        for k in np.flatnonzero(mask):
+            total += observable._projector_stack[k]
     return out
 
 
@@ -356,14 +360,8 @@ def pv_projector(observable: QuantumObservable, event) -> np.ndarray:
 
     Event values matching no eigenvalue contribute nothing.
     """
-    values = as_event(event)
-    eigs = observable.eigenvalues
-    mask = np.zeros(eigs.size, dtype=bool)
-    for v in values:
-        k = _nearest_index(eigs, v)
-        if k is not None:
-            mask[k] = True
-    return _masked_projector(observable, mask)
+    mask = _match_values(observable, as_event(event), None)[1]
+    return _projector_sums(observable, mask[None])[0]
 
 
 def clamp_probability(value: float, tol: float = PROBABILITY_TOL) -> float:
@@ -406,7 +404,12 @@ def conditional_probability(gobs: GeneralizedObservable, psi: PureState, event) 
     if has_a0:
         raise EventContainsNoRegistrationError(
             "conditional probabilities are defined for detected outcomes only")
-    p = _masked_projector(gobs.base, mask)
+    return _conditional(gobs, psi, mask)
+
+
+def _conditional(gobs: GeneralizedObservable, psi: PureState, mask: np.ndarray) -> float:
+    """``<psi|P(mask)|psi>`` with the dense projector sum."""
+    p = _projector_sums(gobs.base, mask[None])[0]
     return clamp_probability(float(np.vdot(psi.amplitudes, p @ psi.amplitudes).real))
 
 
@@ -418,10 +421,7 @@ class Effect:
 
     def __post_init__(self):
         op = linalg.require_hermitian(linalg.as_matrix(self.operator), rtol=OPERATOR_GATE_TOL)
-        eigs = np.linalg.eigvalsh(op)
-        if eigs[0] < -OPERATOR_GATE_TOL or eigs[-1] > 1.0 + OPERATOR_GATE_TOL:
-            raise ValueError(
-                f"effect spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] must lie in [0, 1]")
+        _require_unit_spectrum(op, OPERATOR_GATE_TOL, "effect")
         op.flags.writeable = False
         object.__setattr__(self, "operator", op)
 
@@ -437,15 +437,26 @@ class Effect:
             float(np.vdot(psi.amplitudes, self.operator @ psi.amplitudes).real))
 
 
+def _effects(gobs: GeneralizedObservable, pd: float, rows: np.ndarray) -> np.ndarray:
+    """The effect formula ``pd * P(row) + (1 - pd) * [a0 in row] * I`` for each
+    boolean row over the outcomes (a0 first) of ``rows``, as ``(m, d, d)``."""
+    out = _projector_sums(gobs.base, rows[:, 1:])
+    out *= pd
+    shift = (1.0 - pd) * np.eye(gobs.dim)
+    for i in np.flatnonzero(rows[:, 0]):
+        out[i] += shift
+    return out
+
+
+def _effect(gobs: GeneralizedObservable, pd: float, row: np.ndarray) -> np.ndarray:
+    return _effects(gobs, pd, row[None])[0]
+
+
 def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
     """Raw effect matrix, bypassing the Effect construction gate."""
     _require_dim(gobs, psi)
     has_a0, mask = split_event(gobs, event)
-    pd = detection_probability(gobs, psi)
-    op = pd * _masked_projector(gobs.base, mask)
-    if has_a0:
-        op += (1.0 - pd) * np.eye(gobs.dim)
-    return op
+    return _effect(gobs, detection_probability(gobs, psi), np.concatenate(([has_a0], mask)))
 
 
 def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
@@ -475,16 +486,22 @@ def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> f
     _require_dim(gobs, psi)
     has_a0, mask = split_event(gobs, event)
     pd = detection_probability(gobs, psi)
-    weight = float(_born_weights(gobs, psi)[mask].sum())
-    return clamp_probability(pd * weight + (1.0 - pd) * has_a0)
+    return _overall(pd, _born_weights(gobs, psi), has_a0, mask)
+
+
+def _overall(pd: float, weights: np.ndarray, has_a0: bool, mask: np.ndarray) -> float:
+    return clamp_probability(pd * float(weights[mask].sum()) + (1.0 - pd) * bool(has_a0))
 
 
 def overall_probability_density(gobs: GeneralizedObservable, psi: PureState, event) -> float:
     """Trace-form evaluation Tr[W T(event)] with the dense effect matrix; an
     independent check on :func:`overall_probability`."""
-    t = _effect_operator(gobs, psi, event)
-    w = to_density(psi).matrix
-    return clamp_probability(float(np.trace(w @ t).real))
+    return _trace_probability(psi, _effect_operator(gobs, psi, event))
+
+
+def _trace_probability(psi: PureState, t: np.ndarray) -> float:
+    """``Tr[W t]`` for the density ``W`` of ``psi``, clamped."""
+    return clamp_probability(float(np.trace(to_density(psi).matrix @ t).real))
 
 
 @dataclass(frozen=True)
@@ -505,9 +522,6 @@ class PovAxiomReport:
     def max_deviation(self) -> float:
         return max(self.normalization, self.positivity, self.additivity, self.commutativity)
 
-    def passed(self, tol: float = 1e-10) -> bool:
-        return self.max_deviation <= tol
-
     def as_dict(self) -> dict[str, float]:
         return {
             "normalization": self.normalization,
@@ -517,17 +531,13 @@ class PovAxiomReport:
         }
 
 
-def _event_subsets(outcomes: np.ndarray, rng: np.random.Generator,
-                   limit: int) -> list[tuple[float, ...]]:
-    """All subsets of the outcome set, or ``limit`` random ones drawn from ``rng``
-    when there are more; the rng is left untouched when all are enumerated."""
-    values = [float(v) for v in outcomes]
-    n = len(values)
+def _event_subsets(n: int, rng: np.random.Generator, limit: int) -> np.ndarray:
+    """All subsets of ``n`` outcomes, or ``limit`` random ones drawn from ``rng``
+    when there are more, as boolean rows (bit i of row b is outcome i when all
+    are enumerated); the rng is left untouched when all are enumerated."""
     if 2 ** n <= limit:
-        rows = ([bits >> i & 1 for i in range(n)] for bits in range(2 ** n))
-    else:
-        rows = rng.integers(0, 2, size=(limit, n)).astype(bool)
-    return [tuple(v for v, on in zip(values, row) if on) for row in rows]
+        return (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).astype(bool)
+    return rng.integers(0, 2, size=(limit, n)).astype(bool)
 
 
 def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
@@ -541,43 +551,32 @@ def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
     raised, so a corrupted observable shows up as numbers.
     """
     _require_dim(gobs, psi)
-    outcomes = gobs.outcomes
+    n = gobs.outcomes.size
     rng = np.random.default_rng(seed)
+    pd = detection_probability(gobs, psi)
+    full = _effect(gobs, pd, np.ones(n, dtype=bool))
+    normalization = linalg.frobenius(full - np.eye(gobs.dim))
 
-    def op(values) -> np.ndarray:
-        return _effect_operator(gobs, psi, values)
-
-    identity = np.eye(gobs.dim)
-    normalization = linalg.frobenius(op(outcomes) - identity)
-
-    subsets = _event_subsets(outcomes, rng, limit=1024)
+    rows = _event_subsets(n, rng, limit=1024)
+    chunk = max(1, 2 ** 20 // (16 * gobs.dim ** 2))  # at most 1 MiB of effects per eigvalsh
     positivity = 0.0
-    for s in subsets:
-        eigs = np.linalg.eigvalsh(op(s))
-        positivity = max(positivity, -float(eigs[0]), float(eigs[-1]) - 1.0, 0.0)
+    for start in range(0, len(rows), chunk):
+        eigs = np.linalg.eigvalsh(_effects(gobs, pd, rows[start:start + chunk]))
+        positivity = max(positivity, float(-eigs[:, 0].min()), float(eigs[:, -1].max()) - 1.0, 0.0)
 
     additivity = 0.0
     commutativity = 0.0
-    n = outcomes.size
     for _ in range(partition_trials):
         labels = rng.integers(0, rng.integers(1, n + 1), size=n)
-        parts = [outcomes[labels == g] for g in np.unique(labels)]
-        total = sum(op(part) for part in parts)
-        additivity = max(additivity, linalg.frobenius(total - op(outcomes)))
+        total = sum(_effects(gobs, pd, labels == np.unique(labels)[:, None]))
+        additivity = max(additivity, linalg.frobenius(total - full))
         # disjoint pair whose union need not cover the outcome set
         split = rng.integers(0, 3, size=n)
-        x, y = outcomes[split == 0], outcomes[split == 1]
-        additivity = max(additivity, linalg.frobenius(
-            op(np.concatenate([x, y])) - op(x) - op(y)))
-        x = outcomes[rng.integers(0, 2, size=n).astype(bool)]
-        y = outcomes[rng.integers(0, 2, size=n).astype(bool)]
-        tx, ty = op(x), op(y)
+        union, x, y = _effects(gobs, pd, np.array([split < 2, split == 0, split == 1]))
+        additivity = max(additivity, linalg.frobenius(union - x - y))
+        pair = [rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)]
+        tx, ty = _effects(gobs, pd, np.array(pair, dtype=bool))
         commutativity = max(commutativity, linalg.frobenius(tx @ ty - ty @ tx))
 
-    return PovAxiomReport(
-        normalization=normalization,
-        positivity=positivity,
-        additivity=additivity,
-        commutativity=commutativity,
-        events_checked=len(subsets) + 3 * partition_trials,
-    )
+    return PovAxiomReport(normalization, positivity, additivity, commutativity,
+                          events_checked=len(rows) + 3 * partition_trials)

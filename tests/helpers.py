@@ -1,4 +1,5 @@
-"""Shared builders for randomized test scenarios, and a record comparator."""
+"""Shared builders for randomized test scenarios, a record comparator, and the
+per-value reference forms of the ``verify`` checks."""
 
 from __future__ import annotations
 
@@ -10,8 +11,20 @@ from esrsim import (
     ConstantDetection,
     ExpectationDetection,
     GeneralizedObservable,
+    PovAxiomReport,
     PureState,
     QuantumObservable,
+    SpectralDecomposition,
+    conditional_probability,
+    detection_probability,
+    measurement_operators,
+    outcome_probability,
+    overall_probability,
+    overall_probability_density,
+    post_measurement_density,
+    post_measurement_state_yes,
+    split_event,
+    to_density,
 )
 
 
@@ -146,3 +159,115 @@ def records_close(a, b) -> bool:
     if isinstance(a, float):
         return a == b or abs(a - b) <= _float_bound(a, b)
     return a == b
+
+
+# Reference forms of the verify checks as they were written before events were
+# resolved to boolean rows once: every check matches its event's values again,
+# and every effect pays its own detection probability and adds its projectors
+# one by one. The resolved path must reproduce their numbers bit for bit.
+
+def reference_effect(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
+    has_a0, mask = split_event(gobs, event)
+    pd = detection_probability(gobs, psi)
+    summed = np.zeros((gobs.dim, gobs.dim), dtype=complex)
+    for k in np.flatnonzero(mask):
+        summed += gobs.base.projectors[k]
+    op = pd * summed
+    if has_a0:
+        op += (1.0 - pd) * np.eye(gobs.dim)
+    return op
+
+
+def reference_event_subsets(outcomes: np.ndarray, rng: np.random.Generator,
+                            limit: int) -> list[tuple[float, ...]]:
+    values = [float(v) for v in outcomes]
+    n = len(values)
+    if 2 ** n <= limit:
+        rows = ([bits >> i & 1 for i in range(n)] for bits in range(2 ** n))
+    else:
+        rows = rng.integers(0, 2, size=(limit, n)).astype(bool)
+    return [tuple(v for v, on in zip(values, row) if on) for row in rows]
+
+
+def reference_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
+                         partition_trials: int = 50, seed: int = 0) -> PovAxiomReport:
+    outcomes = gobs.outcomes
+    rng = np.random.default_rng(seed)
+
+    def op(values) -> np.ndarray:
+        return reference_effect(gobs, psi, values)
+
+    normalization = float(np.linalg.norm(op(outcomes) - np.eye(gobs.dim)))
+    subsets = reference_event_subsets(outcomes, rng, limit=1024)
+    positivity = 0.0
+    for s in subsets:
+        eigs = np.linalg.eigvalsh(op(s))
+        positivity = max(positivity, -float(eigs[0]), float(eigs[-1]) - 1.0, 0.0)
+    additivity = 0.0
+    commutativity = 0.0
+    n = outcomes.size
+    for _ in range(partition_trials):
+        labels = rng.integers(0, rng.integers(1, n + 1), size=n)
+        total = sum(op(outcomes[labels == g]) for g in np.unique(labels))
+        additivity = max(additivity, float(np.linalg.norm(total - op(outcomes))))
+        split = rng.integers(0, 3, size=n)
+        x, y = outcomes[split == 0], outcomes[split == 1]
+        additivity = max(additivity, float(np.linalg.norm(
+            op(np.concatenate([x, y])) - op(x) - op(y))))
+        x = outcomes[rng.integers(0, 2, size=n).astype(bool)]
+        y = outcomes[rng.integers(0, 2, size=n).astype(bool)]
+        tx, ty = op(x), op(y)
+        commutativity = max(commutativity, float(np.linalg.norm(tx @ ty - ty @ tx)))
+    return PovAxiomReport(normalization, positivity, additivity, commutativity,
+                          len(subsets) + 3 * partition_trials)
+
+
+def reference_event_checks(gobs: GeneralizedObservable, psi: PureState,
+                           partition_trials: int, seed: int) -> dict[str, float]:
+    """The checks of ``cli.verification_checks`` that evaluate events."""
+    report = reference_pov_axioms(gobs, psi, partition_trials, seed)
+    checks = {"pov-" + name: value for name, value in report.as_dict().items()}
+    subsets = reference_event_subsets(gobs.outcomes, np.random.default_rng(seed), limit=256)
+    pd = detection_probability(gobs, psi)
+    checks["factorization"] = max(
+        abs(overall_probability(gobs, psi, s) - pd * conditional_probability(gobs, psi, s))
+        for s in subsets if not split_event(gobs, s)[0])
+    checks["probability-form-agreement"] = max(
+        abs(overall_probability(gobs, psi, s) - overall_probability_density(gobs, psi, s))
+        for s in subsets)
+    singles = [overall_probability(gobs, psi, (v,)) for v in gobs.outcomes]
+    checks["total-probability"] = abs(sum(singles) - 1.0)
+    worst = 0.0
+    for s in subsets:
+        if not s or overall_probability(gobs, psi, s) < 1e-9:
+            continue
+        vector_form = to_density(post_measurement_state_yes(gobs, psi, s)).matrix
+        density_form = post_measurement_density(gobs, psi, s).matrix
+        worst = max(worst, float(np.linalg.norm(vector_form - density_form)))
+    checks["update-form-agreement"] = worst
+    family = measurement_operators(gobs, psi)
+    checks["singleton-consistency"] = max(
+        abs(outcome_probability(family, k) - p) for k, p in enumerate(singles))
+    return checks
+
+
+def verify_cases(kind: str) -> list[tuple[GeneralizedObservable, PureState]]:
+    """(gobs, psi) pairs on which verify's checks are compared with the reference
+    forms: ``stream`` (d <= 8, every subset enumerated up to 1024, random ones past
+    256), ``d32`` (33 outcomes, random subsets over several positivity stacks),
+    ``d32-degenerate``, ``d48`` (a last positivity stack that is not full) and
+    ``shifted`` (d = 20, projectors moved off the positive cone)."""
+    if kind == "stream":
+        return [(gobs, psi) for _, gobs, psi in scenario_stream(seed=2311, count=8)]
+    rng = np.random.default_rng({"d32": 32, "d32-degenerate": 33, "d48": 48, "shifted": 20}[kind])
+    dim = {"d48": 48, "shifted": 20}.get(kind, 32)
+    gobs = random_generalized(rng, dim, degenerate=kind == "d32-degenerate")
+    if kind == "shifted":
+        # every projector lowered by 1e-9 I / K: each nonempty event's effect
+        # then has a negative eigenvalue, so positivity is decided below 0
+        sd = gobs.base.spectral
+        shift = 1e-9 / sd.eigenvalues.size * np.eye(dim)
+        base = QuantumObservable(SpectralDecomposition(
+            sd.eigenvalues, tuple(p - shift for p in sd.projectors)))
+        gobs = GeneralizedObservable(base, gobs.a0, gobs.detection)
+    return [(gobs, random_state(rng, dim))]

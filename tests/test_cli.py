@@ -2,13 +2,14 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from esrsim import cli
+from esrsim import ApparatusModel, cli
 from esrsim.cli import main
-from helpers import spectral_scenario_text
+from helpers import reference_event_checks, spectral_scenario_text, verify_cases
 
 GOOD = """\
 esrsim scenario v1
@@ -154,7 +155,7 @@ class TestVerify:
         def broken(*args):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(cli, "post_measurement_density", broken)
+        monkeypatch.setattr(cli, "_branch_density", broken)
         monkeypatch.setattr(cli, "couple_and_evolve", broken)
         record_path = tmp_path / "records.jsonl"
         assert main(["verify", str(good_scenario), "--out", str(record_path)]) == 1
@@ -166,6 +167,20 @@ class TestVerify:
         assert record["errors"] == dict.fromkeys(failing, "RuntimeError: injected fault")
         assert all(record["checks"][name] is None for name in failing)
         assert record["passed"] is False
+
+
+@pytest.mark.parametrize("kind", ["stream", "d32"])
+def test_event_checks_match_reference(kind):
+    """verify's event checks, with each event resolved once, give the bits of
+    the per-value reference forms (the other cases of ``verify_cases`` are
+    compared on ``verify_pov_axioms`` in test_model)."""
+    for gobs, psi in verify_cases(kind):
+        built = SimpleNamespace(gobs=gobs, psi=psi,
+                                apparatus=ApparatusModel.for_observable(gobs))
+        checks, errors = cli.verification_checks(built)
+        reference = reference_event_checks(gobs, psi, cli.PARTITION_TRIALS, cli.VERIFY_SEED)
+        assert errors == {}
+        assert {name: checks[name] for name in reference} == reference
 
 
 class TestSample:

@@ -1,7 +1,7 @@
-"""Matrix kernel tests: eigendecomposition, tensor products, partial traces.
+"""Matrix kernel tests: eigendecomposition, partial traces, positivity.
 
-Oracles are independent of the implementation: Kronecker products and
-partial traces are recomputed by explicit index loops, and decompositions
+Oracles are independent of the implementation: partial traces are
+recomputed by explicit index loops, and decompositions
 are checked against the defining relations (P m = a P, reconstruction).
 """
 
@@ -18,21 +18,8 @@ from esrsim import (
     is_positive_semidefinite,
     partial_trace_second,
     spectral_defects,
-    tensor_product,
 )
 from helpers import random_hermitian
-
-
-def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Brute-force index expansion of the Kronecker product."""
-    (p, q), (r, s) = a.shape, b.shape
-    out = np.zeros((p * r, q * s), dtype=complex)
-    for i in range(p):
-        for j in range(q):
-            for k in range(r):
-                for l in range(s):
-                    out[i * r + k, j * s + l] = a[i, j] * b[k, l]
-    return out
 
 
 def ptrace2_oracle(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -112,51 +99,14 @@ class TestEigendecompose:
             hermitian_eigendecompose(np.zeros((2, 3)))
 
 
-class TestTensorProduct:
-    def test_identity_times_identity(self):
-        np.testing.assert_allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal_example(self):
-        a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        expected = kron_oracle(a, b)
-        np.testing.assert_allclose(expected, np.diag([0.0, 1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(tensor_product(a, b), expected)
-
-    def test_matches_oracle_random(self):
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, (2, 3))
-        b = random_complex(rng, (3, 2))
-        np.testing.assert_allclose(tensor_product(a, b), kron_oracle(a, b), atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_mixed_product_property(self, seed):
-        # (a⊗b)(c⊗d) = (ac)⊗(bd)
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (random_complex(rng, (2, 2)) for _ in range(4))
-        left = tensor_product(a, b) @ tensor_product(c, d)
-        right = tensor_product(a @ c, b @ d)
-        np.testing.assert_allclose(left, right, atol=1e-12)
-
-    def test_bilinearity_and_associativity(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
-        np.testing.assert_allclose(
-            tensor_product(a + b, c), tensor_product(a, c) + tensor_product(b, c), atol=1e-12)
-        np.testing.assert_allclose(
-            tensor_product(tensor_product(a, b), c),
-            tensor_product(a, tensor_product(b, c)), atol=1e-12)
-
-
 class TestPartialTrace:
     def test_product_rule(self):
         rng = np.random.default_rng(3)
         a = random_complex(rng, (2, 2))
         b = random_complex(rng, (3, 3))
-        result = partial_trace_second(tensor_product(a, b), 2, 3)
+        result = partial_trace_second(np.kron(a, b), 2, 3)
         np.testing.assert_allclose(result, a * np.trace(b), atol=1e-12)
-        np.testing.assert_allclose(result, ptrace2_oracle(tensor_product(a, b), 2, 3),
-                                   atol=1e-12)
+        np.testing.assert_allclose(result, ptrace2_oracle(np.kron(a, b), 2, 3), atol=1e-12)
 
     def test_identity(self):
         np.testing.assert_allclose(partial_trace_second(np.eye(4), 2, 2), 2.0 * np.eye(2))

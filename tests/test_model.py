@@ -10,6 +10,7 @@ import pytest
 
 from esrsim import (
     ConstantDetection,
+    DensityOperator,
     DimensionMismatchError,
     Effect,
     EventContainsNoRegistrationError,
@@ -46,8 +47,11 @@ from helpers import (
     random_observable,
     random_state,
     random_unitary,
+    reference_effect,
+    reference_pov_axioms,
     scenario_stream,
     sigma_z_scenario,
+    verify_cases,
 )
 
 
@@ -86,6 +90,37 @@ class TestToDensity:
             w = to_density(random_state(rng, dim)).matrix
             assert abs(np.trace(w).real - 1.0) < 1e-12
             np.testing.assert_allclose(w @ w, w, atol=1e-10)
+
+
+def _rotated_spectrum(rng, spectrum) -> np.ndarray:
+    u = random_unitary(rng, len(spectrum))
+    return (u * np.asarray(spectrum)) @ u.conj().T
+
+
+class TestDensityOperatorGate:
+    """Each of the gate's rejections, at OPERATOR_GATE_TOL = 1e-6."""
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            DensityOperator(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+    def test_rejects_trace_off_by_more_than_tolerance(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(np.diag([0.5 + 2e-6, 0.5]))
+
+    @pytest.mark.parametrize("dim", [2, 8, 32, 48])
+    def test_smallest_eigenvalue_decides_at_tolerance(self, dim):
+        rng = np.random.default_rng(dim)
+        for lowest, accepted in ((-2e-6, False), (-0.5e-6, True)):
+            rest = rng.uniform(0.5, 1.5, size=dim - 1)
+            rest *= (1.0 - lowest) / rest.sum()
+            m = _rotated_spectrum(rng, np.concatenate(([lowest], rest)))
+            if accepted:
+                w = DensityOperator(m)
+                np.testing.assert_array_equal(w.matrix, (m + m.conj().T) / 2.0)
+            else:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    DensityOperator(m)
 
 
 class TestPvProjector:
@@ -143,6 +178,16 @@ class TestDetectionProbability:
     def test_expectation_spectrum_validation(self):
         with pytest.raises(ValueError):
             ExpectationDetection(np.diag([0.5, 1.2]))
+
+    @pytest.mark.parametrize("edge, accepted", [(-2e-10, False), (-0.5e-10, True),
+                                                (1.0 + 2e-10, False), (1.0 + 0.5e-10, True)])
+    def test_expectation_spectrum_decides_at_tolerance(self, edge, accepted):
+        b = _rotated_spectrum(np.random.default_rng(9), [edge, 0.5, 0.25, 0.75])
+        if accepted:
+            ExpectationDetection(b)
+        else:
+            with pytest.raises(ValueError, match="operator spectrum"):
+                ExpectationDetection(b)
 
 
 class TestConditionalProbability:
@@ -206,6 +251,16 @@ class TestEffect:
     def test_constructor_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Effect(np.diag([0.5, 1.5]))
+
+    @pytest.mark.parametrize("edge, accepted", [(-2e-6, False), (-0.5e-6, True),
+                                                (1.0 + 2e-6, False), (1.0 + 0.5e-6, True)])
+    def test_spectrum_decides_at_tolerance(self, edge, accepted):
+        m = _rotated_spectrum(np.random.default_rng(8), [edge, 0.2, 0.4, 0.6, 0.8, 0.5, 0.3, 0.7])
+        if accepted:
+            Effect(m)
+        else:
+            with pytest.raises(ValueError, match=r"effect spectrum \[.*\] must lie in \[0, 1\]"):
+                Effect(m)
 
 
 class TestOverallProbability:
@@ -359,6 +414,52 @@ class TestPovAxioms:
             x = effect(gobs, psi, random_event(rng, gobs)).operator
             y = effect(gobs, psi, random_event(rng, gobs)).operator
             assert np.linalg.norm(x @ y - y @ x) <= 1e-10
+
+
+VERIFY_CASES = ["stream", "d32", "d32-degenerate", "d48", "shifted"]
+
+
+class TestResolvedEvents:
+    """Events resolved once to boolean rows give the per-value forms' bits."""
+
+    @pytest.mark.parametrize("kind", VERIFY_CASES)
+    def test_effect_matches_reference(self, kind):
+        rng = np.random.default_rng(97)
+        for gobs, psi in verify_cases(kind):
+            for _ in range(6):
+                event = random_event(rng, gobs)
+                assert np.array_equal(_effect_operator(gobs, psi, event),
+                                      reference_effect(gobs, psi, event))
+
+    @pytest.mark.parametrize("kind", VERIFY_CASES)
+    def test_stacked_effects_match_single_rows(self, kind):
+        rng = np.random.default_rng(101)
+        for gobs, psi in verify_cases(kind):
+            pd = detection_probability(gobs, psi)
+            rows = rng.integers(0, 2, size=(5, gobs.outcomes.size)).astype(bool)
+            stacked = model._effects(gobs, pd, rows)
+            for row, op in zip(rows, stacked):
+                assert np.array_equal(op, model._effect(gobs, pd, row))
+
+    # d32 is compared through verify's checks in test_cli
+    @pytest.mark.parametrize("kind", ["stream", "d32-degenerate", "d48", "shifted"])
+    def test_pov_axioms_match_reference(self, kind):
+        for gobs, psi in verify_cases(kind):
+            report = verify_pov_axioms(gobs, psi, partition_trials=12, seed=5)
+            assert report == reference_pov_axioms(gobs, psi, partition_trials=12, seed=5)
+        if kind == "shifted":
+            assert report.positivity > 1e-10
+
+    def test_positivity_solves_each_event_once_in_stacks_of_at_most_1_mib(self, monkeypatch):
+        (gobs, psi), = verify_cases("shifted")
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m) or eigvalsh(m))
+        verify_pov_axioms(gobs, psi, partition_trials=0)
+        rows = model._event_subsets(gobs.outcomes.size, np.random.default_rng(0), 1024)
+        assert len(stacks) == 7 and all(m.nbytes <= 1 << 20 for m in stacks)
+        everything = model._effects(gobs, detection_probability(gobs, psi), rows)
+        assert np.array_equal(np.concatenate(stacks), everything)
 
 
 def _hand_built(projectors, a0: float = -1.0, p: float = 0.8):
