@@ -33,10 +33,6 @@ experiment:
   event: a0 1
 """
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="esrsim-demo-"))
-scenario_path = workdir / "qubit.esr"
-scenario_path.write_text(SCENARIO)
-
 # the parsed form round-trips through a canonical serialization
 scenario = parse_scenario(SCENARIO)
 assert parse_scenario(serialize_scenario(scenario)) == scenario
@@ -44,18 +40,24 @@ built = build_scenario(scenario)
 print("scenario digest:", built.digest[:16], "...")
 print("outcome set:", list(built.gobs.outcomes))
 
-print("\n--- esrsim verify ---")
-main(["verify", str(scenario_path)])
+# the scenario and record files live in a directory removed on exit
+with tempfile.TemporaryDirectory(prefix="esrsim-demo-") as tmp:
+    workdir = pathlib.Path(tmp)
+    scenario_path = workdir / "qubit.esr"
+    scenario_path.write_text(SCENARIO)
 
-print("\n--- esrsim sample (records to JSON) ---")
-records = workdir / "records.jsonl"
-main(["sample", str(scenario_path), "--out", str(records)])
+    print("\n--- esrsim verify ---")
+    main(["verify", str(scenario_path)])
 
-print("\n--- esrsim evolve ---")
-main(["evolve", str(scenario_path)])
+    print("\n--- esrsim sample (records to JSON) ---")
+    records = workdir / "records.jsonl"
+    main(["sample", str(scenario_path), "--out", str(records)])
+
+    print("\n--- esrsim evolve ---")
+    main(["evolve", str(scenario_path)])
+
+    record = json.loads(records.read_text().splitlines()[0])
 
 print("\nmachine record fields:")
-record = json.loads(records.read_text().splitlines()[0])
 print(" ", sorted(record))
 print("  rng:", record["report"]["rng"])
-print("\n(files in", workdir, ")")

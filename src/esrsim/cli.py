@@ -116,7 +116,7 @@ def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[st
     weights = _born_weights(gobs, psi)
 
     def overall(row) -> float:
-        return _overall(pd, weights, row[0], row[1:])
+        return _overall(pd, weights, row)
 
     def factorization() -> float:
         return max(abs(overall(row) - pd * _conditional(gobs, psi, row[1:]))

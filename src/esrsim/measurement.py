@@ -47,11 +47,7 @@ def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
 
 def complement_event(gobs: GeneralizedObservable, event) -> frozenset:
     """Outcomes of the observable not contained in the event."""
-    has_a0, mask = split_event(gobs, event)
-    values = [float(v) for v in gobs.base.eigenvalues[~mask]]
-    if not has_a0:
-        values.append(gobs.a0)
-    return frozenset(values)
+    return frozenset(float(v) for v in gobs.outcomes[~split_event(gobs, event)])
 
 
 def post_measurement_state_yes(gobs: GeneralizedObservable, psi: PureState,

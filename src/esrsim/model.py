@@ -7,12 +7,12 @@ detection model giving the per-state probability of being detected at all.
 That probability is event-independent, which makes the construction consistent.
 
 Outcome events are finite sets of outcome values (the finite-dimensional
-stand-in for Borel sets). Each is resolved once into a boolean row over the
-outcomes, a0 first, and one formula turns rows into effects: positive
-operators between 0 and the identity whose expectation in the state is the
-event's overall probability. Overall probabilities come from the detection
-probability and the Born weights ``<psi|P_k|psi>``; dense effects serve
-:func:`effect`, the state updates and :func:`verify_pov_axioms`, which
+stand-in for Borel sets). :func:`split_event` resolves each into the form every
+kernel takes, a boolean row over ``gobs.outcomes`` (a0 first), and one formula
+turns rows into effects: positive operators between 0 and the identity whose
+expectation in the state is the event's overall probability. That probability
+needs only ``p_d`` and the row's Born weights ``<psi|P_k|psi>``; dense effects
+serve :func:`effect`, the state updates and :func:`verify_pov_axioms`, which
 eigensolves its positivity events in stacks of at most 1 MiB. The gates of
 :class:`DensityOperator` and :class:`Effect` test positivity by a shifted
 Cholesky factorization. For each state the effects form a commutative POV
@@ -210,11 +210,6 @@ class QuantumObservable:
             states.append(PureState(fix_phase(column / np.linalg.norm(column))))
         return tuple(states)
 
-    @cached_property
-    def _eigen_index(self) -> dict[float, int]:
-        """Position of each eigenvalue, for quoted values that equal one exactly."""
-        return {v: k for k, v in enumerate(self.eigenvalues.tolist())}
-
 
 @dataclass(frozen=True)
 class ConstantDetection:
@@ -311,38 +306,29 @@ class GeneralizedObservable:
 
 def canonical_outcome(gobs: GeneralizedObservable, value: float) -> float | None:
     """The outcome of ``gobs`` matching ``value`` within tolerance, else None."""
-    has_a0, mask = split_event(gobs, (value,))
-    if has_a0:
-        return gobs.a0
-    matched = gobs.base.eigenvalues[mask]
+    matched = gobs.outcomes[split_event(gobs, (value,))]
     return float(matched[0]) if matched.size else None
 
 
-def split_event(gobs: GeneralizedObservable, event) -> tuple[bool, np.ndarray]:
-    """Split an event into (contains a0, boolean mask over the eigenvalues).
-
-    Values matching no outcome of the observable contribute nothing.
-    """
+def split_event(gobs: GeneralizedObservable, event) -> np.ndarray:
+    """Resolve an event to a boolean row aligned with ``gobs.outcomes``: entry 0
+    for a0, entry ``k + 1`` for the k-th eigenvalue. Values matching no outcome
+    of the observable contribute nothing."""
     return _match_values(gobs.base, as_event(event), gobs.a0)
 
 
-def _match_values(observable: QuantumObservable, values, a0: float | None):
-    """(whether a value matched ``a0``, boolean mask of the matched eigenvalues)."""
+def _match_values(observable: QuantumObservable, values, a0: float | None) -> np.ndarray:
+    """Row of the outcomes ``values`` match: ``a0`` (never when None), then the eigenvalues."""
     eigs = observable.eigenvalues
-    mask = np.zeros(eigs.size, dtype=bool)
-    has_a0 = False
+    row = np.zeros(eigs.size + 1, dtype=bool)
     for v in values:
-        # An exact eigenvalue lies outside a0's match window (construction keeps
-        # a0 more than twice that window away), so the lookup may come first.
-        k = observable._eigen_index.get(v)
-        if k is None:
-            if a0 is not None and abs(v - a0) <= _match_atol(v):
-                has_a0 = True
-                continue
-            k = _nearest_index(eigs, v)
+        if a0 is not None and abs(v - a0) <= _match_atol(v):
+            row[0] = True
+            continue
+        k = _nearest_index(eigs, v)
         if k is not None:
-            mask[k] = True
-    return has_a0, mask
+            row[k + 1] = True
+    return row
 
 
 def _projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
@@ -360,8 +346,8 @@ def pv_projector(observable: QuantumObservable, event) -> np.ndarray:
 
     Event values matching no eigenvalue contribute nothing.
     """
-    mask = _match_values(observable, as_event(event), None)[1]
-    return _projector_sums(observable, mask[None])[0]
+    row = _match_values(observable, as_event(event), None)
+    return _projector_sums(observable, row[None, 1:])[0]
 
 
 def clamp_probability(value: float, tol: float = PROBABILITY_TOL) -> float:
@@ -400,11 +386,11 @@ def conditional_probability(gobs: GeneralizedObservable, psi: PureState, event) 
     Defined for events free of the no-registration outcome.
     """
     _require_dim(gobs, psi)
-    has_a0, mask = split_event(gobs, event)
-    if has_a0:
+    row = split_event(gobs, event)
+    if row[0]:
         raise EventContainsNoRegistrationError(
             "conditional probabilities are defined for detected outcomes only")
-    return _conditional(gobs, psi, mask)
+    return _conditional(gobs, psi, row[1:])
 
 
 def _conditional(gobs: GeneralizedObservable, psi: PureState, mask: np.ndarray) -> float:
@@ -455,8 +441,7 @@ def _effect(gobs: GeneralizedObservable, pd: float, row: np.ndarray) -> np.ndarr
 def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
     """Raw effect matrix, bypassing the Effect construction gate."""
     _require_dim(gobs, psi)
-    has_a0, mask = split_event(gobs, event)
-    return _effect(gobs, detection_probability(gobs, psi), np.concatenate(([has_a0], mask)))
+    return _effect(gobs, detection_probability(gobs, psi), split_event(gobs, event))
 
 
 def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
@@ -484,13 +469,12 @@ def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> f
     decomposition; :func:`verify_pov_axioms` measures how far it is off.
     """
     _require_dim(gobs, psi)
-    has_a0, mask = split_event(gobs, event)
-    pd = detection_probability(gobs, psi)
-    return _overall(pd, _born_weights(gobs, psi), has_a0, mask)
+    row = split_event(gobs, event)
+    return _overall(detection_probability(gobs, psi), _born_weights(gobs, psi), row)
 
 
-def _overall(pd: float, weights: np.ndarray, has_a0: bool, mask: np.ndarray) -> float:
-    return clamp_probability(pd * float(weights[mask].sum()) + (1.0 - pd) * bool(has_a0))
+def _overall(pd: float, weights: np.ndarray, row: np.ndarray) -> float:
+    return clamp_probability(pd * float(weights[row[1:]].sum()) + (1.0 - pd) * bool(row[0]))
 
 
 def overall_probability_density(gobs: GeneralizedObservable, psi: PureState, event) -> float:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementOutcomeRecord, fix_phase
+from .measurement import MeasurementOutcomeRecord, _branch_state
 from .model import (
     GeneralizedObservable,
     PureState,
@@ -142,8 +142,7 @@ def _draw(gobs: GeneralizedObservable, psi: PureState, gen: np.random.Generator,
     k = _conditional_index(born, cum, float(u[1]))
     post = gobs.base._eigenstates[k]
     if post is None:
-        v = gobs.base.projectors[k] @ psi.amplitudes
-        post = PureState(fix_phase(v / np.linalg.norm(v)))
+        post = _branch_state(psi, gobs.base.projectors[k])
     return MeasurementOutcomeRecord(
         outcome=float(gobs.base.eigenvalues[k]), detected=True, pre_state=psi,
         post_state=post, probability=pd * float(born[k]))
@@ -277,9 +276,7 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    pd = detection_probability(gobs, psi)
-    born = born_probabilities(gobs, psi)
-    cum = _cumulative(born)
+    pd, born, cum = _weights(gobs, psi)
     # Roundoff can land a draw on an empty Born bin or past the top one; such
     # draws count for the largest bin, as in _conditional_index.
     stray = np.append(born <= 0.0, True)
@@ -315,7 +312,7 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
     return RunReport(
         outcomes=gobs.outcomes,
         counts=totals,
-        predicted=predicted_probabilities(gobs, psi),
+        predicted=np.concatenate(([1.0 - pd], pd * born)),
         trials=trials,
         rng=rng.describe(),
     )

@@ -167,13 +167,13 @@ def records_close(a, b) -> bool:
 # one by one. The resolved path must reproduce their numbers bit for bit.
 
 def reference_effect(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
-    has_a0, mask = split_event(gobs, event)
+    row = split_event(gobs, event)
     pd = detection_probability(gobs, psi)
     summed = np.zeros((gobs.dim, gobs.dim), dtype=complex)
-    for k in np.flatnonzero(mask):
+    for k in np.flatnonzero(row[1:]):
         summed += gobs.base.projectors[k]
     op = pd * summed
-    if has_a0:
+    if row[0]:
         op += (1.0 - pd) * np.eye(gobs.dim)
     return op
 

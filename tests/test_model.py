@@ -22,6 +22,7 @@ from esrsim import (
     PureState,
     QuantumObservable,
     SpectralDecomposition,
+    complement_event,
     conditional_probability,
     detection_probability,
     effect,
@@ -558,18 +559,18 @@ class TestEffectGateCertificate:
 
 
 def _reference_split(gobs, event):
-    """Resolve each value through the match window alone, as before exact lookup."""
+    """Resolve each value through the match window alone, into a row over the
+    outcomes (a0 first): an independent matcher for ``split_event``."""
     eigs = gobs.base.eigenvalues
-    mask = np.zeros(eigs.size, dtype=bool)
-    has_a0 = False
+    row = np.zeros(eigs.size + 1, dtype=bool)
     for v in as_event(event):
         if abs(v - gobs.a0) <= _match_atol(v):
-            has_a0 = True
+            row[0] = True
             continue
         k = _nearest_index(eigs, v)
         if k is not None:
-            mask[k] = True
-    return has_a0, mask
+            row[k + 1] = True
+    return row
 
 
 class TestSplitEvent:
@@ -590,21 +591,36 @@ class TestSplitEvent:
         for g in (gobs, zero_a0, random_generalized(rng, 5), _near_degenerate(rng, 6)):
             values = self._values(g)
             for v in values:
-                has_a0, mask = split_event(g, (v,))
-                ref_a0, ref_mask = _reference_split(g, (v,))
-                assert has_a0 == ref_a0 and np.array_equal(mask, ref_mask), v
+                assert np.array_equal(split_event(g, (v,)), _reference_split(g, (v,))), v
             for _ in range(30):
                 event = [values[i] for i in rng.integers(0, len(values), size=4)]
-                has_a0, mask = split_event(g, event)
-                ref_a0, ref_mask = _reference_split(g, event)
-                assert has_a0 == ref_a0 and np.array_equal(mask, ref_mask), event
+                assert np.array_equal(split_event(g, event), _reference_split(g, event)), event
 
     def test_negative_zero_matches_zero(self):
         gobs, _ = sigma_z_scenario(0.7, a0=0.0)
         assert split_event(gobs, (-0.0,))[0]
         obs = GeneralizedObservable.from_matrix(np.diag([-1.0, 0.0, 1.0]),
                                                 ConstantDetection(0.7), a0=-4.0)
-        assert split_event(obs, (-0.0,))[1].tolist() == [False, True, False]
+        assert split_event(obs, (-0.0,)).tolist() == [False, False, True, False]
+
+    @pytest.mark.parametrize("a0", [-4.0, 0.0, 2.5])
+    def test_row_is_aligned_with_outcomes(self, a0):
+        # a0 below, between and above the spectrum: only the first leaves
+        # gobs.outcomes sorted
+        gobs = GeneralizedObservable.from_matrix(np.diag([-1.0, 1.0, 2.0]),
+                                                 ConstantDetection(0.7), a0=a0)
+        outcomes = gobs.outcomes
+        n = outcomes.size
+        for i, v in enumerate(outcomes.tolist()):
+            assert split_event(gobs, (v,)).tolist() == np.eye(n, dtype=bool)[i].tolist()
+            assert canonical_outcome(gobs, v) == outcomes[i]
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            event = [float(v) for v in outcomes[rng.integers(0, 2, size=n).astype(bool)]]
+            row = split_event(gobs, event)
+            singles = [split_event(gobs, (v,)) for v in event]
+            assert np.array_equal(row, np.logical_or.reduce(singles + [np.zeros(n, bool)]))
+            assert complement_event(gobs, event) == set(outcomes.tolist()) - set(event)
 
     def test_non_finite_values_are_rejected(self):
         # an infinite value would fall inside a0's infinitely wide match window,
