@@ -1,8 +1,10 @@
 """Seeded Monte Carlo sampling of generalized measurements.
 
 Each trial draws detection first (Bernoulli), then a Born draw among the
-eigenvalues if detected. The counter-based RNG makes every run a pure
-function of (seed, stream), bit-identical across repeats and worker counts.
+eigenvalues if detected. Trial t reads uniforms 2t and 2t + 1 of one
+counter-based Philox stream keyed by (seed, stream), so every run is a pure
+function of (seed, stream), bit-identical across repeats and worker counts,
+and its counts are those of chained single draws on one generator.
 """
 
 import numpy as np
@@ -47,6 +49,14 @@ for workers in (1, 4):
     again = run_experiment(gobs, psi, 100_000, RngSpec(seed=42), workers=workers)
     print(f"  workers={workers}: counts {list(map(int, again.counts))} "
           f"identical={bool(np.array_equal(again.counts, report.counts))}")
+
+print("\nthe bulk counts are chained single draws on one generator:")
+spec = RngSpec(seed=7)
+gen = spec.generator()
+shots = [sample_measurement(gobs, psi, gen).outcome for _ in range(5000)]
+chained = [shots.count(v) for v in report.outcomes]
+bulk = run_experiment(gobs, psi, 5000, spec)
+print(f"  chained {chained}, run_experiment {list(map(int, bulk.counts))}")
 
 print("\nindependent streams give independent data:")
 for stream in range(3):

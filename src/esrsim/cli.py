@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,7 @@ _positive_int = _number_arg(int, "a positive integer", 1)
 # RNG seeds and stream ids are unsigned 64-bit integers.
 _uint64 = _number_arg(int, "an integer in [0, 2**64)", 0, 2 ** 64)
 _nonnegative = _number_arg(float, "a finite number >= 0", 0.0)
+_POV_CHECKS = ("pov-normalization", "pov-positivity", "pov-additivity", "pov-commutativity")
 _COUPLING_CHECKS = ("coupling-norm", "apparatus-consistency")
 
 
@@ -94,35 +96,50 @@ def _coupling_checks(built: BuiltScenario, mixture) -> tuple:
 
 def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[str, str]]:
     """Named invariant checks; each value is a deviation to compare with a
-    tolerance. A check that cannot even run reports infinity, and the second
-    dict maps its name to the exception as ``"ExcType: message"``."""
+    tolerance. A check that cannot even run, or whose input cannot be built,
+    reports infinity, and the second dict maps its name to the exception as
+    ``"ExcType: message"``."""
     gobs, psi = built.gobs, built.psi
     checks: dict[str, float] = {}
     errors: dict[str, str] = {}
 
-    def run(name: str, fn) -> None:
+    def run(fn, *names: str) -> None:
+        """Record ``fn()`` under ``names``: one deviation, or one per name in
+        order when there are several."""
         try:
-            checks[name] = float(fn())
+            values = fn() if len(names) > 1 else (fn(),)
+            checks.update(zip(names, map(float, values), strict=True))
         except Exception as exc:
-            checks[name], errors[name] = float("inf"), f"{type(exc).__name__}: {exc}"
+            checks.update(dict.fromkeys(names, float("inf")))
+            errors.update(dict.fromkeys(names, f"{type(exc).__name__}: {exc}"))
 
-    report = verify_pov_axioms(gobs, psi, partition_trials=PARTITION_TRIALS, seed=VERIFY_SEED)
-    checks.update({f"pov-{name}": value for name, value in report.as_dict().items()})
+    # Inputs shared by several checks, built on first use. An input that
+    # raises is not cached, so each check reading it reports its exception.
+    @cache
+    def events() -> tuple:
+        # each event is a boolean row over the outcomes, a0 first, resolved once
+        rows = _event_subsets(gobs.outcomes.size, np.random.default_rng(VERIFY_SEED), limit=256)
+        return rows, detection_probability(gobs, psi), _born_weights(gobs, psi)
 
-    # each event is a boolean row over the outcomes, a0 first, resolved once
-    rows = _event_subsets(gobs.outcomes.size, np.random.default_rng(VERIFY_SEED), limit=256)
+    operators = cache(lambda: measurement_operators(gobs, psi))
     singletons = np.eye(gobs.outcomes.size, dtype=bool)
-    pd = detection_probability(gobs, psi)
-    weights = _born_weights(gobs, psi)
 
     def overall(row) -> float:
+        _, pd, weights = events()
         return _overall(pd, weights, row)
 
+    def pov_axioms():
+        report = verify_pov_axioms(gobs, psi, partition_trials=PARTITION_TRIALS,
+                                   seed=VERIFY_SEED)
+        return report.as_dict().values()
+
     def factorization() -> float:
+        rows, pd, _ = events()
         return max(abs(overall(row) - pd * _conditional(gobs, psi, row[1:]))
                    for row in rows[~rows[:, 0]])
 
     def form_agreement() -> float:
+        rows, pd, _ = events()
         return max(abs(overall(row) - _trace_probability(psi, _effect(gobs, pd, row)))
                    for row in rows)
 
@@ -130,6 +147,7 @@ def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[st
         return abs(sum(map(overall, singletons)) - 1.0)
 
     def update_form_agreement() -> float:
+        rows, pd, _ = events()
         worst = 0.0
         for row in rows:
             if not row.any() or overall(row) < 1e-9:
@@ -139,19 +157,13 @@ def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[st
             worst = max(worst, frobenius(vector_form - _branch_density(psi, t).matrix))
         return worst
 
-    run("factorization", factorization)
-    run("probability-form-agreement", form_agreement)
-    run("total-probability", total_probability)
-    run("update-form-agreement", update_form_agreement)
-
-    family = measurement_operators(gobs, psi)
-    checks.update({f"family-{name}": value for name, value in family.deviations().items()})
-
     def singleton_consistency() -> float:
+        family = operators()
         return max(abs(outcome_probability(family, k) - overall(row))
                    for k, row in enumerate(singletons))
 
     def nonselective_forms() -> float:
+        family = operators()
         mixture = nonselective_state(family).matrix
         weighted = np.zeros_like(mixture)
         for k in range(len(family)):
@@ -161,6 +173,7 @@ def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[st
         return frobenius(mixture - weighted)
 
     def repeatability() -> float:
+        family = operators()
         worst = 0.0
         for n in range(1, len(family)):
             if outcome_probability(family, n) < 1e-9:
@@ -172,16 +185,17 @@ def verification_checks(built: BuiltScenario) -> tuple[dict[str, float], dict[st
                     worst = max(worst, outcome_probability(post_family, m))
         return worst
 
-    run("singleton-consistency", singleton_consistency)
-    run("nonselective-forms", nonselective_forms)
-    run("repeatability", repeatability)
-
-    try:
-        checks.update(_coupling_checks(built, nonselective_state(family))[2])
-    except Exception as exc:
-        checks.update(dict.fromkeys(_COUPLING_CHECKS, float("inf")))
-        errors.update(dict.fromkeys(_COUPLING_CHECKS, f"{type(exc).__name__}: {exc}"))
-
+    run(pov_axioms, *_POV_CHECKS)
+    run(factorization, "factorization")
+    run(form_agreement, "probability-form-agreement")
+    run(total_probability, "total-probability")
+    run(update_form_agreement, "update-form-agreement")
+    run(lambda: operators().deviations().values(), "family-completeness", "family-commutation")
+    run(singleton_consistency, "singleton-consistency")
+    run(nonselective_forms, "nonselective-forms")
+    run(repeatability, "repeatability")
+    run(lambda: _coupling_checks(built, nonselective_state(operators()))[2].values(),
+        *_COUPLING_CHECKS)
     return checks, errors
 
 
@@ -322,23 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"esrsim {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("scenario", help="path to a scenario file")
-    common.add_argument("--tol", type=_nonnegative, default=DEFAULT_TOL,
-                        help="tolerance for algebraic checks (default %(default)g)")
-    common.add_argument("--sigma", type=_nonnegative, default=DEFAULT_SIGMA,
-                        help="limit for statistical checks in binomial sigmas "
-                             "(default %(default)g)")
     common.add_argument("--out", default=None,
                         help="append JSON records to this file (default: "
                              f"${OUT_DIR_ENV}/{DEFAULT_RECORD_NAME} if the "
                              "variable is set)")
+    algebraic = argparse.ArgumentParser(add_help=False, parents=[common])
+    algebraic.add_argument("--tol", type=_nonnegative, default=DEFAULT_TOL,
+                           help="tolerance for algebraic checks (default %(default)g)")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[algebraic],
                               help="run the invariant suite on a scenario")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_sample = sub.add_parser("sample", parents=[common],
                               help="run a Monte Carlo sampling experiment")
+    p_sample.add_argument("--sigma", type=_nonnegative, default=DEFAULT_SIGMA,
+                          help="limit for statistical checks in binomial sigmas "
+                               "(default %(default)g)")
     p_sample.add_argument("--trials", type=_positive_int, default=None,
                           help="override the scenario's trial count")
     p_sample.add_argument("--seed", type=_uint64, default=None,
@@ -349,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker threads; the report does not depend on this")
     p_sample.set_defaults(handler=cmd_sample)
 
-    p_evolve = sub.add_parser("evolve", parents=[common],
+    p_evolve = sub.add_parser("evolve", parents=[algebraic],
                               help="couple to the apparatus and check the partial trace")
     p_evolve.set_defaults(handler=cmd_evolve)
     return parser

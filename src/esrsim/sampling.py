@@ -1,22 +1,19 @@
 """Seeded Monte Carlo sampling of generalized measurements.
 
 Sampling is two-stage, mirroring the probability law: a Bernoulli detection
-draw first, then (if detected) a Born draw among the eigenvalues. Randomness
-comes from the counter-based Philox generator, keyed by (seed, stream) and
-offset per fixed-size trial block, so every block is a pure function of
-(seed, stream, block index). Reports are therefore reproducible bit for bit
-regardless of how many workers process the blocks.
+draw first, then (if detected) a Born draw among the eigenvalues. Every trial
+consumes exactly two uniforms: trial t of every sampler reads uniforms 2t and
+2t + 1 of one counter-based Philox4x64 stream keyed by (seed, stream). So
+``run_experiment``'s counts are the histogram of ``trials`` chained
+``sample_measurement`` draws on one ``RngSpec.generator()``, bit for bit
+whatever the number of workers.
 
-``run_experiment`` hands each worker task a fixed run of these 4096-trial
-blocks, counted together in one buffer. A task builds one generator and, for
-each later block, rewrites only its counter, which puts it in the state a
-fresh generator for that block starts in. The detected draws are sorted once
+``run_experiment`` hands each worker task a fixed run of trials. The task
+starts a generator at its first trial (each Philox counter step yields four
+uniforms) and draws the run in one call. The detected draws are sorted once
 and the Born bins counted from one binary search per bin edge. numpy releases
-the GIL while it fills, sorts and counts the buffer, so ``workers > 1`` speeds
-up large runs; the grouping never changes which draws a trial uses, so the
-reports stay the same.
-
-Every trial consumes exactly two uniform draws.
+the GIL while it fills, sorts and counts the draws, so ``workers > 1`` speeds
+up large runs without changing which uniforms a trial uses.
 
 Single draws (``sample_measurement``, ``sample_sequence``) take the Born
 weights from ``model._born_weights``, the one stacked product of all
@@ -47,14 +44,15 @@ from .model import (
     detection_probability,
 )
 
-# Trials per RNG counter block; fixed so reports never depend on worker count.
+# Trials per block, the unit ``block_generator`` positions at. Blocks and tasks
+# only schedule work; no report depends on their sizes.
 BLOCK_SIZE = 4096
 DRAWS_PER_TRIAL = 2
 # Blocks counted by one worker task: enough that numpy, not the per-task
-# Python, does most of the work. Reports do not depend on it.
+# Python, does most of the work.
 _BLOCKS_PER_TASK = 16
 
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "philox4x64-seq"
 
 
 @dataclass(frozen=True)
@@ -82,14 +80,17 @@ class RngSpec:
         """Algorithm identifier recorded in reports."""
         return f"{RNG_ALGORITHM}:seed={self.seed}:stream={self.stream_id}"
 
-    def generator(self, counter: int = 0) -> np.random.Generator:
-        """Fresh generator positioned at the given 256-bit counter offset."""
+    def generator(self) -> np.random.Generator:
+        """Fresh generator at the start of the stream: trial 0."""
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        return np.random.Generator(np.random.Philox(key=key))
 
     def block_generator(self, block: int) -> np.random.Generator:
-        """Independent generator for one block of trials."""
-        return self.generator(counter=block << 192)
+        """Fresh generator on the same stream, positioned at trial
+        ``block * BLOCK_SIZE``. Each Philox counter step yields four uniforms."""
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        counter = block * BLOCK_SIZE * DRAWS_PER_TRIAL // 4
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
@@ -244,17 +245,6 @@ class RunReport:
         }
 
 
-def _reposition(gen: np.random.Generator, fresh: dict, block: int) -> None:
-    """Put ``gen`` in the state a fresh ``block_generator(block)`` starts in.
-
-    ``fresh`` is the bit generator state of a freshly built block generator of
-    the same spec. Blocks differ only in the counter, ``block << 192``, so one
-    counter write replaces building a new generator.
-    """
-    fresh["state"]["counter"][:] = (0, 0, 0, block)
-    gen.bit_generator.state = fresh
-
-
 def _bin_counts(x: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """``bincount(searchsorted(cum, x, side="right"), minlength=cum.size + 1)``.
 
@@ -270,9 +260,9 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
                    rng: RngSpec, workers: int = 1) -> RunReport:
     """Sample ``trials`` independent measurements of the same prepared state.
 
-    Trials are drawn in fixed blocks, each with its own counter-offset
-    generator, so the report depends only on (scenario, rng, trials) and not
-    on ``workers``, which only sets how many runs of blocks are counted at once.
+    Trial t reads uniforms 2t and 2t + 1 of ``rng``'s stream, so the report
+    depends only on (scenario, rng, trials) and not on ``workers``, which only
+    sets how many runs of trials are counted at once.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -285,14 +275,7 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
 
     def count_task(start: int) -> np.ndarray:
         size = min(trials - start, task_trials)
-        u = np.empty((size, DRAWS_PER_TRIAL))
-        first = start // BLOCK_SIZE
-        gen = rng.block_generator(first)
-        fresh = gen.bit_generator.state
-        for lo in range(0, size, BLOCK_SIZE):
-            if lo:
-                _reposition(gen, fresh, first + lo // BLOCK_SIZE)
-            gen.random(out=u[lo:lo + BLOCK_SIZE])
+        u = rng.block_generator(start // BLOCK_SIZE).random((size, DRAWS_PER_TRIAL))
         # The detected trials' second uniforms, taken by flat index. np.compress
         # first copies the strided column; that extra 0.5 MiB per task is enough
         # for malloc to return the heap to the OS and fault it back in each task.

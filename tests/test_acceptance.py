@@ -207,7 +207,7 @@ def test_criterion_9_determinism(tmp_path):
     blobs = [p.read_bytes() for p in outputs]
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
     record = json.loads(blobs[0].decode().splitlines()[0])
-    assert record["report"]["rng"] == "philox4x64:seed=42:stream=0"
+    assert record["report"]["rng"] == "philox4x64-seq:seed=42:stream=0"
 
     # the library route is equally deterministic
     gobs, psi = sigma_z_scenario(0.8, a0=0.0)

@@ -152,21 +152,43 @@ class TestVerify:
         assert "pov-additivity" in record["checks"]
 
     def test_failed_check_names_its_cause(self, good_scenario, tmp_path, monkeypatch, capsys):
-        def broken(*args):
+        def broken(*args, **kwargs):
             raise RuntimeError("injected fault")
 
+        # a broken input fails every check that reads it: the operator family
+        # feeds the family, singleton, nonselective, repeatability and coupling
+        # checks
+        monkeypatch.setattr(cli, "verify_pov_axioms", broken)
+        monkeypatch.setattr(cli, "measurement_operators", broken)
         monkeypatch.setattr(cli, "_branch_density", broken)
-        monkeypatch.setattr(cli, "couple_and_evolve", broken)
         record_path = tmp_path / "records.jsonl"
         assert main(["verify", str(good_scenario), "--out", str(record_path)]) == 1
         out = capsys.readouterr().out
-        failing = ("update-form-agreement", "coupling-norm", "apparatus-consistency")
+        failing = ("pov-normalization", "pov-positivity", "pov-additivity",
+                   "pov-commutativity", "update-form-agreement", "family-completeness",
+                   "family-commutation", "singleton-consistency", "nonselective-forms",
+                   "repeatability", "coupling-norm", "apparatus-consistency")
         for name in failing:
             assert re.search(rf"^{name} +inf  FAIL  RuntimeError: injected fault$", out, re.M)
         record = json.loads(record_path.read_text())
         assert record["errors"] == dict.fromkeys(failing, "RuntimeError: injected fault")
         assert all(record["checks"][name] is None for name in failing)
+        assert len(record["checks"]) == 15
         assert record["passed"] is False
+
+    def test_coupling_failure_names_its_cause(self, good_scenario, tmp_path, monkeypatch,
+                                              capsys):
+        def broken(*args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "couple_and_evolve", broken)
+        record_path = tmp_path / "records.jsonl"
+        assert main(["verify", str(good_scenario), "--out", str(record_path)]) == 1
+        capsys.readouterr()
+        record = json.loads(record_path.read_text())
+        failing = ("coupling-norm", "apparatus-consistency")
+        assert record["errors"] == dict.fromkeys(failing, "RuntimeError: injected fault")
+        assert {name for name, value in record["checks"].items() if value is None} == set(failing)
 
 
 @pytest.mark.parametrize("kind", ["stream", "d32"])
@@ -187,7 +209,7 @@ class TestSample:
     def test_table_and_exit(self, good_scenario, capsys):
         assert main(["sample", str(good_scenario)]) == 0
         out = capsys.readouterr().out
-        assert "philox4x64:seed=42:stream=0" in out
+        assert "philox4x64-seq:seed=42:stream=0" in out
         assert "event probabilities" in out
 
     def test_flag_overrides(self, good_scenario, capsys):
@@ -252,20 +274,40 @@ class TestErrorPaths:
         assert main(["verify", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--workers", "-3"), ("--workers", "0"), ("--trials", "0"),
-        ("--seed", "-5"), ("--seed", str(2 ** 64)), ("--stream", "-1"),
-        ("--trials", "ten"), ("--tol", "nan"), ("--tol", "-1"), ("--sigma", "inf"),
-    ])
-    def test_invalid_sample_flags_are_usage_errors(self, good_scenario, flag, value,
-                                                   capsys):
+    @staticmethod
+    def assert_usage_error(argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sample", str(good_scenario), flag, value])
+            main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+        assert len(errors) == 1 and message in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "-3"), ("--workers", "0"), ("--trials", "0"),
+        ("--seed", "-5"), ("--seed", str(2 ** 64)), ("--stream", "-1"),
+        ("--trials", "ten"), ("--sigma", "inf"),
+    ])
+    def test_invalid_sample_flags_are_usage_errors(self, good_scenario, flag, value,
+                                                   capsys):
+        self.assert_usage_error(["sample", str(good_scenario), flag, value],
+                                f"argument {flag}:", capsys)
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1")])
+    def test_invalid_verify_flags_are_usage_errors(self, good_scenario, flag, value,
+                                                   capsys):
+        self.assert_usage_error(["verify", str(good_scenario), flag, value],
+                                f"argument {flag}:", capsys)
+
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("verify", "--sigma", "3"), ("evolve", "--sigma", "3"), ("sample", "--tol", "1e-3"),
+    ])
+    def test_flag_of_another_verb_is_usage_error(self, good_scenario, verb, flag, value,
+                                                 capsys):
+        # each verb accepts only the flags it reads
+        self.assert_usage_error([verb, str(good_scenario), flag, value],
+                                f"unrecognized arguments: {flag} {value}", capsys)
 
     def test_validation_error(self, tmp_path, capsys):
         path = tmp_path / "clash.esr"

@@ -1,9 +1,11 @@
 """Record comparator tests, and today's records against checked-in ones.
 
 ``tests/data/<demo>.records.jsonl`` holds the ``verify``, ``sample`` and
-``evolve`` records of ``demos/<demo>.esr``, in that order, as written before
-overall probabilities were computed from Born weights. Records may move by
-roundoff, never in keys, counts, flags or strings.
+``evolve`` records of ``demos/<demo>.esr``, in that order. The ``verify`` and
+``evolve`` records were written before overall probabilities were computed
+from Born weights, the ``sample`` record after trial t came to read uniforms
+2t and 2t + 1 of one Philox stream. Records may move by roundoff, never in
+keys, counts, flags or strings.
 """
 
 import copy

@@ -34,33 +34,31 @@ from helpers import (
 TASK = _BLOCKS_PER_TASK * BLOCK_SIZE
 
 
-def block_oracle(gobs, psi, trials, spec):
-    """Counts drawn one 4096-trial block at a time, roundoff folded per trial."""
+def scalar_rule_counts(gobs, psi, u):
+    """Counts of trials whose uniform pairs are the rows of ``u``, each
+    classified as a single draw is: detected iff u0 < p_d, then the right-side
+    Born bin of u1, roundoff on an empty or past-the-top bin folded onto the
+    largest."""
     pd = sampling.detection_probability(gobs, psi)
     born = sampling.born_probabilities(gobs, psi)
     cum = np.cumsum(born)
     cum[-1] = 1.0
-    counts = np.zeros(born.size + 1, dtype=np.int64)
+    detected = u[:, 0] < pd
+    idx = np.searchsorted(cum, u[detected, 1], side="right")
+    bad = (idx >= born.size) | (born[np.minimum(idx, born.size - 1)] <= 0.0)
+    idx = np.where(bad, int(np.argmax(born)), idx)
+    return np.concatenate(([u.shape[0] - int(detected.sum())],
+                           np.bincount(idx, minlength=born.size)))
+
+
+def block_oracle(gobs, psi, trials, spec):
+    """Counts drawn one 4096-trial block generator at a time."""
+    counts = 0
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         size = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
-        u = spec.block_generator(block).random((size, 2))
-        detected = u[:, 0] < pd
-        counts[0] += size - int(detected.sum())
-        idx = np.searchsorted(cum, u[detected, 1], side="right")
-        bad = (idx >= born.size) | (born[np.minimum(idx, born.size - 1)] <= 0.0)
-        idx = np.where(bad, int(np.argmax(born)), idx)
-        counts[1:] += np.bincount(idx, minlength=born.size)
+        counts = counts + scalar_rule_counts(
+            gobs, psi, spec.block_generator(block).random((size, 2)))
     return counts
-
-
-def assert_same_state(a, b):
-    """Two bit generator states are equal, arrays compared element for element."""
-    assert a.keys() == b.keys()
-    for key in a:
-        if isinstance(a[key], dict):
-            assert_same_state(a[key], b[key])
-        else:
-            np.testing.assert_array_equal(a[key], b[key])
 
 
 def per_projector_born(gobs, psi):
@@ -109,7 +107,7 @@ class TestRngSpec:
         assert not np.array_equal(a, b)
 
     def test_describe_names_algorithm(self):
-        assert RngSpec(seed=5, stream_id=2).describe() == "philox4x64:seed=5:stream=2"
+        assert RngSpec(seed=5, stream_id=2).describe() == "philox4x64-seq:seed=5:stream=2"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -130,25 +128,27 @@ class TestRngSpec:
                                        np.int64(5)])
     def test_accepts_python_and_numpy_integers(self, value):
         spec = RngSpec(seed=value, stream_id=value)
-        assert spec.describe() == f"philox4x64:seed={int(value)}:stream={int(value)}"
+        assert spec.describe() == f"philox4x64-seq:seed={int(value)}:stream={int(value)}"
         np.testing.assert_array_equal(
             spec.generator().random(4),
             RngSpec(seed=int(value), stream_id=int(value)).generator().random(4))
 
-    @pytest.mark.parametrize("block", [0, 1, 15, 16, 17, 2 ** 32 + 3])
-    def test_repositioned_generator_matches_fresh_block_generator(self, block):
+    @pytest.mark.parametrize("block", [0, 1, 17, 2 ** 32 + 3])
+    def test_block_generator_continues_the_stream(self, block):
+        # trial t reads uniforms 2t and 2t + 1 of one stream, so block b starts
+        # at uniform 2 b BLOCK_SIZE of generator()
         spec = RngSpec(seed=11, stream_id=4)
-        gen = spec.block_generator(5)
-        fresh = gen.bit_generator.state
-        # move the counter and leave a part-used buffer and a held 32-bit half
-        gen.random(3 * BLOCK_SIZE + 1)
-        gen.integers(0, 2 ** 32, dtype=np.uint32)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        sampling._reposition(gen, fresh, block)
-        expected = spec.block_generator(block)
-        assert_same_state(gen.bit_generator.state, expected.bit_generator.state)
-        np.testing.assert_array_equal(gen.random(2 * BLOCK_SIZE),
-                                      expected.random(2 * BLOCK_SIZE))
+        k = 3 * BLOCK_SIZE + 1
+        start = 2 * block * BLOCK_SIZE
+        if block < 2 ** 20:
+            expected = spec.generator().random(start + k)[start:]
+        else:
+            # Philox.advance counts counter steps of four uniforms; stop one
+            # short and discard those four
+            gen = spec.generator()
+            gen.bit_generator.advance(start // 4 - 1)
+            expected = gen.random(4 + k)[4:]
+        np.testing.assert_array_equal(spec.block_generator(block).random(k), expected)
 
 
 def bincount_bins(x, cum):
@@ -456,13 +456,15 @@ class TestRunExperiment:
             assert reports[0].to_dict() == other.to_dict()
 
     def test_matches_scalar_path(self):
-        # vectorized block sampling consumes the same draws as single shots
+        # bulk sampling consumes the same draws as chained single shots on one
+        # generator, past the first block too
         gobs, psi = sigma_z_scenario(0.8, a0=0.0)
         spec = RngSpec(seed=21)
-        report = run_experiment(gobs, psi, 500, spec)
-        gen = spec.block_generator(0)
+        trials = BLOCK_SIZE + 500
+        report = run_experiment(gobs, psi, trials, spec)
+        gen = spec.generator()
         counts = {v: 0 for v in [0.0, -1.0, 1.0]}
-        for _ in range(500):
+        for _ in range(trials):
             counts[sample_measurement(gobs, psi, gen).outcome] += 1
         np.testing.assert_array_equal(report.counts,
                                       [counts[0.0], counts[-1.0], counts[1.0]])
@@ -478,6 +480,17 @@ class TestRunExperiment:
         for workers in (1, 2, 3):
             report = run_experiment(gobs, psi, trials, spec, workers=workers)
             np.testing.assert_array_equal(report.counts, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_equal_one_stream(self, workers):
+        rng = np.random.default_rng(41)
+        gobs = random_generalized(rng, 5)
+        psi = random_state(rng, 5)
+        spec = RngSpec(seed=41, stream_id=2)
+        trials = TASK + BLOCK_SIZE + 1
+        expected = scalar_rule_counts(gobs, psi, spec.generator().random((trials, 2)))
+        report = run_experiment(gobs, psi, trials, spec, workers=workers)
+        np.testing.assert_array_equal(report.counts, expected)
 
     @pytest.mark.parametrize("seed", [3, 29])
     def test_degenerate_d32_counts_match_block_oracle(self, seed):
@@ -528,7 +541,7 @@ class TestRunExperiment:
         report = run_experiment(gobs, psi, 10_000, RngSpec(seed=4))
         assert int(report.counts.sum()) == report.trials
         assert abs(report.frequencies.sum() - 1.0) < 1e-12
-        assert report.rng == "philox4x64:seed=4:stream=0"
+        assert report.rng == "philox4x64-seq:seed=4:stream=0"
 
     def test_degenerate_observable_sampling(self):
         rng = np.random.default_rng(181)
