@@ -303,6 +303,23 @@ class GeneralizedObservable:
         """All outcome values, the no-registration outcome first."""
         return np.concatenate(([self.a0], self.base.eigenvalues))
 
+    @cached_property
+    def _eigenstate_weights(self) -> tuple[tuple[float, np.ndarray, np.ndarray] | None, ...]:
+        """``sampling._weights`` of each entry of ``base._eigenstates``, ``None`` for
+        higher ranks. It lives here, not on the base, because the detection
+        probability depends on the detection model."""
+        from .sampling import _weights  # sampling imports this module
+
+        table = []
+        for state in self.base._eigenstates:
+            if state is None:
+                table.append(None)
+                continue
+            pd, born, cum = _weights(self, state)
+            born.flags.writeable = cum.flags.writeable = False
+            table.append((pd, born, cum))
+        return tuple(table)
+
 
 def canonical_outcome(gobs: GeneralizedObservable, value: float) -> float | None:
     """The outcome of ``gobs`` matching ``value`` within tolerance, else None."""

@@ -21,15 +21,20 @@ projectors with the state that overall probabilities use, clipped at 0 and
 normalized. A detected outcome whose projector has rank 1 takes its post-state
 from the observable's table of Lüders eigenstates, built once per observable:
 the Lüders state of a rank-1 projector does not depend on the pre-state.
-Higher ranks apply the Lüders rule to the state per draw. A sequence computes
-the weights and the detection probability again only when a draw returns a new
-state object: an undetected draw keeps the state, and so does a detected draw
-on an eigenstate that lands on its own outcome, so a nondegenerate sequence
-computes them at most twice. Records equal those of chained single draws.
+Higher ranks apply the Lüders rule to the state per draw. The detection
+probability and Born weights of each table entry are built once per
+generalized observable too, on first use, so a sequence computes them only for
+its prepared state and for each higher-rank post-state. An ``RngSpec`` is
+served by one generator per thread, reset to counter 0 of the spec's stream
+on every call; it never leaves this module. A sequence fetches all its
+uniforms in one call, and each draw finds its Born bin by bisection on plain
+floats. Records equal those of chained single draws.
 """
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,6 +58,9 @@ DRAWS_PER_TRIAL = 2
 _BLOCKS_PER_TASK = 16
 
 RNG_ALGORITHM = "philox4x64-seq"
+
+# Holds each thread's generator for ``RngSpec`` draws (see ``_as_generator``).
+_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -80,17 +88,19 @@ class RngSpec:
         """Algorithm identifier recorded in reports."""
         return f"{RNG_ALGORITHM}:seed={self.seed}:stream={self.stream_id}"
 
+    def _key(self) -> np.ndarray:
+        """The Philox key of the stream."""
+        return np.array([self.seed, self.stream_id], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
         """Fresh generator at the start of the stream: trial 0."""
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self._key()))
 
     def block_generator(self, block: int) -> np.random.Generator:
         """Fresh generator on the same stream, positioned at trial
         ``block * BLOCK_SIZE``. Each Philox counter step yields four uniforms."""
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         counter = block * BLOCK_SIZE * DRAWS_PER_TRIAL // 4
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        return np.random.Generator(np.random.Philox(key=self._key(), counter=counter))
 
 
 def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
@@ -113,16 +123,21 @@ def _cumulative(born: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _conditional_index(born: np.ndarray, cum: np.ndarray, u: float) -> int:
-    k = int(np.searchsorted(cum, u, side="right"))
-    if k >= born.size or born[k] <= 0.0:
-        # roundoff landed on an empty bin
-        k = int(np.argmax(born))
-    return k
-
-
 def _as_generator(rng) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngSpec) else rng
+    """A live generator as it is; for an ``RngSpec``, this thread's generator
+    reset to the start of the spec's stream, which gives the uniforms of
+    ``rng.generator()`` without building a Philox per call."""
+    if not isinstance(rng, RngSpec):
+        return rng
+    gen = getattr(_thread, "generator", None)
+    if gen is None:
+        gen = _thread.generator = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": rng._key()},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def _weights(gobs: GeneralizedObservable,
@@ -132,35 +147,42 @@ def _weights(gobs: GeneralizedObservable,
     return detection_probability(gobs, psi), born, _cumulative(born)
 
 
-def _draw(gobs: GeneralizedObservable, psi: PureState, gen: np.random.Generator,
-          pd: float, born: np.ndarray, cum: np.ndarray) -> MeasurementOutcomeRecord:
-    """One two-uniform draw on ``psi``, whose ``_weights`` are (pd, born, cum)."""
-    u = gen.random(DRAWS_PER_TRIAL)
-    if u[0] >= pd:
+def _draw(gobs: GeneralizedObservable, psi: PureState, u0: float, u1: float,
+          pd: float, born: np.ndarray, cum: np.ndarray
+          ) -> tuple[MeasurementOutcomeRecord, int | None]:
+    """One draw on ``psi`` from the uniforms (u0, u1), given its ``_weights``
+    (pd, born, cum); returns the record and the Born bin, ``None`` if undetected."""
+    if u0 >= pd:
         return MeasurementOutcomeRecord(
             outcome=gobs.a0, detected=False, pre_state=psi, post_state=psi,
-            probability=1.0 - pd)
-    k = _conditional_index(born, cum, float(u[1]))
+            probability=1.0 - pd), None
+    # the comparisons of np.searchsorted(cum, u1, side="right")
+    k = bisect_right(cum.tolist(), u1)
+    if k >= born.size or born[k] <= 0.0:
+        # roundoff landed on an empty bin
+        k = int(np.argmax(born))
     post = gobs.base._eigenstates[k]
     if post is None:
         post = _branch_state(psi, gobs.base.projectors[k])
     return MeasurementOutcomeRecord(
         outcome=float(gobs.base.eigenvalues[k]), detected=True, pre_state=psi,
-        post_state=post, probability=pd * float(born[k]))
+        post_state=post, probability=pd * float(born[k])), k
 
 
 def sample_measurement(gobs: GeneralizedObservable, psi: PureState,
                        rng) -> MeasurementOutcomeRecord:
     """Draw one measurement: detection Bernoulli, then a Born draw if detected.
 
-    ``rng`` is either an :class:`RngSpec` (a fresh generator is derived, so
-    the same spec always yields the same record) or a live numpy Generator
-    whose state advances by exactly two uniforms. An undetected draw leaves
-    the state object untouched; a detected one applies the Lüders update,
-    taken from the observable's eigenstate table when the projector has rank 1.
-    A state of the wrong dimension raises DimensionMismatchError.
+    ``rng`` is either an :class:`RngSpec`, whose stream is read from its
+    start, so the same spec always yields the same record, or a live numpy
+    Generator whose state advances by exactly two uniforms. An undetected draw
+    leaves the state object untouched; a detected one applies the Lüders
+    update, taken from the observable's eigenstate table when the projector has
+    rank 1. A state of the wrong dimension raises DimensionMismatchError.
     """
-    return _draw(gobs, psi, _as_generator(rng), *_weights(gobs, psi))
+    weights = _weights(gobs, psi)
+    u0, u1 = _as_generator(rng).random(DRAWS_PER_TRIAL).tolist()
+    return _draw(gobs, psi, u0, u1, *weights)[0]
 
 
 def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
@@ -168,21 +190,23 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     """Chain measurements, feeding each post-state into the next draw.
 
     The records equal those of chained :func:`sample_measurement` calls on one
-    generator. The weights of a state are reused for as long as the draws
-    return that same state object.
+    generator; a live generator advances by exactly ``2 * length`` uniforms.
+    A detected draw that lands on a rank-1 projector takes the weights of its
+    eigenstate from the observable's table, so only the prepared state and
+    higher-rank post-states have their weights computed here.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    gen = _as_generator(rng)
+    weights = _weights(gobs, psi)
+    uniforms = _as_generator(rng).random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
-    state, weights = psi, None
-    for _ in range(length):
-        if weights is None:
-            weights = _weights(gobs, state)
-        record = _draw(gobs, state, gen, *weights)
+    state = psi
+    for u0, u1 in uniforms:
+        record, k = _draw(gobs, state, u0, u1, *weights)
         records.append(record)
-        if record.post_state is not state:
-            state, weights = record.post_state, None
+        if k is not None:
+            state = record.post_state
+            weights = gobs._eigenstate_weights[k] or _weights(gobs, state)
     return records
 
 
@@ -268,7 +292,7 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
         raise ValueError("trials must be at least 1")
     pd, born, cum = _weights(gobs, psi)
     # Roundoff can land a draw on an empty Born bin or past the top one; such
-    # draws count for the largest bin, as in _conditional_index.
+    # draws count for the largest bin, as in _draw.
     stray = np.append(born <= 0.0, True)
     top = int(np.argmax(born))
     task_trials = _BLOCKS_PER_TASK * BLOCK_SIZE

@@ -4,6 +4,9 @@ Statistical assertions run against the binomial-sigma envelope with fixed
 seeds, so they are deterministic.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -44,11 +47,17 @@ def scalar_rule_counts(gobs, psi, u):
     cum = np.cumsum(born)
     cum[-1] = 1.0
     detected = u[:, 0] < pd
-    idx = np.searchsorted(cum, u[detected, 1], side="right")
-    bad = (idx >= born.size) | (born[np.minimum(idx, born.size - 1)] <= 0.0)
-    idx = np.where(bad, int(np.argmax(born)), idx)
+    idx = scalar_rule_bins(born, cum, u[detected, 1])
     return np.concatenate(([u.shape[0] - int(detected.sum())],
                            np.bincount(idx, minlength=born.size)))
+
+
+def scalar_rule_bins(born, cum, x):
+    """The Born bin of each detected draw ``x``: the right-side binary search of
+    ``cum``, roundoff on an empty or past-the-top bin folded onto the largest."""
+    idx = np.searchsorted(cum, x, side="right")
+    bad = (idx >= born.size) | (born[np.minimum(idx, born.size - 1)] <= 0.0)
+    return np.where(bad, int(np.argmax(born)), idx)
 
 
 def block_oracle(gobs, psi, trials, spec):
@@ -132,6 +141,8 @@ class TestRngSpec:
         np.testing.assert_array_equal(
             spec.generator().random(4),
             RngSpec(seed=int(value), stream_id=int(value)).generator().random(4))
+        # single draws reset a per-thread generator to the state generator() starts in
+        assert philox_state(sampling._as_generator(spec)) == philox_state(spec.generator())
 
     @pytest.mark.parametrize("block", [0, 1, 17, 2 ** 32 + 3])
     def test_block_generator_continues_the_stream(self, block):
@@ -156,15 +167,19 @@ def bincount_bins(x, cum):
     return np.bincount(np.searchsorted(cum, x, side="right"), minlength=cum.size + 1)
 
 
+# Born weights and detected draws that tie with, or sit next to, a bin edge.
+TIE_CASES = [
+    ([0.25, 0.25, 0.5], [0.25, 0.5, 0.1, 0.25, 0.7, 0.5]),  # draws equal to cum entries
+    ([0.3, 0.0, 0.0, 0.7], [0.3, 0.29, 0.3, 0.31, 0.0]),  # ties from zero-weight bins
+    ([0.0, 0.4, 0.0, 0.6, 0.0], [0.0, 0.4, 0.4, 0.99, 0.2]),  # zero-weight ends
+    ([0.2, 0.8], []),  # no detected draw
+    ([1.0], [0.0, 0.5, np.nextafter(1.0, 0.0)]),  # K = 1
+    ([0.5, 0.5], [np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0)]),  # just below 1
+]
+
+
 class TestBinCounts:
-    @pytest.mark.parametrize("born, x", [
-        ([0.25, 0.25, 0.5], [0.25, 0.5, 0.1, 0.25, 0.7, 0.5]),  # draws equal to cum entries
-        ([0.3, 0.0, 0.0, 0.7], [0.3, 0.29, 0.3, 0.31, 0.0]),  # ties from zero-weight bins
-        ([0.0, 0.4, 0.0, 0.6, 0.0], [0.0, 0.4, 0.4, 0.99, 0.2]),  # zero-weight ends
-        ([0.2, 0.8], []),  # no detected draw
-        ([1.0], [0.0, 0.5, np.nextafter(1.0, 0.0)]),  # K = 1
-        ([0.5, 0.5], [np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0)]),  # just below 1
-    ])
+    @pytest.mark.parametrize("born, x", TIE_CASES)
     def test_matches_binary_search_per_draw(self, born, x):
         cum = sampling._cumulative(np.array(born))
         x = np.array(x, dtype=float)
@@ -185,6 +200,20 @@ class TestBinCounts:
             rng.shuffle(x)
             np.testing.assert_array_equal(sampling._bin_counts(x.copy(), cum),
                                           bincount_bins(x, cum))
+
+
+class TestScalarBinRule:
+    @pytest.mark.parametrize("born, x", TIE_CASES)
+    def test_draw_bisection_matches_the_searchsorted_rule(self, born, x):
+        # _draw bisects a list of floats; the bulk and oracle paths search arrays
+        born = np.array(born)
+        cum = sampling._cumulative(born)
+        gobs = GeneralizedObservable.from_matrix(np.diag(np.arange(born.size, dtype=float)),
+                                                 ConstantDetection(1.0))
+        psi = PureState(np.eye(born.size)[0])
+        x = np.concatenate((x, cum[:-1], np.nextafter(cum, 0.0), [0.0]))
+        bins = [sampling._draw(gobs, psi, 0.0, float(u1), 1.0, born, cum)[1] for u1 in x]
+        np.testing.assert_array_equal(bins, scalar_rule_bins(born, cum, x))
 
 
 class TestPredictedProbabilities:
@@ -281,6 +310,35 @@ class TestEigenstateTable:
         assert gobs.base._eigenstates is gobs.base._eigenstates
         for state in gobs.base._eigenstates:
             assert not state.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_eigenstate_weights_equal_weights_of_each_entry(self, dim, degenerate):
+        rng = np.random.default_rng(dim + 900)
+        gobs = random_generalized(rng, dim, degenerate=degenerate)
+        table = gobs._eigenstate_weights
+        assert gobs._eigenstate_weights is table
+        ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
+        assert [entry is None for entry in table] == [r > 1 for r in ranks]
+        for state, entry in zip(gobs.base._eigenstates, table):
+            if entry is None:
+                continue
+            pd, born, cum = sampling._weights(gobs, state)
+            assert np.float64(entry[0]).tobytes() == np.float64(pd).tobytes()
+            assert entry[1].tobytes() == born.tobytes()
+            assert entry[2].tobytes() == cum.tobytes()
+            assert not entry[1].flags.writeable and not entry[2].flags.writeable
+
+    def test_weights_are_built_on_the_first_detected_draw(self):
+        rng = np.random.default_rng(907)
+        never = random_generalized(rng, 4, detection=ConstantDetection(0.0))
+        always = random_generalized(rng, 4, detection=ConstantDetection(1.0))
+        psi = random_state(rng, 4)
+        for gobs in (never, always):
+            assert "_eigenstate_weights" not in vars(gobs)
+            sample_sequence(gobs, psi, 3, RngSpec(seed=1))
+        assert "_eigenstate_weights" not in vars(never)
+        assert "_eigenstate_weights" in vars(always)
 
     @pytest.mark.parametrize("dim", [4, 9, 32])
     def test_higher_ranks_take_the_per_draw_lueders_update(self, dim):
@@ -408,8 +466,11 @@ class TestSampleSequence:
                 state = expected.post_state
 
     @pytest.mark.parametrize("case", ["benchmark", "sigma-z"])
-    def test_nondegenerate_sequence_computes_weights_at_most_twice(self, case, monkeypatch):
+    def test_nondegenerate_sequence_computes_weights_once(self, case, monkeypatch):
+        # every post-state of a detected draw is a table eigenstate, whose
+        # weights the observable holds, so only psi's are computed
         gobs, psi = benchmark_scenario(617) if case == "benchmark" else sigma_z_scenario(0.6)
+        gobs._eigenstate_weights  # build the table before counting
         calls = []
         weights = sampling._weights
 
@@ -423,7 +484,7 @@ class TestSampleSequence:
             calls.clear()
             records = sample_sequence(gobs, psi, 12, RngSpec(seed=seed))
             detected += any(r.detected for r in records)
-            assert 1 <= len(calls) <= 2
+            assert len(calls) == 1
             assert calls[0] is psi
         assert detected > 100
 
@@ -431,6 +492,72 @@ class TestSampleSequence:
         gobs, psi = sigma_z_scenario(0.5)
         with pytest.raises(ValueError):
             sample_sequence(gobs, psi, 0, RngSpec(seed=0))
+
+
+def record_key(record):
+    """Everything a record holds, bit for bit."""
+    return (record.outcome, record.detected, record.probability,
+            record.pre_state.amplitudes.tobytes(), record.post_state.amplitudes.tobytes())
+
+
+def philox_state(gen):
+    """A Philox generator's state as a comparable tuple."""
+    state = gen.bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
+            tuple(state["buffer"]), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+class TestSingleDrawGenerators:
+    def test_concurrent_threads_match_a_serial_run(self):
+        gobs, psi = benchmark_scenario(523)
+
+        def draws(stream):
+            out = []
+            for seed in range(250):
+                spec = RngSpec(seed=seed, stream_id=stream)
+                out += [record_key(r) for r in sample_sequence(gobs, psi, 3, spec)]
+                out.append(record_key(sample_measurement(gobs, psi, spec)))
+            return out
+
+        streams = range(1, 5)  # more threads than the two cores of a small VM
+        serial = {stream: draws(stream) for stream in streams}
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between reset and draw
+        try:
+            threads = [threading.Thread(target=lambda s=s: results.update({s: draws(s)}))
+                       for s in streams]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+
+    def test_spec_draws_leave_an_earlier_generator_alone(self):
+        gobs, psi = benchmark_scenario(617)
+        spec = RngSpec(seed=31, stream_id=2)
+        gen = spec.generator()
+        gen.random(3)
+        before = philox_state(gen)
+        sample_sequence(gobs, psi, 5, spec)
+        sample_measurement(gobs, psi, spec)
+        sample_sequence(gobs, psi, 4, RngSpec(seed=32))
+        assert philox_state(gen) == before
+        np.testing.assert_array_equal(gen.random(6), spec.generator().random(9)[3:])
+
+    @pytest.mark.parametrize("offset", [0, 1, 3])
+    @pytest.mark.parametrize("length", [1, 2, 3, 7])
+    def test_live_generator_advances_two_uniforms_per_draw(self, length, offset):
+        gobs, psi = benchmark_scenario(4243)
+        gen, reference = RngSpec(seed=5).generator(), RngSpec(seed=5).generator()
+        gen.random(offset)
+        reference.random(offset + 2 * length)
+        sample_sequence(gobs, psi, length, gen)
+        assert philox_state(gen) == philox_state(reference)
 
 
 class TestRunExperiment:
