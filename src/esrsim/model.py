@@ -191,25 +191,6 @@ class QuantumObservable:
         stack.flags.writeable = False
         return stack
 
-    @cached_property
-    def _eigenstates(self) -> tuple[PureState | None, ...]:
-        """The Lüders state of each rank-1 projector, ``None`` for higher ranks.
-
-        For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
-        ``P v != 0`` is ``e`` up to a global phase, so with the phase fixed it
-        is one state, built here from the projector's largest column.
-        """
-        from .measurement import fix_phase  # measurement imports this module
-
-        states = []
-        for p in self.projectors:
-            if round(float(np.trace(p).real)) != 1:
-                states.append(None)
-                continue
-            column = p[:, int(np.argmax(np.abs(np.diagonal(p))))]
-            states.append(PureState(fix_phase(column / np.linalg.norm(column))))
-        return tuple(states)
-
 
 @dataclass(frozen=True)
 class ConstantDetection:
@@ -304,20 +285,28 @@ class GeneralizedObservable:
         return np.concatenate(([self.a0], self.base.eigenvalues))
 
     @cached_property
-    def _eigenstate_weights(self) -> tuple[tuple[float, np.ndarray, np.ndarray] | None, ...]:
-        """``sampling._weights`` of each entry of ``base._eigenstates``, ``None`` for
-        higher ranks. It lives here, not on the base, because the detection
-        probability depends on the detection model."""
+    def _eigenstates(self) -> tuple[tuple[PureState, float, np.ndarray, np.ndarray] | None, ...]:
+        """Per projector, its Lüders state and that state's ``sampling._weights``
+        ``(state, pd, born, cum)``, arrays read-only; ``None`` for rank > 1.
+
+        For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
+        ``P v != 0`` is ``e`` up to a global phase, so with the phase fixed it
+        is one state, built here from the projector's largest column. The table
+        lives here, not on the base, because ``pd`` depends on the detection model.
+        """
+        from .measurement import fix_phase  # measurement imports this module
         from .sampling import _weights  # sampling imports this module
 
         table = []
-        for state in self.base._eigenstates:
-            if state is None:
+        for p in self.base.projectors:
+            if round(float(np.trace(p).real)) != 1:
                 table.append(None)
                 continue
+            column = p[:, int(np.argmax(np.abs(np.diagonal(p))))]
+            state = PureState(fix_phase(column / np.linalg.norm(column)))
             pd, born, cum = _weights(self, state)
             born.flags.writeable = cum.flags.writeable = False
-            table.append((pd, born, cum))
+            table.append((state, pd, born, cum))
         return tuple(table)
 
 

@@ -15,20 +15,18 @@ and the Born bins counted from one binary search per bin edge. numpy releases
 the GIL while it fills, sorts and counts the draws, so ``workers > 1`` speeds
 up large runs without changing which uniforms a trial uses.
 
-Single draws (``sample_measurement``, ``sample_sequence``) take the Born
-weights from ``model._born_weights``, the one stacked product of all
-projectors with the state that overall probabilities use, clipped at 0 and
-normalized. A detected outcome whose projector has rank 1 takes its post-state
-from the observable's table of Lüders eigenstates, built once per observable:
-the Lüders state of a rank-1 projector does not depend on the pre-state.
-Higher ranks apply the Lüders rule to the state per draw. The detection
-probability and Born weights of each table entry are built once per
-generalized observable too, on first use, so a sequence computes them only for
-its prepared state and for each higher-rank post-state. An ``RngSpec`` is
-served by one generator per thread, reset to counter 0 of the spec's stream
-on every call; it never leaves this module. A sequence fetches all its
-uniforms in one call, and each draw finds its Born bin by bisection on plain
-floats. Records equal those of chained single draws.
+Single draws run one loop, ``sample_sequence``; ``sample_measurement`` is a
+sequence of one. The Born weights are ``model._born_weights``, the one stacked
+product of all projectors with the state that overall probabilities use,
+clipped at 0 and normalized. The Lüders state of a rank-1 projector does not
+depend on the pre-state, so a detected draw on one takes its post-state and
+that state's weights from ``GeneralizedObservable._eigenstates``, built once
+per observable on the first detected draw. Higher ranks apply the Lüders rule
+per draw and compute the new state's weights only if another draw follows. An
+``RngSpec`` is served by one generator per thread, reset to counter 0 of the
+spec's stream on every call; it never leaves this module. A sequence fetches
+all its uniforms in one call, and each draw finds its Born bin by bisection on
+plain floats: the comparisons of the bulk path's ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -118,8 +116,17 @@ def predicted_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.n
 
 
 def _cumulative(born: np.ndarray) -> np.ndarray:
+    """Cumulative Born weights, 1.0 from the last bin with positive weight on.
+
+    A right-side search of any u in [0, 1) then lands on a bin with positive
+    weight: a zero-weight bin ties with the bin before it, and the cumsum
+    roundoff residue below 1 goes to the last outcome that can occur.
+    """
     cum = np.cumsum(born)
-    cum[-1] = 1.0  # kill cumsum roundoff at the top end
+    last = -1  # a plain loop: one numpy call costs more than the usual one step
+    while born[last] <= 0.0:
+        last -= 1
+    cum[last:] = 1.0
     return cum
 
 
@@ -147,66 +154,49 @@ def _weights(gobs: GeneralizedObservable,
     return detection_probability(gobs, psi), born, _cumulative(born)
 
 
-def _draw(gobs: GeneralizedObservable, psi: PureState, u0: float, u1: float,
-          pd: float, born: np.ndarray, cum: np.ndarray
-          ) -> tuple[MeasurementOutcomeRecord, int | None]:
-    """One draw on ``psi`` from the uniforms (u0, u1), given its ``_weights``
-    (pd, born, cum); returns the record and the Born bin, ``None`` if undetected."""
-    if u0 >= pd:
-        return MeasurementOutcomeRecord(
-            outcome=gobs.a0, detected=False, pre_state=psi, post_state=psi,
-            probability=1.0 - pd), None
-    # the comparisons of np.searchsorted(cum, u1, side="right")
-    k = bisect_right(cum.tolist(), u1)
-    if k >= born.size or born[k] <= 0.0:
-        # roundoff landed on an empty bin
-        k = int(np.argmax(born))
-    post = gobs.base._eigenstates[k]
-    if post is None:
-        post = _branch_state(psi, gobs.base.projectors[k])
-    return MeasurementOutcomeRecord(
-        outcome=float(gobs.base.eigenvalues[k]), detected=True, pre_state=psi,
-        post_state=post, probability=pd * float(born[k])), k
-
-
 def sample_measurement(gobs: GeneralizedObservable, psi: PureState,
                        rng) -> MeasurementOutcomeRecord:
-    """Draw one measurement: detection Bernoulli, then a Born draw if detected.
-
-    ``rng`` is either an :class:`RngSpec`, whose stream is read from its
-    start, so the same spec always yields the same record, or a live numpy
-    Generator whose state advances by exactly two uniforms. An undetected draw
-    leaves the state object untouched; a detected one applies the Lüders
-    update, taken from the observable's eigenstate table when the projector has
-    rank 1. A state of the wrong dimension raises DimensionMismatchError.
-    """
-    weights = _weights(gobs, psi)
-    u0, u1 = _as_generator(rng).random(DRAWS_PER_TRIAL).tolist()
-    return _draw(gobs, psi, u0, u1, *weights)[0]
+    """Draw one measurement: a :func:`sample_sequence` of length 1."""
+    return sample_sequence(gobs, psi, 1, rng)[0]
 
 
 def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
                     rng) -> list[MeasurementOutcomeRecord]:
     """Chain measurements, feeding each post-state into the next draw.
 
-    The records equal those of chained :func:`sample_measurement` calls on one
-    generator; a live generator advances by exactly ``2 * length`` uniforms.
-    A detected draw that lands on a rank-1 projector takes the weights of its
-    eigenstate from the observable's table, so only the prepared state and
-    higher-rank post-states have their weights computed here.
+    Each draw is a detection Bernoulli on its first uniform, then, if
+    detected, a Born draw on its second. ``rng`` is either an :class:`RngSpec`,
+    whose stream is read from its start, so the same spec always yields the
+    same records, or a live numpy Generator, which advances by exactly
+    ``2 * length`` uniforms. An undetected draw leaves the state object
+    untouched; a detected one applies the Lüders update, taken with its
+    weights from the observable's eigenstate table when the projector has
+    rank 1. A state of the wrong dimension raises DimensionMismatchError
+    before any uniform is drawn.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    weights = _weights(gobs, psi)
+    pd, born, cum = _weights(gobs, psi)
     uniforms = _as_generator(rng).random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
     state = psi
-    for u0, u1 in uniforms:
-        record, k = _draw(gobs, state, u0, u1, *weights)
-        records.append(record)
-        if k is not None:
-            state = record.post_state
-            weights = gobs._eigenstate_weights[k] or _weights(gobs, state)
+    for step, (u0, u1) in enumerate(uniforms, 1):
+        pre, detected = state, u0 < pd
+        outcome, probability = gobs.a0, 1.0 - pd
+        if detected:
+            # the comparisons of np.searchsorted(cum, u1, side="right")
+            k = bisect_right(cum.tolist(), u1)
+            outcome, probability = float(gobs.base.eigenvalues[k]), pd * float(born[k])
+            entry = gobs._eigenstates[k]
+            if entry is not None:
+                state, pd, born, cum = entry
+            else:
+                state = _branch_state(pre, gobs.base.projectors[k])
+                if step < length:
+                    pd, born, cum = _weights(gobs, state)
+        records.append(MeasurementOutcomeRecord(
+            outcome=outcome, detected=detected, pre_state=pre, post_state=state,
+            probability=probability))
     return records
 
 
@@ -291,10 +281,6 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     pd, born, cum = _weights(gobs, psi)
-    # Roundoff can land a draw on an empty Born bin or past the top one; such
-    # draws count for the largest bin, as in _draw.
-    stray = np.append(born <= 0.0, True)
-    top = int(np.argmax(born))
     task_trials = _BLOCKS_PER_TASK * BLOCK_SIZE
 
     def count_task(start: int) -> np.ndarray:
@@ -304,10 +290,8 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
         # first copies the strided column; that extra 0.5 MiB per task is enough
         # for malloc to return the heap to the OS and fault it back in each task.
         detected = u.ravel().take(DRAWS_PER_TRIAL * np.flatnonzero(u[:, 0] < pd) + 1)
-        bins = _bin_counts(detected, cum)
-        bins[top] += bins[stray].sum()
-        bins[stray] = 0
-        return np.concatenate(([size - detected.size], bins[:-1]))
+        # _cumulative leaves no draw past the top bin, so the last count is 0
+        return np.concatenate(([size - detected.size], _bin_counts(detected, cum)[:-1]))
 
     starts = range(0, trials, task_trials)
     if workers > 1:

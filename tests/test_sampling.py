@@ -6,6 +6,7 @@ seeds, so they are deterministic.
 
 import sys
 import threading
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -39,25 +40,22 @@ TASK = _BLOCKS_PER_TASK * BLOCK_SIZE
 
 def scalar_rule_counts(gobs, psi, u):
     """Counts of trials whose uniform pairs are the rows of ``u``, each
-    classified as a single draw is: detected iff u0 < p_d, then the right-side
-    Born bin of u1, roundoff on an empty or past-the-top bin folded onto the
-    largest."""
+    classified as a single draw is: detected iff u0 < p_d, then the Born bin
+    of u1 by ``scalar_rule_bins``."""
     pd = sampling.detection_probability(gobs, psi)
     born = sampling.born_probabilities(gobs, psi)
-    cum = np.cumsum(born)
-    cum[-1] = 1.0
     detected = u[:, 0] < pd
-    idx = scalar_rule_bins(born, cum, u[detected, 1])
+    idx = scalar_rule_bins(born, u[detected, 1])
     return np.concatenate(([u.shape[0] - int(detected.sum())],
                            np.bincount(idx, minlength=born.size)))
 
 
-def scalar_rule_bins(born, cum, x):
+def scalar_rule_bins(born, x):
     """The Born bin of each detected draw ``x``: the right-side binary search of
-    ``cum``, roundoff on an empty or past-the-top bin folded onto the largest."""
-    idx = np.searchsorted(cum, x, side="right")
-    bad = (idx >= born.size) | (born[np.minimum(idx, born.size - 1)] <= 0.0)
-    return np.where(bad, int(np.argmax(born)), idx)
+    the plain cumulative sums, with roundoff residue past the last bin of
+    positive weight counted for that bin."""
+    last = np.flatnonzero(born > 0.0)[-1]
+    return np.minimum(np.searchsorted(np.cumsum(born), x, side="right"), last)
 
 
 def block_oracle(gobs, psi, trials, spec):
@@ -175,6 +173,7 @@ TIE_CASES = [
     ([0.2, 0.8], []),  # no detected draw
     ([1.0], [0.0, 0.5, np.nextafter(1.0, 0.0)]),  # K = 1
     ([0.5, 0.5], [np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0)]),  # just below 1
+    ([0.5, 0.25, 0.0], [0.75, 0.9, np.nextafter(1.0, 0.0)]),  # residue past an empty top bin
 ]
 
 
@@ -201,19 +200,51 @@ class TestBinCounts:
             np.testing.assert_array_equal(sampling._bin_counts(x.copy(), cum),
                                           bincount_bins(x, cum))
 
+    def test_no_draw_lands_on_an_empty_bin(self):
+        rng = np.random.default_rng(227)
+        for trial in range(200):
+            k = int(rng.integers(3, 12))
+            born = rng.random(k) * (rng.random(k) < 0.6)
+            born[[0, k // 2, k - 1]] = 0.0  # empty bins at the start, middle and end
+            if not born.any():
+                born[1] = 1.0
+            if trial % 2:
+                born /= born.sum()
+            cum = sampling._cumulative(born)
+            x = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0),
+                                rng.random(5000)))
+            x = x[x < 1.0]
+            bins = np.array([bisect_right(cum.tolist(), u) for u in x])
+            np.testing.assert_array_equal(bins, np.searchsorted(cum, x, side="right"))
+            assert np.all(born[bins] > 0.0)
+            assert sampling._bin_counts(x.copy(), cum)[-1] == 0
+
+
+class FixedUniforms:
+    """Stands in for a generator: one draw whose uniforms are (0.0, u1)."""
+
+    def __init__(self, u1):
+        self.u1 = u1
+
+    def random(self, shape):
+        assert shape == (1, 2)
+        return np.array([[0.0, self.u1]])
+
 
 class TestScalarBinRule:
     @pytest.mark.parametrize("born, x", TIE_CASES)
-    def test_draw_bisection_matches_the_searchsorted_rule(self, born, x):
-        # _draw bisects a list of floats; the bulk and oracle paths search arrays
+    def test_draw_bisection_matches_the_searchsorted_rule(self, born, x, monkeypatch):
+        # single draws bisect a list of floats; the bulk and oracle paths search arrays
         born = np.array(born)
-        cum = sampling._cumulative(born)
+        monkeypatch.setattr(sampling, "born_probabilities", lambda g, p: born)
         gobs = GeneralizedObservable.from_matrix(np.diag(np.arange(born.size, dtype=float)),
                                                  ConstantDetection(1.0))
         psi = PureState(np.eye(born.size)[0])
-        x = np.concatenate((x, cum[:-1], np.nextafter(cum, 0.0), [0.0]))
-        bins = [sampling._draw(gobs, psi, 0.0, float(u1), 1.0, born, cum)[1] for u1 in x]
-        np.testing.assert_array_equal(bins, scalar_rule_bins(born, cum, x))
+        cum = np.cumsum(born)
+        x = np.concatenate((x, cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)]))
+        x = x[x < 1.0]
+        outcomes = [sample_measurement(gobs, psi, FixedUniforms(u1)).outcome for u1 in x]
+        np.testing.assert_array_equal(outcomes, scalar_rule_bins(born, x))
 
 
 class TestPredictedProbabilities:
@@ -260,17 +291,22 @@ class TestDimensionMismatch:
     def test_wrong_dimension_state_is_named(self, detection):
         gobs = GeneralizedObservable.from_matrix(np.diag([1.0, -1.0]), detection, a0=0.0)
         psi = PureState(np.ones(3) / np.sqrt(3.0))
+        gen = RngSpec(seed=1).generator()
+        before = philox_state(gen)
         calls = [
             lambda: born_probabilities(gobs, psi),
             lambda: predicted_probabilities(gobs, psi),
             lambda: sample_measurement(gobs, psi, RngSpec(seed=1)),
-            lambda: sample_measurement(gobs, psi, RngSpec(seed=1).generator()),
+            lambda: sample_measurement(gobs, psi, gen),
             lambda: sample_sequence(gobs, psi, 3, RngSpec(seed=1)),
+            lambda: sample_sequence(gobs, psi, 3, gen),
             lambda: run_experiment(gobs, psi, 10, RngSpec(seed=1)),
         ]
         for call in calls:
             with pytest.raises(DimensionMismatchError):
                 call()
+        # the state is checked before a live generator draws a uniform
+        assert philox_state(gen) == before
 
 
 def lueders_density(projector, psi):
@@ -281,11 +317,11 @@ def lueders_density(projector, psi):
 
 def assert_table_matches_lueders(gobs, psi):
     """Every rank-1 entry of the eigenstate table has the Lüders density of ``psi``."""
-    table = gobs.base._eigenstates
+    table = gobs._eigenstates
     assert len(table) == gobs.base.eigenvalues.size
-    for projector, state in zip(gobs.base.projectors, table):
-        assert state is not None
-        e = state.amplitudes
+    for projector, entry in zip(gobs.base.projectors, table):
+        assert entry is not None
+        e = entry[0].amplitudes
         np.testing.assert_allclose(np.outer(e, e.conj()), lueders_density(projector, psi),
                                    rtol=0, atol=1e-12)
 
@@ -307,8 +343,8 @@ class TestEigenstateTable:
 
     def test_built_once_per_observable(self):
         gobs, _ = benchmark_scenario(523)
-        assert gobs.base._eigenstates is gobs.base._eigenstates
-        for state in gobs.base._eigenstates:
+        assert gobs._eigenstates is gobs._eigenstates
+        for state, *_ in gobs._eigenstates:
             assert not state.amplitudes.flags.writeable
 
     @pytest.mark.parametrize("dim", [2, 8, 32])
@@ -316,18 +352,18 @@ class TestEigenstateTable:
     def test_eigenstate_weights_equal_weights_of_each_entry(self, dim, degenerate):
         rng = np.random.default_rng(dim + 900)
         gobs = random_generalized(rng, dim, degenerate=degenerate)
-        table = gobs._eigenstate_weights
-        assert gobs._eigenstate_weights is table
+        table = gobs._eigenstates
         ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
         assert [entry is None for entry in table] == [r > 1 for r in ranks]
-        for state, entry in zip(gobs.base._eigenstates, table):
+        for entry in table:
             if entry is None:
                 continue
+            state, *weights = entry
             pd, born, cum = sampling._weights(gobs, state)
-            assert np.float64(entry[0]).tobytes() == np.float64(pd).tobytes()
-            assert entry[1].tobytes() == born.tobytes()
-            assert entry[2].tobytes() == cum.tobytes()
-            assert not entry[1].flags.writeable and not entry[2].flags.writeable
+            assert np.float64(weights[0]).tobytes() == np.float64(pd).tobytes()
+            assert weights[1].tobytes() == born.tobytes()
+            assert weights[2].tobytes() == cum.tobytes()
+            assert not weights[1].flags.writeable and not weights[2].flags.writeable
 
     def test_weights_are_built_on_the_first_detected_draw(self):
         rng = np.random.default_rng(907)
@@ -335,19 +371,19 @@ class TestEigenstateTable:
         always = random_generalized(rng, 4, detection=ConstantDetection(1.0))
         psi = random_state(rng, 4)
         for gobs in (never, always):
-            assert "_eigenstate_weights" not in vars(gobs)
+            assert "_eigenstates" not in vars(gobs)
             sample_sequence(gobs, psi, 3, RngSpec(seed=1))
-        assert "_eigenstate_weights" not in vars(never)
-        assert "_eigenstate_weights" in vars(always)
+        assert "_eigenstates" not in vars(never)
+        assert "_eigenstates" in vars(always)
 
     @pytest.mark.parametrize("dim", [4, 9, 32])
     def test_higher_ranks_take_the_per_draw_lueders_update(self, dim):
         rng = np.random.default_rng(dim + 700)
         gobs = random_generalized(rng, dim, degenerate=True, detection=ConstantDetection(1.0))
-        table = gobs.base._eigenstates
+        table = gobs._eigenstates
         ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
         assert max(ranks) > 1
-        assert [state is None for state in table] == [r > 1 for r in ranks]
+        assert [entry is None for entry in table] == [r > 1 for r in ranks]
         seen = set()
         gen = RngSpec(seed=dim).generator()
         for _ in range(60):
@@ -356,7 +392,7 @@ class TestEigenstateTable:
             k = int(np.flatnonzero(gobs.base.eigenvalues == record.outcome)[0])
             seen.add(ranks[k] > 1)
             if ranks[k] == 1:
-                assert record.post_state is table[k]
+                assert record.post_state is table[k][0]
             e = record.post_state.amplitudes
             np.testing.assert_allclose(np.outer(e, e.conj()),
                                        lueders_density(gobs.base.projectors[k], psi),
@@ -428,13 +464,29 @@ class TestSampleSequence:
                 assert record.post_state is state
             state = record.post_state
 
-    def test_length_one_reduces_to_single_shot(self):
-        gobs, psi = sigma_z_scenario(0.7, a0=0.0)
-        spec = RngSpec(seed=13)
-        single = sample_measurement(gobs, psi, spec)
-        seq = sample_sequence(gobs, psi, 1, spec)
-        assert len(seq) == 1
-        assert seq[0].outcome == single.outcome
+    def test_lone_draw_matches_the_uniform_oracle(self):
+        # a lone draw reads uniforms 0 and 1 of its stream: detected iff u0 < p_d,
+        # then the Born bin of u1, with probability p_d * born[k]
+        for gobs, psi in (sigma_z_scenario(0.7, a0=0.0), benchmark_scenario(523)):
+            pd = sampling.detection_probability(gobs, psi)
+            born = born_probabilities(gobs, psi)
+            seen = set()
+            for seed in range(200):
+                spec = RngSpec(seed=seed)
+                u0, u1 = spec.generator().random(2)
+                record = sample_measurement(gobs, psi, spec)
+                assert record.detected == (u0 < pd)
+                assert record.pre_state is psi
+                if record.detected:
+                    k = int(np.searchsorted(np.cumsum(born), u1, side="right"))
+                    assert record.outcome == gobs.base.eigenvalues[k]
+                    assert record.probability == pd * born[k]
+                else:
+                    assert record.outcome == gobs.a0
+                    assert record.probability == 1.0 - pd
+                    assert record.post_state is psi
+                seen.add(record.detected)
+            assert seen == {False, True}
 
     @pytest.mark.parametrize("case", ["benchmark", "expectation", "never", "always"])
     def test_matches_chained_single_draws(self, case):
@@ -470,7 +522,7 @@ class TestSampleSequence:
         # every post-state of a detected draw is a table eigenstate, whose
         # weights the observable holds, so only psi's are computed
         gobs, psi = benchmark_scenario(617) if case == "benchmark" else sigma_z_scenario(0.6)
-        gobs._eigenstate_weights  # build the table before counting
+        gobs._eigenstates  # build the table before counting
         calls = []
         weights = sampling._weights
 
@@ -487,6 +539,32 @@ class TestSampleSequence:
             assert len(calls) == 1
             assert calls[0] is psi
         assert detected > 100
+
+    def test_last_draw_computes_no_weights(self, monkeypatch):
+        # a higher-rank post-state's weights are computed only for a next draw
+        rng = np.random.default_rng(911)
+        gobs = random_generalized(rng, 6, degenerate=True, detection=ConstantDetection(1.0))
+        psi = random_state(rng, 6)
+        gobs._eigenstates  # build the table before counting
+        calls = []
+        weights = sampling._weights
+
+        def counted(g, state):
+            calls.append(state)
+            return weights(g, state)
+
+        monkeypatch.setattr(sampling, "_weights", counted)
+        rank = {float(v): round(float(np.trace(p).real))
+                for v, p in zip(gobs.base.eigenvalues, gobs.base.projectors)}
+        last_higher = 0
+        for seed in range(40):
+            for length in (1, 3):
+                calls.clear()
+                records = sample_sequence(gobs, psi, length, RngSpec(seed=seed))
+                higher = [r.post_state for r in records[:-1] if rank[r.outcome] > 1]
+                assert calls == [psi] + higher
+                last_higher += rank[records[-1].outcome] > 1
+        assert last_higher > 0
 
     def test_length_validation(self):
         gobs, psi = sigma_z_scenario(0.5)
@@ -643,17 +721,17 @@ class TestRunExperiment:
             report = run_experiment(gobs, psi, TASK + 1, spec, workers=workers)
             np.testing.assert_array_equal(report.counts, expected)
 
-    def test_stray_draws_fold_onto_largest_bin(self, monkeypatch):
+    def test_residue_goes_to_the_last_nonempty_bin(self, monkeypatch):
         # weights summing to 0.75 leave a quarter of the draws past the last
-        # nonempty bin, on the empty top bin; they count for the largest bin
+        # nonempty bin; they count for that bin, not for the larger first one
         base = QuantumObservable.from_matrix(np.diag([-1.0, 0.0, 1.0]))
         gobs = GeneralizedObservable(base, -2.0, ConstantDetection(0.8))
         psi = PureState(np.array([1.0, 0.0, 0.0]))
         monkeypatch.setattr(sampling, "born_probabilities",
-                            lambda g, p: np.array([0.25, 0.5, 0.0]))
+                            lambda g, p: np.array([0.5, 0.25, 0.0]))
         spec = RngSpec(seed=23)
         expected = block_oracle(gobs, psi, TASK + 1, spec)
-        assert expected[3] == 0 and expected[2] > 0.6 * expected[1:].sum()
+        assert expected[3] == 0 and expected[2] > 0.45 * expected[1:].sum()
         for workers in (1, 2, 3):
             report = run_experiment(gobs, psi, TASK + 1, spec, workers=workers)
             np.testing.assert_array_equal(report.counts, expected)
