@@ -32,9 +32,6 @@ from .errors import (
 from .linalg import (
     SpectralDecomposition,
     hermitian_eigendecompose,
-    is_positive_semidefinite,
-    partial_trace_second,
-    spectral_defects,
 )
 from .measurement import (
     MeasurementOperatorFamily,
@@ -56,7 +53,6 @@ from .model import (
     Effect,
     ExpectationDetection,
     GeneralizedObservable,
-    OutcomeEvent,
     PovAxiomReport,
     PureState,
     QuantumObservable,
@@ -77,7 +73,6 @@ from .sampling import (
     RngSpec,
     RunReport,
     born_probabilities,
-    predicted_probabilities,
     run_experiment,
     sample_measurement,
     sample_sequence,
@@ -104,8 +99,7 @@ __all__ = [
     "ProbabilityRangeError", "ScenarioParseError", "ScenarioValidationError",
     "ZeroProbabilityBranchError",
     # linalg
-    "SpectralDecomposition", "hermitian_eigendecompose", "is_positive_semidefinite",
-    "partial_trace_second", "spectral_defects",
+    "SpectralDecomposition", "hermitian_eigendecompose",
     # measurement
     "MeasurementOperatorFamily", "MeasurementOutcomeRecord", "complement_event",
     "fix_phase", "measurement_operators", "nonselective_state", "outcome_probability",
@@ -113,15 +107,15 @@ __all__ = [
     "post_measurement_state_yes", "state_after_outcome",
     # model
     "ConstantDetection", "DensityOperator", "DetectionModel", "Effect",
-    "ExpectationDetection", "GeneralizedObservable", "OutcomeEvent", "PovAxiomReport",
+    "ExpectationDetection", "GeneralizedObservable", "PovAxiomReport",
     "PureState", "QuantumObservable", "as_event", "canonical_outcome",
     "conditional_probability", "default_no_registration_outcome",
     "detection_probability", "effect", "overall_probability",
     "overall_probability_density", "pv_projector", "split_event", "to_density",
     "verify_pov_axioms",
     # sampling
-    "RngSpec", "RunReport", "born_probabilities", "predicted_probabilities",
-    "run_experiment", "sample_measurement", "sample_sequence",
+    "RngSpec", "RunReport", "born_probabilities", "run_experiment",
+    "sample_measurement", "sample_sequence",
     # scenario
     "BuiltScenario", "Scenario", "build_scenario", "load_scenario", "parse_scenario",
     "scenario_digest", "serialize_scenario",

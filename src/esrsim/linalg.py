@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel for small Hilbert spaces.
 
 Hermitian eigendecomposition with eigenvalue clustering, spectral projector
-assembly, partial traces and a shifted-Cholesky positivity test. Everything
-works on plain ``numpy.ndarray`` values and is pure: inputs are never
-mutated. Intended for dense operators up to dimension of a few dozen.
+assembly and a shifted-Cholesky positivity test. Everything works on plain
+``numpy.ndarray`` values and is pure: inputs are never mutated. Intended for
+dense operators up to dimension of a few dozen.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class SpectralDecomposition:
     recovers the decomposed matrix. Construction checks structure only;
     decompositions produced by :func:`hermitian_eigendecompose` meet the
     numerical invariants to ~1e-10, while hand-built projectors are the
-    caller's responsibility (see :func:`spectral_defects`).
+    caller's responsibility.
     """
 
     eigenvalues: np.ndarray
@@ -101,29 +101,6 @@ class SpectralDecomposition:
         for a, p in zip(self.eigenvalues, self.projectors):
             out += a * p
         return out
-
-
-def spectral_defects(sd: SpectralDecomposition, source: np.ndarray | None = None) -> dict[str, float]:
-    """Frobenius-norm defects of a decomposition's numerical invariants.
-
-    Keys: ``completeness`` (sum of projectors vs identity), ``hermiticity``,
-    ``idempotency``, ``orthogonality`` (worst cross product), and
-    ``reconstruction`` when ``source`` is given.
-    """
-    eye = np.eye(sd.dim)
-    out = {
-        "completeness": frobenius(sum(sd.projectors) - eye),
-        "hermiticity": max(frobenius(p - p.conj().T) for p in sd.projectors),
-        "idempotency": max(frobenius(p @ p - p) for p in sd.projectors),
-    }
-    ortho = 0.0
-    for i, p in enumerate(sd.projectors):
-        for q in sd.projectors[i + 1:]:
-            ortho = max(ortho, frobenius(p @ q))
-    out["orthogonality"] = ortho
-    if source is not None:
-        out["reconstruction"] = frobenius(sd.reconstruct() - as_matrix(source))
-    return out
 
 
 def default_cluster_tol(eigenvalues) -> float:
@@ -175,31 +152,11 @@ def hermitian_eigendecompose(m, cluster_tol: float | None = None) -> SpectralDec
     return _cluster(w, v, cluster_tol)
 
 
-def partial_trace_second(m, dim_first: int, dim_second: int) -> np.ndarray:
-    """Trace out the second tensor factor of an operator on a product space.
-
-    ``m`` must be square of dimension ``dim_first * dim_second`` with the
-    composite index ordered first-factor major. The result has dimension
-    ``dim_first`` and the same trace as ``m``.
-    """
-    m = require_square(as_matrix(m))
-    if dim_first <= 0 or dim_second <= 0:
-        raise ValueError("factor dimensions must be positive")
-    if m.shape[0] != dim_first * dim_second:
-        raise DimensionMismatchError(
-            f"matrix dimension {m.shape[0]} != {dim_first} * {dim_second}")
-    return np.einsum("iaja->ij", m.reshape(dim_first, dim_second, dim_first, dim_second))
-
-
-def is_positive_semidefinite(m, tol: float = 1e-10) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol, decided
-    by whether ``m + tol*I`` has a Cholesky factor (several times cheaper than
-    an eigensolver; only the rounding at the boundary differs)."""
-    return _shifted_cholesky_exists(require_hermitian(as_matrix(m)), tol)
-
-
 def _shifted_cholesky_exists(h: np.ndarray, tol: float) -> bool:
-    """:func:`is_positive_semidefinite` for a matrix its caller has symmetrized."""
+    """True iff the smallest eigenvalue of the Hermitian matrix ``h``, which the
+    caller has symmetrized, is >= -tol, decided by whether ``h + tol*I`` has a
+    Cholesky factor (several times cheaper than an eigensolver; only the
+    rounding at the boundary differs)."""
     try:
         np.linalg.cholesky(h + tol * np.eye(h.shape[0]))
     except np.linalg.LinAlgError:

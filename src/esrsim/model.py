@@ -46,10 +46,6 @@ OPERATOR_GATE_TOL = 1e-6
 # Relative half-width of the window used to match quoted outcome values.
 OUTCOME_MATCH_RTOL = 1e-9
 
-#: An outcome event: a finite set of outcome values.
-OutcomeEvent = frozenset
-
-
 def as_event(values) -> frozenset:
     """Coerce a single value or an iterable of values to an outcome event.
 
@@ -176,9 +172,6 @@ class QuantumObservable:
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
         return self.spectral.projectors
-
-    def matrix(self) -> np.ndarray:
-        return self.spectral.reconstruct()
 
     def is_nondegenerate(self, tol: float = 1e-6) -> bool:
         """True iff every spectral projector has rank 1."""
@@ -507,10 +500,6 @@ class PovAxiomReport:
     additivity: float
     commutativity: float
     events_checked: int
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.normalization, self.positivity, self.additivity, self.commutativity)
 
     def as_dict(self) -> dict[str, float]:
         return {

@@ -108,13 +108,6 @@ def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarra
     return p / p.sum()
 
 
-def predicted_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
-    """Overall outcome distribution, no-registration outcome first."""
-    pd = detection_probability(gobs, psi)
-    born = born_probabilities(gobs, psi)
-    return np.concatenate(([1.0 - pd], pd * born))
-
-
 def _cumulative(born: np.ndarray) -> np.ndarray:
     """Cumulative Born weights, 1.0 from the last bin with positive weight on.
 

@@ -1,5 +1,6 @@
-"""Shared builders for randomized test scenarios, a record comparator, and the
-per-value reference forms of the ``verify`` checks."""
+"""Shared builders for randomized test scenarios, a record comparator, the
+linear-algebra oracles of the kernel tests, and the per-value reference forms
+of the ``verify`` checks."""
 
 from __future__ import annotations
 
@@ -116,6 +117,31 @@ def sigma_z_scenario(p_detect: float = 0.8, a0: float = 0.0):
         np.diag([1.0, -1.0]), ConstantDetection(p_detect), a0=a0)
     psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
     return gobs, psi
+
+
+def partial_trace_second(m: np.ndarray, dim_first: int, dim_second: int) -> np.ndarray:
+    """Trace out the second factor of an operator on a first-factor-major product space."""
+    return np.einsum("iaja->ij", m.reshape(dim_first, dim_second, dim_first, dim_second))
+
+
+def spectral_defects(sd: SpectralDecomposition, source: np.ndarray | None = None) -> dict[str, float]:
+    """Frobenius-norm defects of a decomposition's numerical invariants.
+
+    Keys: ``completeness`` (sum of projectors vs identity), ``hermiticity``,
+    ``idempotency``, ``orthogonality`` (worst cross product), and
+    ``reconstruction`` when ``source`` is given.
+    """
+    norm = np.linalg.norm
+    out = {
+        "completeness": norm(sum(sd.projectors) - np.eye(sd.dim)),
+        "hermiticity": max(norm(p - p.conj().T) for p in sd.projectors),
+        "idempotency": max(norm(p @ p - p) for p in sd.projectors),
+        "orthogonality": max((norm(p @ q) for i, p in enumerate(sd.projectors)
+                              for q in sd.projectors[i + 1:]), default=0.0),
+    }
+    if source is not None:
+        out["reconstruction"] = norm(sd.reconstruct() - source)
+    return {name: float(value) for name, value in out.items()}
 
 
 # Float tolerance of records_close: an absolute floor for deviations near 0

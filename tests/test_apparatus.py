@@ -23,10 +23,10 @@ from esrsim import (
     measurement_operators,
     nonselective_state,
     parse_scenario,
-    partial_trace_second,
     reduced_object_state,
 )
 from helpers import (
+    partial_trace_second,
     random_generalized,
     random_state,
     random_unitary,

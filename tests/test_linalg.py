@@ -1,8 +1,9 @@
-"""Matrix kernel tests: eigendecomposition, partial traces, positivity.
+"""Matrix kernel tests: eigendecomposition and the shifted-Cholesky positivity
+test, plus the partial-trace oracle that the apparatus tests use.
 
-Oracles are independent of the implementation: partial traces are
-recomputed by explicit index loops, and decompositions
-are checked against the defining relations (P m = a P, reconstruction).
+Oracles are independent of the implementation: the partial trace is checked
+against explicit index loops, and decompositions against the defining
+relations (P m = a P, reconstruction) and ``helpers.spectral_defects``.
 """
 
 import numpy as np
@@ -10,16 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esrsim import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotSquareError,
-    hermitian_eigendecompose,
-    is_positive_semidefinite,
-    partial_trace_second,
-    spectral_defects,
-)
-from helpers import random_hermitian
+from esrsim import NotHermitianError, NotSquareError, hermitian_eigendecompose
+from esrsim.linalg import _shifted_cholesky_exists
+from helpers import partial_trace_second, random_hermitian, spectral_defects
 
 
 def ptrace2_oracle(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -128,24 +122,16 @@ class TestPartialTrace:
             2.0 * partial_trace_second(m1, 3, 2) + partial_trace_second(m2, 3, 2),
             atol=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            partial_trace_second(np.eye(5), 2, 2)
-
 
 class TestPositivity:
     def test_identity_is_psd(self):
-        assert is_positive_semidefinite(np.eye(2))
+        assert _shifted_cholesky_exists(np.eye(2), 1e-10)
 
     def test_sign_case(self):
-        assert not is_positive_semidefinite(np.diag([1.0, -1.0]))
+        assert not _shifted_cholesky_exists(np.diag([1.0, -1.0]), 1e-10)
 
     def test_gram_matrices_are_psd(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             g = random_complex(rng, (4, 4))
-            assert is_positive_semidefinite(g.conj().T @ g)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            is_positive_semidefinite(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            assert _shifted_cholesky_exists(g.conj().T @ g, 1e-10)

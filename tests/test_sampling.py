@@ -20,7 +20,7 @@ from esrsim import (
     QuantumObservable,
     RngSpec,
     born_probabilities,
-    predicted_probabilities,
+    overall_probability,
     run_experiment,
     sample_measurement,
     sample_sequence,
@@ -83,6 +83,28 @@ def assert_born_is_the_weights_kernel(gobs, psi):
     weights = np.clip(model._born_weights(gobs, psi), 0.0, None)
     np.testing.assert_array_equal(born, weights / weights.sum())
     np.testing.assert_allclose(born, per_projector_born(gobs, psi), rtol=0, atol=1e-15)
+
+
+def overall_by_outcome(gobs, psi):
+    """The model's overall probability of each singleton outcome, a0 first: the
+    unnormalized-weights path of ``overall_probability``, not the sampler's."""
+    return np.array([overall_probability(gobs, psi, (v,)) for v in gobs.outcomes])
+
+
+def assert_predicted_is_overall(gobs, psi):
+    """``run_experiment``'s predicted distribution is within 1e-14 of ``overall_by_outcome``."""
+    predicted = run_experiment(gobs, psi, 10, RngSpec(seed=11)).predicted
+    np.testing.assert_allclose(predicted, overall_by_outcome(gobs, psi), rtol=0, atol=1e-14)
+
+
+def assert_record_probabilities_are_overall(gobs, psi):
+    """The probability of each of 50 sampled records is within 1e-14 of its
+    outcome's ``overall_by_outcome``."""
+    expected = dict(zip(gobs.outcomes.tolist(), overall_by_outcome(gobs, psi)))
+    gen = RngSpec(seed=11).generator()
+    for _ in range(50):
+        record = sample_measurement(gobs, psi, gen)
+        assert abs(record.probability - expected[record.outcome]) <= 1e-14
 
 
 def benchmark_scenario(seed, dim=8):
@@ -250,8 +272,15 @@ class TestScalarBinRule:
 class TestPredictedProbabilities:
     def test_sigma_z_values(self):
         gobs, psi = sigma_z_scenario(0.8, a0=0.0)
-        np.testing.assert_allclose(predicted_probabilities(gobs, psi),
-                                   [0.2, 0.4, 0.4], atol=1e-12)
+        np.testing.assert_allclose(overall_by_outcome(gobs, psi), [0.2, 0.4, 0.4], atol=1e-12)
+        assert_predicted_is_overall(gobs, psi)
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    @pytest.mark.parametrize("seed", [523, 617, 4243])
+    def test_predictions_match_overall_probability_on_benchmark_scenarios(self, seed, dim):
+        gobs, psi = benchmark_scenario(seed, dim)
+        assert_predicted_is_overall(gobs, psi)
+        assert_record_probabilities_are_overall(gobs, psi)
 
     def test_born_normalization(self):
         rng = np.random.default_rng(179)
@@ -295,7 +324,6 @@ class TestDimensionMismatch:
         before = philox_state(gen)
         calls = [
             lambda: born_probabilities(gobs, psi),
-            lambda: predicted_probabilities(gobs, psi),
             lambda: sample_measurement(gobs, psi, RngSpec(seed=1)),
             lambda: sample_measurement(gobs, psi, gen),
             lambda: sample_sequence(gobs, psi, 3, RngSpec(seed=1)),
@@ -418,12 +446,7 @@ class TestSampleMeasurement:
             assert record.detected
 
     def test_record_probability_matches_prediction(self):
-        gobs, psi = sigma_z_scenario(0.8, a0=0.0)
-        predicted = dict(zip([0.0, -1.0, 1.0], predicted_probabilities(gobs, psi)))
-        gen = RngSpec(seed=11).generator()
-        for _ in range(50):
-            record = sample_measurement(gobs, psi, gen)
-            assert abs(record.probability - predicted[record.outcome]) < 1e-12
+        assert_record_probabilities_are_overall(*sigma_z_scenario(0.8, a0=0.0))
 
     def test_frequencies_statistical(self):
         gobs, psi = sigma_z_scenario(0.8, a0=0.0)
