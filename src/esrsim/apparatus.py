@@ -2,9 +2,10 @@
 
 The measured object couples to a pointer whose basis states are "ready / not
 detected" (index 0) plus one state per distinct eigenvalue (indices 1..K),
-however degenerate. The coupling sends the initial product state into a
-detected branch entangled with the pointer plus an undisturbed no-detection
-branch. Its weights derive from the detection probability of the object's
+however degenerate, so the observable fixes the pointer dimension K + 1 and
+the apparatus model holds only the two branch phases. The coupling sends the
+initial product state into a detected branch entangled with the pointer plus
+an undisturbed no-detection branch. Its weights derive from the detection probability of the object's
 state, so the map is nonlinear in that state (hence nonunitary), yet it
 preserves the norm for every input. Tracing out the pointer reproduces the
 nonselective post-measurement mixture: the consistency content of the model.
@@ -29,27 +30,20 @@ from .model import (
 
 @dataclass(frozen=True)
 class ApparatusModel:
-    """Pointer-space description: dimension and coupling phases (radians).
+    """Coupling phases (radians) of the apparatus.
 
     The phases rotate the detected and undetected branch amplitudes; the
-    object's reduced state after the coupling is independent of them.
+    object's reduced state after the coupling is independent of them. The
+    pointer's dimension is not a setting: :func:`couple_and_evolve` derives
+    it from the observable.
     """
 
-    dim_pointer: int
     theta: float = 0.0
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.dim_pointer < 2:
-            raise ValueError("pointer needs the ready state plus at least one outcome state")
         if not np.isfinite([self.theta, self.phi]).all():
             raise ValueError(f"phases must be finite, got theta={self.theta!r}, phi={self.phi!r}")
-
-    @classmethod
-    def for_observable(cls, gobs: GeneralizedObservable, theta: float = 0.0,
-                       phi: float = 0.0) -> "ApparatusModel":
-        """Pointer dimension = number of distinct eigenvalues + 1."""
-        return cls(gobs.base.eigenvalues.size + 1, float(theta), float(phi))
 
     def branch_amplitudes(self, detection_probability: float) -> tuple[complex, complex]:
         """(detected, undetected) branch weights; squared moduli sum to 1."""
@@ -78,23 +72,19 @@ def couple_and_evolve(gobs: GeneralizedObservable, psi: PureState,
                       apparatus: ApparatusModel) -> CompoundState:
     """Couple the object to the ready pointer and apply the measurement evolution.
 
-    The pointer registers one basis state per distinct eigenvalue, whatever
-    the rank of its projector. The result is
+    The pointer has K + 1 basis states for the K distinct eigenvalues of the
+    observable: the ready state 0 and one per eigenvalue, whatever the rank
+    of its projector. The result is
     ``alpha * sum_k (P_k psi)⊗|k> + beta * psi⊗|0>`` with
     ``|alpha|^2 = p_d`` and ``|beta|^2 = 1 - p_d``; orthogonality of the
     pointer states and completeness of the projectors make the norm exactly 1.
     """
-    if psi.dim != gobs.dim:
-        raise DimensionMismatchError(f"state dim {psi.dim} != observable dim {gobs.dim}")
-    if apparatus.dim_pointer != gobs.base.eigenvalues.size + 1:
-        raise DimensionMismatchError(
-            f"pointer dim {apparatus.dim_pointer} != "
-            f"{gobs.base.eigenvalues.size} eigenvalues + 1")
     alpha, beta = apparatus.branch_amplitudes(detection_probability(gobs, psi))
-    grid = np.zeros((psi.dim, apparatus.dim_pointer), dtype=complex)
+    dim_pointer = gobs.base.eigenvalues.size + 1
+    grid = np.zeros((psi.dim, dim_pointer), dtype=complex)
     grid[:, 0] = beta * psi.amplitudes
-    grid[:, 1:] = alpha * (gobs.base._projector_stack @ psi.amplitudes).T
-    return CompoundState(grid.reshape(-1), psi.dim, apparatus.dim_pointer)
+    grid[:, 1:] = alpha * (gobs.base.projectors @ psi.amplitudes).T
+    return CompoundState(grid.reshape(-1), psi.dim, dim_pointer)
 
 
 def compound_density(cs: CompoundState) -> DensityOperator:

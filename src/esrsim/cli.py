@@ -303,10 +303,10 @@ def cmd_evolve(args) -> int:
     compound, reduced, checks = _coupling_checks(built, mixture)
     norm_defect, deviation = checks.values()
 
-    print(f"scenario {built.digest[:12]}  pointer dim={built.apparatus.dim_pointer}  "
+    print(f"scenario {built.digest[:12]}  pointer dim={compound.dim_pointer}  "
           f"theta={built.apparatus.theta:g} phi={built.apparatus.phi:g}")
     print("compound amplitudes (object index major):")
-    grid = compound.amplitudes.reshape(gobs.dim, built.apparatus.dim_pointer)
+    grid = compound.amplitudes.reshape(gobs.dim, compound.dim_pointer)
     for i in range(gobs.dim):
         row = "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in grid[i])
         print(f"  {row}")

@@ -25,7 +25,6 @@ from .model import (
     GeneralizedObservable,
     PureState,
     _effect_operator,
-    _require_dim,
     clamp_probability,
     detection_probability,
     split_event,
@@ -133,7 +132,6 @@ class MeasurementOperatorFamily:
 
 def measurement_operators(gobs: GeneralizedObservable, psi: PureState) -> MeasurementOperatorFamily:
     """Build the measurement-operator family at the given state."""
-    _require_dim(gobs, psi)
     pd = detection_probability(gobs, psi)
     ops = [np.sqrt(1.0 - pd) * np.eye(gobs.dim, dtype=complex)]
     ops.extend(np.sqrt(pd) * p for p in gobs.base.projectors)

@@ -106,15 +106,6 @@ class PureState:
             raise ValueError("amplitudes must form a nonempty 1-D sequence")
         object.__setattr__(self, "amplitudes", _freeze_unit(v, "state"))
 
-    @classmethod
-    def normalized(cls, amplitudes) -> "PureState":
-        """Normalize ``amplitudes`` and wrap them as a state."""
-        v = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v / norm)
-
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -158,8 +149,8 @@ class QuantumObservable:
     spectral: linalg.SpectralDecomposition
 
     @classmethod
-    def from_matrix(cls, matrix, cluster_tol: float | None = None) -> "QuantumObservable":
-        return cls(linalg.hermitian_eigendecompose(matrix, cluster_tol))
+    def from_matrix(cls, matrix) -> "QuantumObservable":
+        return cls(linalg.hermitian_eigendecompose(matrix))
 
     @property
     def dim(self) -> int:
@@ -170,19 +161,9 @@ class QuantumObservable:
         return self.spectral.eigenvalues
 
     @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
+    def projectors(self) -> np.ndarray:
+        """The spectral projectors as one read-only ``(K, d, d)`` array."""
         return self.spectral.projectors
-
-    def is_nondegenerate(self, tol: float = 1e-6) -> bool:
-        """True iff every spectral projector has rank 1."""
-        return all(abs(float(np.trace(p).real) - 1.0) <= tol for p in self.projectors)
-
-    @cached_property
-    def _projector_stack(self) -> np.ndarray:
-        """The projectors as one read-only ``(K, d, d)`` array, for stacked products."""
-        stack = np.array(self.projectors)
-        stack.flags.writeable = False
-        return stack
 
 
 @dataclass(frozen=True)
@@ -236,8 +217,9 @@ class GeneralizedObservable:
     """Standard observable plus a no-registration outcome and detection model.
 
     The outcome set is the spectrum extended by ``a0``; ``a0`` must stay
-    clear of every eigenvalue by more than both the clustering tolerance and
-    the value-matching window, so that event membership is unambiguous.
+    clear of every eigenvalue by more than both the merge tolerance of
+    :func:`linalg.default_cluster_tol` and the value-matching window, so that
+    event membership is unambiguous.
     """
 
     base: QuantumObservable
@@ -261,9 +243,9 @@ class GeneralizedObservable:
         object.__setattr__(self, "a0", a0)
 
     @classmethod
-    def from_matrix(cls, matrix, detection: DetectionModel, a0: float | None = None,
-                    cluster_tol: float | None = None) -> "GeneralizedObservable":
-        base = QuantumObservable.from_matrix(matrix, cluster_tol)
+    def from_matrix(cls, matrix, detection: DetectionModel,
+                    a0: float | None = None) -> "GeneralizedObservable":
+        base = QuantumObservable.from_matrix(matrix)
         if a0 is None:
             a0 = default_no_registration_outcome(base)
         return cls(base, a0, detection)
@@ -278,9 +260,10 @@ class GeneralizedObservable:
         return np.concatenate(([self.a0], self.base.eigenvalues))
 
     @cached_property
-    def _eigenstates(self) -> tuple[tuple[PureState, float, np.ndarray, np.ndarray] | None, ...]:
+    def _eigenstates(self) -> tuple[tuple[PureState, float, np.ndarray, tuple[float, ...]]
+                                    | None, ...]:
         """Per projector, its Lüders state and that state's ``sampling._weights``
-        ``(state, pd, born, cum)``, arrays read-only; ``None`` for rank > 1.
+        ``(state, pd, born, cum)``, ``born`` read-only; ``None`` for rank > 1.
 
         For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
         ``P v != 0`` is ``e`` up to a global phase, so with the phase fixed it
@@ -298,7 +281,7 @@ class GeneralizedObservable:
             column = p[:, int(np.argmax(np.abs(np.diagonal(p))))]
             state = PureState(fix_phase(column / np.linalg.norm(column)))
             pd, born, cum = _weights(self, state)
-            born.flags.writeable = cum.flags.writeable = False
+            born.flags.writeable = False
             table.append((state, pd, born, cum))
         return tuple(table)
 
@@ -333,10 +316,11 @@ def _match_values(observable: QuantumObservable, values, a0: float | None) -> np
 def _projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
     """``sum_{k in mask} P_k`` for each boolean row of ``masks``, as ``(m, d, d)``, added
     one by one in ascending k: a row gives the same bits alone or in a stack."""
+    stack = observable.projectors
     out = np.zeros((len(masks), observable.dim, observable.dim), dtype=complex)
     for total, mask in zip(out, masks):
         for k in np.flatnonzero(mask):
-            total += observable._projector_stack[k]
+            total += stack[k]
     return out
 
 
@@ -414,13 +398,6 @@ class Effect:
     def dim(self) -> int:
         return self.operator.shape[0]
 
-    def expectation(self, psi: PureState) -> float:
-        """Expectation value in the state, clamped as a probability."""
-        if psi.dim != self.dim:
-            raise DimensionMismatchError(f"state dim {psi.dim} != effect dim {self.dim}")
-        return clamp_probability(
-            float(np.vdot(psi.amplitudes, self.operator @ psi.amplitudes).real))
-
 
 def _effects(gobs: GeneralizedObservable, pd: float, rows: np.ndarray) -> np.ndarray:
     """The effect formula ``pd * P(row) + (1 - pd) * [a0 in row] * I`` for each
@@ -439,7 +416,6 @@ def _effect(gobs: GeneralizedObservable, pd: float, row: np.ndarray) -> np.ndarr
 
 def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
     """Raw effect matrix, bypassing the Effect construction gate."""
-    _require_dim(gobs, psi)
     return _effect(gobs, detection_probability(gobs, psi), split_event(gobs, event))
 
 
@@ -455,7 +431,7 @@ def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
 def _born_weights(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
     """Unnormalized Born weights ``<psi|P_k|psi>``, one per eigenvalue."""
     v = psi.amplitudes
-    return ((gobs.base._projector_stack @ v) @ v.conj()).real
+    return ((gobs.base.projectors @ v) @ v.conj()).real
 
 
 def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> float:
@@ -467,9 +443,8 @@ def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> f
     Like :func:`conditional_probability`, it trusts the spectral
     decomposition; :func:`verify_pov_axioms` measures how far it is off.
     """
-    _require_dim(gobs, psi)
-    row = split_event(gobs, event)
-    return _overall(detection_probability(gobs, psi), _born_weights(gobs, psi), row)
+    pd = detection_probability(gobs, psi)
+    return _overall(pd, _born_weights(gobs, psi), split_event(gobs, event))
 
 
 def _overall(pd: float, weights: np.ndarray, row: np.ndarray) -> float:
@@ -529,10 +504,9 @@ def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
     commutativity of random event pairs. Deviations are reported, never
     raised, so a corrupted observable shows up as numbers.
     """
-    _require_dim(gobs, psi)
+    pd = detection_probability(gobs, psi)
     n = gobs.outcomes.size
     rng = np.random.default_rng(seed)
-    pd = detection_probability(gobs, psi)
     full = _effect(gobs, pd, np.ones(n, dtype=bool))
     normalization = linalg.frobenius(full - np.eye(gobs.dim))
 

@@ -108,8 +108,9 @@ def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarra
     return p / p.sum()
 
 
-def _cumulative(born: np.ndarray) -> np.ndarray:
-    """Cumulative Born weights, 1.0 from the last bin with positive weight on.
+def _cumulative(born: np.ndarray) -> tuple[float, ...]:
+    """Cumulative Born weights, 1.0 from the last bin with positive weight on,
+    as plain floats for ``bisect_right``.
 
     A right-side search of any u in [0, 1) then lands on a bin with positive
     weight: a zero-weight bin ties with the bin before it, and the cumsum
@@ -120,7 +121,7 @@ def _cumulative(born: np.ndarray) -> np.ndarray:
     while born[last] <= 0.0:
         last -= 1
     cum[last:] = 1.0
-    return cum
+    return tuple(cum.tolist())
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -141,7 +142,7 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 def _weights(gobs: GeneralizedObservable,
-             psi: PureState) -> tuple[float, np.ndarray, np.ndarray]:
+             psi: PureState) -> tuple[float, np.ndarray, tuple[float, ...]]:
     """(detection probability, Born weights, their cumulative sums) of one state."""
     born = born_probabilities(gobs, psi)
     return detection_probability(gobs, psi), born, _cumulative(born)
@@ -178,7 +179,7 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
         outcome, probability = gobs.a0, 1.0 - pd
         if detected:
             # the comparisons of np.searchsorted(cum, u1, side="right")
-            k = bisect_right(cum.tolist(), u1)
+            k = bisect_right(cum, u1)
             outcome, probability = float(gobs.base.eigenvalues[k]), pd * float(born[k])
             entry = gobs._eigenstates[k]
             if entry is not None:
@@ -252,8 +253,8 @@ class RunReport:
         }
 
 
-def _bin_counts(x: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """``bincount(searchsorted(cum, x, side="right"), minlength=cum.size + 1)``.
+def _bin_counts(x: np.ndarray, cum: tuple[float, ...]) -> np.ndarray:
+    """``bincount(searchsorted(cum, x, side="right"), minlength=len(cum) + 1)``.
 
     Counted from the sorted draws instead: ``#{x < cum[k]}`` is the number of
     draws whose right-side index is at most ``k``, ties in ``cum`` and draws

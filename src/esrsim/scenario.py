@@ -51,7 +51,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
 )
-from .linalg import _cluster, default_cluster_tol, frobenius
+from .linalg import _cluster, frobenius
 from .model import (
     ConstantDetection,
     DetectionModel,
@@ -377,9 +377,7 @@ def _build_observable(sc: Scenario) -> QuantumObservable:
         if not defect <= ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvectors are not orthonormal (defect {defect:.3e})")
         order = np.argsort(values, kind="stable")
-        ordered = values[order]
-        return QuantumObservable(_cluster(ordered, vectors[order].T,
-                                          default_cluster_tol(ordered)))
+        return QuantumObservable(_cluster(values[order], vectors[order].T))
 
     return _build("observable", spectral)
 
@@ -418,7 +416,7 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     return BuiltScenario(
         gobs=gobs,
         psi=psi,
-        apparatus=_build("apparatus", ApparatusModel.for_observable, gobs, sc.theta, sc.phi),
+        apparatus=_build("apparatus", ApparatusModel, sc.theta, sc.phi),
         experiment=sc.experiment,
         events=tuple(events),
         digest=scenario_digest(sc),

@@ -124,6 +124,14 @@ def partial_trace_second(m: np.ndarray, dim_first: int, dim_second: int) -> np.n
     return np.einsum("iaja->ij", m.reshape(dim_first, dim_second, dim_first, dim_second))
 
 
+def reconstruct(sd: SpectralDecomposition) -> np.ndarray:
+    """``sum(a_k * P_k)``, the matrix a decomposition stands for."""
+    out = np.zeros((sd.dim, sd.dim), dtype=complex)
+    for a, p in zip(sd.eigenvalues, sd.projectors):
+        out += a * p
+    return out
+
+
 def spectral_defects(sd: SpectralDecomposition, source: np.ndarray | None = None) -> dict[str, float]:
     """Frobenius-norm defects of a decomposition's numerical invariants.
 
@@ -140,7 +148,7 @@ def spectral_defects(sd: SpectralDecomposition, source: np.ndarray | None = None
                               for q in sd.projectors[i + 1:]), default=0.0),
     }
     if source is not None:
-        out["reconstruction"] = norm(sd.reconstruct() - source)
+        out["reconstruction"] = norm(reconstruct(sd) - source)
     return {name: float(value) for name, value in out.items()}
 
 

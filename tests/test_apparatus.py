@@ -12,7 +12,6 @@ from esrsim import (
     ApparatusModel,
     CompoundState,
     ConstantDetection,
-    DimensionMismatchError,
     ExpectationDetection,
     GeneralizedObservable,
     PureState,
@@ -74,7 +73,7 @@ def compound_oracle(gobs, psi, theta, phi) -> np.ndarray:
 class TestCoupleAndEvolve:
     def test_full_detection_is_entangled_premeasurement(self):
         gobs, psi = sigma_z_scenario(1.0, a0=0.0)
-        cs = couple_and_evolve(gobs, psi, ApparatusModel.for_observable(gobs))
+        cs = couple_and_evolve(gobs, psi, ApparatusModel())
         grid = cs.amplitudes.reshape(2, 3)
         np.testing.assert_allclose(grid[:, 0], 0.0, atol=1e-15)  # no ready branch
         # each pointer column carries the matching projected component
@@ -83,14 +82,14 @@ class TestCoupleAndEvolve:
 
     def test_no_detection_leaves_product_state(self):
         gobs, psi = sigma_z_scenario(0.0, a0=0.0)
-        cs = couple_and_evolve(gobs, psi, ApparatusModel.for_observable(gobs))
+        cs = couple_and_evolve(gobs, psi, ApparatusModel())
         grid = cs.amplitudes.reshape(2, 3)
         np.testing.assert_allclose(grid[:, 0], psi.amplitudes, atol=1e-15)
         np.testing.assert_allclose(grid[:, 1:], 0.0, atol=1e-15)
 
     def test_half_detection_frozen_expansion(self):
         gobs, psi = sigma_z_scenario(0.5, a0=0.0)
-        cs = couple_and_evolve(gobs, psi, ApparatusModel.for_observable(gobs))
+        cs = couple_and_evolve(gobs, psi, ApparatusModel())
         grid = cs.amplitudes.reshape(2, 3)
         s = np.sqrt(0.5)
         # ready column sqrt(0.5) psi; eigenvalue columns sqrt(0.5) P_k psi
@@ -109,21 +108,16 @@ class TestCoupleAndEvolve:
         # spectral scenario whose eigenvalues 0.5 and 0.5 + 1e-12 merge into one
         text = spectral_scenario_text([0.5, 2.0, 0.5 + 1e-12], random_unitary(rng, 3))
         cases.append((build_scenario(parse_scenario(text)).gobs, random_state(rng, 3)))
-        degenerate = [gobs for gobs, _ in cases if not gobs.base.is_nondegenerate()]
+        degenerate = [gobs for gobs, _ in cases if gobs.base.eigenvalues.size < gobs.dim]
         assert len(degenerate) >= 10 and cases[-1][0] in degenerate
         for gobs, psi in cases:
             theta, phi = rng.uniform(0, 2 * np.pi, size=2)
-            app = ApparatusModel.for_observable(gobs, theta, phi)
+            app = ApparatusModel(theta, phi)
             cs = couple_and_evolve(gobs, psi, app)
             assert abs(np.linalg.norm(cs.amplitudes) - 1.0) <= 1e-12
             reduced = reduced_object_state(cs).matrix
             mixture = nonselective_state(measurement_operators(gobs, psi)).matrix
             assert np.linalg.norm(reduced - mixture) <= 1e-10
-
-    def test_rejects_wrong_pointer_dimension(self):
-        gobs, psi = sigma_z_scenario(0.5)
-        with pytest.raises(DimensionMismatchError):
-            couple_and_evolve(gobs, psi, ApparatusModel(dim_pointer=4))
 
     def test_norm_preserved_for_all_detection_levels(self):
         rng = np.random.default_rng(157)
@@ -132,8 +126,7 @@ class TestCoupleAndEvolve:
             pd = float(rng.uniform(0.0, 1.0))
             gobs = random_generalized(rng, dim, detection=ConstantDetection(pd))
             psi = random_state(rng, dim)
-            app = ApparatusModel.for_observable(gobs, theta=rng.uniform(0, np.pi),
-                                                phi=rng.uniform(0, np.pi))
+            app = ApparatusModel(theta=rng.uniform(0, np.pi), phi=rng.uniform(0, np.pi))
             cs = couple_and_evolve(gobs, psi, app)
             assert abs(np.linalg.norm(cs.amplitudes) - 1.0) < 1e-12
 
@@ -141,14 +134,14 @@ class TestCoupleAndEvolve:
 class TestCompoundDensity:
     def test_purity_and_trace(self):
         gobs, psi = sigma_z_scenario(0.5, a0=0.0)
-        w = compound_density(couple_and_evolve(gobs, psi, ApparatusModel.for_observable(gobs)))
+        w = compound_density(couple_and_evolve(gobs, psi, ApparatusModel()))
         assert abs(w.purity() - 1.0) < 1e-12
         assert abs(np.trace(w.matrix).real - 1.0) < 1e-12
 
     def test_four_block_assembly(self):
         gobs, psi = sigma_z_scenario(0.5, a0=0.0)
         for theta, phi in [(0.0, 0.0), (np.pi / 3.0, 1.7)]:
-            app = ApparatusModel.for_observable(gobs, theta, phi)
+            app = ApparatusModel(theta, phi)
             w = compound_density(couple_and_evolve(gobs, psi, app))
             np.testing.assert_allclose(w.matrix, compound_oracle(gobs, psi, theta, phi),
                                        atol=1e-12)
@@ -160,7 +153,7 @@ class TestCompoundDensity:
             gobs = random_generalized(rng, dim)
             psi = random_state(rng, dim)
             theta, phi = rng.uniform(0, 2 * np.pi, size=2)
-            app = ApparatusModel.for_observable(gobs, theta, phi)
+            app = ApparatusModel(theta, phi)
             w = compound_density(couple_and_evolve(gobs, psi, app))
             np.testing.assert_allclose(w.matrix, compound_oracle(gobs, psi, theta, phi),
                                        atol=1e-12)
@@ -173,7 +166,7 @@ class TestReducedObjectState:
             dim = int(rng.integers(2, 7))
             gobs = random_generalized(rng, dim)
             psi = random_state(rng, dim)
-            cs = couple_and_evolve(gobs, psi, ApparatusModel.for_observable(gobs))
+            cs = couple_and_evolve(gobs, psi, ApparatusModel())
             reduced = reduced_object_state(cs).matrix
             mixture = nonselective_state(measurement_operators(gobs, psi)).matrix
             assert np.linalg.norm(reduced - mixture) <= 1e-10
@@ -186,9 +179,9 @@ class TestReducedObjectState:
             gobs = random_generalized(rng, 32, degenerate=True)
             cases.append((gobs, random_state(rng, 32)))
         for gobs, psi in cases:
-            app = ApparatusModel.for_observable(gobs, *rng.uniform(0.0, 3.0, size=2))
+            app = ApparatusModel(*rng.uniform(0.0, 3.0, size=2))
             cs = couple_and_evolve(gobs, psi, app)
-            dense = partial_trace_second(compound_density(cs).matrix, gobs.dim, app.dim_pointer)
+            dense = partial_trace_second(compound_density(cs).matrix, gobs.dim, cs.dim_pointer)
             assert np.max(np.abs(reduced_object_state(cs).matrix - dense)) <= 1e-15
 
     def test_phase_independence(self):
@@ -196,7 +189,7 @@ class TestReducedObjectState:
         reference = None
         for theta in PHASES[:3]:
             for phi in PHASES[:3]:
-                app = ApparatusModel.for_observable(gobs, theta, phi)
+                app = ApparatusModel(theta, phi)
                 reduced = reduced_object_state(couple_and_evolve(gobs, psi, app)).matrix
                 if reference is None:
                     reference = reduced
@@ -207,7 +200,7 @@ class TestReducedObjectState:
         rng = np.random.default_rng(173)
         gobs = random_generalized(rng, 4, detection=ConstantDetection(1.0))
         psi = random_state(rng, 4)
-        cs = couple_and_evolve(gobs, psi, ApparatusModel.for_observable(gobs))
+        cs = couple_and_evolve(gobs, psi, ApparatusModel())
         reduced = reduced_object_state(cs).matrix
         expected = np.zeros_like(reduced)
         w = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -223,7 +216,7 @@ class TestNonlinearity:
         detection = ExpectationDetection(np.diag([0.1, 0.9]))
         base = QuantumObservable.from_matrix(np.diag([1.0, -1.0]))
         gobs = GeneralizedObservable(base, 0.0, detection)
-        app = ApparatusModel.for_observable(gobs)
+        app = ApparatusModel()
         psi1 = PureState(np.array([1.0, 0.0]))
         psi2 = PureState(np.array([0.0, 1.0]))
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -242,4 +235,4 @@ class TestValidation:
     @pytest.mark.parametrize("theta, phi", [(np.nan, 0.0), (0.0, np.inf)])
     def test_apparatus_rejects_non_finite_phases(self, theta, phi):
         with pytest.raises(ValueError, match="finite"):
-            ApparatusModel(3, theta, phi)
+            ApparatusModel(theta, phi)

@@ -198,7 +198,7 @@ def test_event_checks_match_reference(kind):
     compared on ``verify_pov_axioms`` in test_model)."""
     for gobs, psi in verify_cases(kind):
         built = SimpleNamespace(gobs=gobs, psi=psi,
-                                apparatus=ApparatusModel.for_observable(gobs))
+                                apparatus=ApparatusModel())
         checks, errors = cli.verification_checks(built)
         reference = reference_event_checks(gobs, psi, cli.PARTITION_TRIALS, cli.VERIFY_SEED)
         assert errors == {}

@@ -3,7 +3,7 @@ test, plus the partial-trace oracle that the apparatus tests use.
 
 Oracles are independent of the implementation: the partial trace is checked
 against explicit index loops, and decompositions against the defining
-relations (P m = a P, reconstruction) and ``helpers.spectral_defects``.
+relations (P m = a P, ``helpers.reconstruct``) and ``helpers.spectral_defects``.
 """
 
 import numpy as np
@@ -11,9 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esrsim import NotHermitianError, NotSquareError, hermitian_eigendecompose
+from esrsim import (
+    DimensionMismatchError,
+    NotHermitianError,
+    NotSquareError,
+    SpectralDecomposition,
+    hermitian_eigendecompose,
+)
 from esrsim.linalg import _shifted_cholesky_exists
-from helpers import partial_trace_second, random_hermitian, spectral_defects
+from helpers import partial_trace_second, random_hermitian, reconstruct, spectral_defects
 
 
 def ptrace2_oracle(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -32,13 +38,13 @@ def random_complex(rng, shape):
 
 class TestEigendecompose:
     def test_identity(self):
-        sd = hermitian_eigendecompose(np.diag([1.0, 1.0]), cluster_tol=1e-9)
+        sd = hermitian_eigendecompose(np.diag([1.0, 1.0]))
         np.testing.assert_allclose(sd.eigenvalues, [1.0])
         np.testing.assert_allclose(sd.projectors[0], np.eye(2), atol=1e-12)
 
     def test_diagonal_sign_pair(self):
         m = np.diag([-1.0, 1.0])
-        sd = hermitian_eigendecompose(m, cluster_tol=1e-9)
+        sd = hermitian_eigendecompose(m)
         np.testing.assert_allclose(sd.eigenvalues, [-1.0, 1.0])
         # defining relation P m = a P, checked entrywise
         for a, p in zip(sd.eigenvalues, sd.projectors):
@@ -48,28 +54,29 @@ class TestEigendecompose:
 
     def test_pauli_x(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sd = hermitian_eigendecompose(m, cluster_tol=1e-9)
+        sd = hermitian_eigendecompose(m)
         np.testing.assert_allclose(sd.eigenvalues, [-1.0, 1.0], atol=1e-12)
         for p in sd.projectors:
             assert abs(np.trace(p).real - 1.0) < 1e-12  # rank 1
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
-        np.testing.assert_allclose(sd.reconstruct(), m, atol=1e-10)
+        np.testing.assert_allclose(reconstruct(sd), m, atol=1e-10)
 
     def test_clustering_merges_near_degenerate(self):
         m = np.diag([1.0, 1.0 + 1e-12, 2.0])
-        sd = hermitian_eigendecompose(m, cluster_tol=1e-9)
+        sd = hermitian_eigendecompose(m)
         assert sd.eigenvalues.size == 2
         assert abs(np.trace(sd.projectors[0]).real - 2.0) < 1e-12
         assert abs(sd.eigenvalues[0] - (1.0 + 5e-13)) < 1e-12
 
-    @pytest.mark.parametrize("values, cluster_tol", [
-        # 200 values 6e-9 apart span 1.2e-6, 120 times the default 1e-8 tolerance
-        (np.r_[np.arange(200) * 6e-9, 1.0], None),
-        ([1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 2.0], 1e-9),
+    @pytest.mark.parametrize("values", [
+        # 200 values 6e-9 apart span 1.2e-6, 120 times the 1e-8 tolerance
+        np.r_[np.arange(200) * 6e-9, 1.0],
+        # three values, each 0.6 tolerances from the next, span 1.2 tolerances
+        [1.0, 1.0 + 6e-9, 1.0 + 1.2e-8, 2.0],
     ])
-    def test_clustering_refuses_chained_neighbours(self, values, cluster_tol):
+    def test_clustering_refuses_chained_neighbours(self, values):
         with pytest.raises(ValueError, match="chain over a width of"):
-            hermitian_eigendecompose(np.diag(values), cluster_tol=cluster_tol)
+            hermitian_eigendecompose(np.diag(values))
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_invariants_random(self, dim):
@@ -91,6 +98,18 @@ class TestEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
             hermitian_eigendecompose(np.zeros((2, 3)))
+
+
+class TestSpectralDecomposition:
+    @pytest.mark.parametrize("projectors, error, message", [
+        ([np.eye(2), np.eye(3)], DimensionMismatchError, "share one dimension"),
+        (np.zeros((2, 2, 3)), NotSquareError, "not square"),
+        ([np.eye(2), np.full((2, 2), np.inf)], ValueError, "finite"),
+        ([np.eye(2)], ValueError, "one projector per eigenvalue"),
+    ])
+    def test_rejects_malformed_projectors(self, projectors, error, message):
+        with pytest.raises(error, match=message):
+            SpectralDecomposition(np.array([0.0, 1.0]), projectors)
 
 
 class TestPartialTrace:

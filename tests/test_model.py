@@ -5,10 +5,14 @@ Derived expectations are frozen from independent arithmetic (outer products,
 explicit effect assembly) rather than from the code under test.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+import esrsim
 from esrsim import (
+    ApparatusModel,
     ConstantDetection,
     DensityOperator,
     DimensionMismatchError,
@@ -21,6 +25,7 @@ from esrsim import (
     ProbabilityRangeError,
     PureState,
     QuantumObservable,
+    RngSpec,
     SpectralDecomposition,
     complement_event,
     conditional_probability,
@@ -60,10 +65,6 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
             PureState(np.array([1.0, 1.0]))
-
-    def test_normalized_constructor(self):
-        psi = PureState.normalized([3.0, 4.0])
-        np.testing.assert_allclose(psi.amplitudes, [0.6, 0.8])
 
     def test_amplitudes_frozen(self):
         psi = PureState(np.array([1.0, 0.0]))
@@ -167,11 +168,6 @@ class TestDetectionProbability:
             p = detection_probability(gobs, random_state(rng, 3))
             assert 0.2 - 1e-12 <= p <= 0.9 + 1e-12
 
-    def test_dimension_mismatch(self):
-        gobs, _ = sigma_z_scenario()
-        with pytest.raises(DimensionMismatchError):
-            detection_probability(gobs, PureState(np.array([1.0, 0.0, 0.0])))
-
     def test_constant_validation(self):
         with pytest.raises(ValueError):
             ConstantDetection(1.5)
@@ -189,6 +185,29 @@ class TestDetectionProbability:
         else:
             with pytest.raises(ValueError, match="operator spectrum"):
                 ExpectationDetection(b)
+
+
+# Every exported function taking (gobs, psi, ...), and a valid value for each
+# further parameter without a default.
+GOBS_PSI_ENTRY_POINTS = [
+    name for name in esrsim.__all__ if inspect.isfunction(getattr(esrsim, name))
+    and list(inspect.signature(getattr(esrsim, name)).parameters)[:2] == ["gobs", "psi"]]
+ENTRY_POINT_ARGUMENTS = {"event": (1.0,), "apparatus": ApparatusModel(), "rng": RngSpec(seed=1),
+                         "length": 3, "trials": 10}
+
+
+@pytest.mark.parametrize("detection", [ConstantDetection(0.8),
+                                       ExpectationDetection(np.diag([0.3, 0.9]))],
+                         ids=["constant", "expectation"])
+@pytest.mark.parametrize("name", GOBS_PSI_ENTRY_POINTS)
+def test_wrong_dimension_state_is_named(name, detection):
+    entry = getattr(esrsim, name)
+    gobs = GeneralizedObservable.from_matrix(np.diag([1.0, -1.0]), detection, a0=0.0)
+    psi = PureState(np.ones(3) / np.sqrt(3.0))
+    params = list(inspect.signature(entry).parameters.values())[2:]
+    args = [ENTRY_POINT_ARGUMENTS[p.name] for p in params if p.default is p.empty]
+    with pytest.raises(DimensionMismatchError):
+        entry(gobs, psi, *args)
 
 
 class TestConditionalProbability:
@@ -553,7 +572,8 @@ class TestEffectGateCertificate:
             for _ in range(8):
                 event = random_event(rng, gobs)
                 weights = overall_probability(gobs, psi, event)
-                gated = Effect(_effect_operator(gobs, psi, event)).expectation(psi)
+                t = Effect(_effect_operator(gobs, psi, event)).operator
+                gated = clamp_probability(float(np.vdot(psi.amplitudes, t @ psi.amplitudes).real))
                 assert abs(weights - gated) <= 1e-15
                 assert abs(weights - overall_probability_density(gobs, psi, event)) <= 1e-15
 

@@ -1,7 +1,9 @@
-"""Package surface: what ``from esrsim import *`` exports, and that the
-library itself uses each export."""
+"""Package surface: what ``from esrsim import *`` exports, that the library
+itself uses each export and each public member of an exported class, and
+that README's quick start runs."""
 
 import ast
+import dataclasses
 import pathlib
 import re
 import types
@@ -12,6 +14,8 @@ import esrsim
 # library code refers to them.
 PAPER_LEVEL = ("compound_density", "overall_probability_density", "post_measurement_density",
                "post_measurement_state_no", "pv_projector")
+# Public members of exported classes that the demos call and no library code does.
+DEMO_LEVEL = ("DensityOperator.purity",)
 
 # A docstring's reference to a name: a Sphinx role or a double-backquoted literal.
 DOC_REFERENCE = re.compile(r":\w+:`~?(?:\w+\.)*(\w+)`|``(?:\w+\.)*(\w+)(?:\(\))?``")
@@ -44,12 +48,40 @@ def test_star_import_exports_no_modules():
     assert [k for k, v in exported.items() if isinstance(v, types.ModuleType)] == []
 
 
-def test_every_export_is_used_by_the_library():
-    # an export that only tests call belongs in the tests
+def library_references() -> set[str]:
+    """Names the package's modules, ``__init__`` aside, refer to."""
     package = pathlib.Path(esrsim.__file__).parent
     used = set()
     for path in package.glob("*.py"):
         if path.name != "__init__.py":
             used |= referenced_names(path.read_text())
+    return used
+
+
+def test_every_export_is_used_by_the_library():
+    # an export that only tests call belongs in the tests
     assert set(PAPER_LEVEL) <= set(esrsim.__all__)
-    assert sorted(set(esrsim.__all__) - used - set(PAPER_LEVEL)) == []
+    assert sorted(set(esrsim.__all__) - library_references() - set(PAPER_LEVEL)) == []
+
+
+def test_readme_quick_start_runs():
+    # a public-API change that breaks the README's example fails here
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_every_public_member_is_used_by_the_library():
+    # a method or property that only tests call belongs in the tests; dataclass
+    # fields are data, not code, and are not counted
+    members = set()
+    for name in esrsim.__all__:
+        cls = getattr(esrsim, name)
+        if isinstance(cls, type):
+            fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+            members |= {f"{name}.{attr}" for attr in vars(cls)
+                        if not attr.startswith("_") and attr not in {f.name for f in fields}}
+    assert set(DEMO_LEVEL) <= members
+    used = library_references()
+    assert sorted(m for m in members - set(DEMO_LEVEL) if m.split(".")[1] not in used) == []

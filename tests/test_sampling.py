@@ -184,7 +184,7 @@ class TestRngSpec:
 
 def bincount_bins(x, cum):
     """The bins as one binary search per draw: side="right" index, past-the-top last."""
-    return np.bincount(np.searchsorted(cum, x, side="right"), minlength=cum.size + 1)
+    return np.bincount(np.searchsorted(cum, x, side="right"), minlength=len(cum) + 1)
 
 
 # Born weights and detected draws that tie with, or sit next to, a bin edge.
@@ -236,7 +236,7 @@ class TestBinCounts:
             x = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0),
                                 rng.random(5000)))
             x = x[x < 1.0]
-            bins = np.array([bisect_right(cum.tolist(), u) for u in x])
+            bins = np.array([bisect_right(cum, u) for u in x])
             np.testing.assert_array_equal(bins, np.searchsorted(cum, x, side="right"))
             assert np.all(born[bins] > 0.0)
             assert sampling._bin_counts(x.copy(), cum)[-1] == 0
@@ -308,8 +308,8 @@ class TestPredictedProbabilities:
     def test_projector_stack_is_read_only(self):
         rng = np.random.default_rng(191)
         base = random_generalized(rng, 4, degenerate=True).base
-        stack = base._projector_stack
-        np.testing.assert_array_equal(stack, np.array(base.projectors))
+        stack = base.projectors
+        assert stack.shape == (base.eigenvalues.size, 4, 4)
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 0.0
 
@@ -322,18 +322,12 @@ class TestDimensionMismatch:
         psi = PureState(np.ones(3) / np.sqrt(3.0))
         gen = RngSpec(seed=1).generator()
         before = philox_state(gen)
-        calls = [
-            lambda: born_probabilities(gobs, psi),
-            lambda: sample_measurement(gobs, psi, RngSpec(seed=1)),
-            lambda: sample_measurement(gobs, psi, gen),
-            lambda: sample_sequence(gobs, psi, 3, RngSpec(seed=1)),
-            lambda: sample_sequence(gobs, psi, 3, gen),
-            lambda: run_experiment(gobs, psi, 10, RngSpec(seed=1)),
-        ]
-        for call in calls:
+        # test_model's entry-point test covers RngSpec draws; a live generator
+        # must also be left where it was
+        for call in (lambda: sample_measurement(gobs, psi, gen),
+                     lambda: sample_sequence(gobs, psi, 3, gen)):
             with pytest.raises(DimensionMismatchError):
                 call()
-        # the state is checked before a live generator draws a uniform
         assert philox_state(gen) == before
 
 
@@ -390,8 +384,8 @@ class TestEigenstateTable:
             pd, born, cum = sampling._weights(gobs, state)
             assert np.float64(weights[0]).tobytes() == np.float64(pd).tobytes()
             assert weights[1].tobytes() == born.tobytes()
-            assert weights[2].tobytes() == cum.tobytes()
-            assert not weights[1].flags.writeable and not weights[2].flags.writeable
+            assert weights[2] == cum and isinstance(weights[2], tuple)
+            assert not weights[1].flags.writeable
 
     def test_weights_are_built_on_the_first_detected_draw(self):
         rng = np.random.default_rng(907)

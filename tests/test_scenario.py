@@ -14,7 +14,7 @@ from esrsim import (
     serialize_scenario,
 )
 from esrsim import scenario
-from helpers import random_unitary, spectral_scenario_text
+from helpers import random_unitary, reconstruct, spectral_scenario_text
 
 MINIMAL = """\
 esrsim scenario v1
@@ -191,7 +191,7 @@ class TestBuild:
     def test_spectral_build_matches_dense(self):
         # the spectral fixture encodes the Pauli-x matrix
         built = build_scenario(parse_scenario(SPECTRAL))
-        np.testing.assert_allclose(built.gobs.base.spectral.reconstruct(),
+        np.testing.assert_allclose(reconstruct(built.gobs.base.spectral),
                                    [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_a0_clash_is_named(self):
