@@ -29,10 +29,7 @@ from .errors import (
     ScenarioValidationError,
     ZeroProbabilityBranchError,
 )
-from .linalg import (
-    SpectralDecomposition,
-    hermitian_eigendecompose,
-)
+from .linalg import hermitian_eigendecompose
 from .measurement import (
     MeasurementOperatorFamily,
     MeasurementOutcomeRecord,
@@ -57,7 +54,6 @@ from .model import (
     PureState,
     QuantumObservable,
     as_event,
-    canonical_outcome,
     conditional_probability,
     default_no_registration_outcome,
     detection_probability,
@@ -99,7 +95,7 @@ __all__ = [
     "ProbabilityRangeError", "ScenarioParseError", "ScenarioValidationError",
     "ZeroProbabilityBranchError",
     # linalg
-    "SpectralDecomposition", "hermitian_eigendecompose",
+    "hermitian_eigendecompose",
     # measurement
     "MeasurementOperatorFamily", "MeasurementOutcomeRecord", "complement_event",
     "fix_phase", "measurement_operators", "nonselective_state", "outcome_probability",
@@ -108,7 +104,7 @@ __all__ = [
     # model
     "ConstantDetection", "DensityOperator", "DetectionModel", "Effect",
     "ExpectationDetection", "GeneralizedObservable", "PovAxiomReport",
-    "PureState", "QuantumObservable", "as_event", "canonical_outcome",
+    "PureState", "QuantumObservable", "as_event",
     "conditional_probability", "default_no_registration_outcome",
     "detection_probability", "effect", "overall_probability",
     "overall_probability_density", "pv_projector", "split_event", "to_density",

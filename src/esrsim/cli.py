@@ -44,7 +44,6 @@ from .model import (
     _overall,
     _trace_probability,
     detection_probability,
-    overall_probability,
     to_density,
     verify_pov_axioms,
 )
@@ -225,8 +224,8 @@ def _base_record(mode: str, built: BuiltScenario) -> dict:
     }
 
 
-def _event_label(gobs, event) -> str:
-    names = ["a0" if v == gobs.a0 else repr(float(v)) for v in sorted(event)]
+def _event_label(gobs, row) -> str:
+    names = ["a0" if v == gobs.a0 else repr(v) for v in sorted(gobs.outcomes[row].tolist())]
     return "{" + ", ".join(names) + "}"
 
 
@@ -276,9 +275,8 @@ def cmd_sample(args) -> int:
         print(f"{label:>12} {int(report.counts[i]):>10} "
               f"{report.frequencies[i]:>11.5f} {report.predicted[i]:>11.5f} {sigma_text}")
 
-    event_probs = {}
-    for event in built.events:
-        event_probs[_event_label(gobs, event)] = overall_probability(gobs, built.psi, event)
+    pd, weights = detection_probability(gobs, built.psi), _born_weights(gobs, built.psi)
+    event_probs = {_event_label(gobs, row): _overall(pd, weights, row) for row in built.events}
     if event_probs:
         print("event probabilities:")
         for label, p in event_probs.items():

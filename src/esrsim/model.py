@@ -1,9 +1,10 @@
 """Domain model for detection-conditioned measurements.
 
-A standard observable is kept in spectral form (distinct eigenvalues plus
-orthogonal projectors). A generalized observable adds a no-registration
-outcome ``a0``, reported when the measured object escapes detection, and a
-detection model giving the per-state probability of being detected at all.
+A standard observable is its spectral decomposition: ascending distinct
+eigenvalues and one ``(K, d, d)`` stack of orthogonal projectors. A generalized
+observable adds a no-registration outcome ``a0``, reported when the measured
+object escapes detection, and a detection model giving the per-state
+probability of being detected at all.
 That probability is event-independent, which makes the construction consistent.
 
 Outcome events are finite sets of outcome values (the finite-dimensional
@@ -33,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     EventContainsNoRegistrationError,
     NotNormalizedError,
+    NotSquareError,
     ProbabilityRangeError,
 )
 
@@ -67,12 +69,14 @@ def _match_atol(value: float) -> float:
 
 
 def _nearest_index(sorted_values: np.ndarray, value: float) -> int | None:
-    """Index of the entry matching ``value`` within tolerance, else None."""
+    """Index of the entry nearest ``value`` within the match window or the
+    merge tolerance of ``sorted_values``, else None."""
     i = int(np.searchsorted(sorted_values, value))
     dist = {k: abs(float(sorted_values[k]) - value) for k in (i - 1, i)
             if 0 <= k < sorted_values.size}
     best = min(dist, key=dist.get)  # the lower neighbour on a tie
-    return best if dist[best] <= _match_atol(value) else None
+    window = max(_match_atol(value), linalg.default_cluster_tol(sorted_values))
+    return best if dist[best] <= window else None
 
 
 def _freeze_unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -133,10 +137,6 @@ class DensityOperator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def purity(self) -> float:
         """Trace of the squared operator; 1 exactly for pure states."""
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -144,26 +144,52 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class QuantumObservable:
-    """Hermitian operator in spectral form."""
+    """Hermitian operator in spectral form: its distinct eigenvalues in ascending
+    order and their spectral projectors, stored once as one read-only
+    ``(K, d, d)`` array.
 
-    spectral: linalg.SpectralDecomposition
+    The projectors of a well-formed observable are Hermitian, idempotent and
+    mutually orthogonal, sum to the identity, and ``sum(a_k * P_k)`` recovers
+    the operator. Construction checks structure only: projectors of unequal
+    shapes raise DimensionMismatchError, non-square ones NotSquareError, and
+    non-finite entries, a count other than one per eigenvalue or eigenvalues
+    that are not strictly increasing ValueError. Observables built by
+    :meth:`from_matrix` meet the numerical invariants to ~1e-10, while
+    hand-built projectors are the caller's responsibility.
+    """
+
+    eigenvalues: np.ndarray
+    projectors: np.ndarray
+
+    def __post_init__(self):
+        eigs = np.array(self.eigenvalues, dtype=float)
+        if eigs.ndim != 1 or eigs.size == 0:
+            raise ValueError("eigenvalues must form a nonempty 1-D sequence")
+        if not np.all(np.isfinite(eigs)):
+            raise ValueError("eigenvalues must be finite")
+        if np.any(np.diff(eigs) <= 0):
+            raise ValueError("eigenvalues must be strictly increasing")
+        if len({np.shape(p) for p in self.projectors}) > 1:
+            raise DimensionMismatchError("projectors must share one dimension")
+        projs = np.array(self.projectors, dtype=complex)
+        if len(projs) != eigs.size:
+            raise ValueError("need exactly one projector per eigenvalue")
+        if projs.ndim != 3 or projs.shape[1] != projs.shape[2]:
+            raise NotSquareError(f"projectors of shape {projs.shape[1:]} are not square")
+        if not np.all(np.isfinite(projs)):
+            raise ValueError("matrix entries must be finite")
+        eigs.flags.writeable = False
+        projs.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "projectors", projs)
 
     @classmethod
     def from_matrix(cls, matrix) -> "QuantumObservable":
-        return cls(linalg.hermitian_eigendecompose(matrix))
+        return cls(*linalg.hermitian_eigendecompose(matrix))
 
     @property
     def dim(self) -> int:
-        return self.spectral.dim
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectral.eigenvalues
-
-    @property
-    def projectors(self) -> np.ndarray:
-        """The spectral projectors as one read-only ``(K, d, d)`` array."""
-        return self.spectral.projectors
+        return self.projectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -286,16 +312,12 @@ class GeneralizedObservable:
         return tuple(table)
 
 
-def canonical_outcome(gobs: GeneralizedObservable, value: float) -> float | None:
-    """The outcome of ``gobs`` matching ``value`` within tolerance, else None."""
-    matched = gobs.outcomes[split_event(gobs, (value,))]
-    return float(matched[0]) if matched.size else None
-
-
 def split_event(gobs: GeneralizedObservable, event) -> np.ndarray:
     """Resolve an event to a boolean row aligned with ``gobs.outcomes``: entry 0
-    for a0, entry ``k + 1`` for the k-th eigenvalue. Values matching no outcome
-    of the observable contribute nothing."""
+    for a0, entry ``k + 1`` for the k-th eigenvalue. A value matches a0 within
+    the match window, else the nearest eigenvalue within that window or the
+    merge tolerance (so a merged eigenvalue matches each value merged into it);
+    values matching no outcome contribute nothing."""
     return _match_values(gobs.base, as_event(event), gobs.a0)
 
 
@@ -333,9 +355,9 @@ def pv_projector(observable: QuantumObservable, event) -> np.ndarray:
     return _projector_sums(observable, row[None, 1:])[0]
 
 
-def clamp_probability(value: float, tol: float = PROBABILITY_TOL) -> float:
+def clamp_probability(value: float) -> float:
     """Clamp roundoff overshoot into [0, 1]; larger excursions are errors."""
-    if value < -tol or value > 1.0 + tol:
+    if value < -PROBABILITY_TOL or value > 1.0 + PROBABILITY_TOL:
         raise ProbabilityRangeError(f"probability {value!r} outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
 
@@ -393,10 +415,6 @@ class Effect:
         _require_unit_spectrum(op, OPERATOR_GATE_TOL, "effect")
         op.flags.writeable = False
         object.__setattr__(self, "operator", op)
-
-    @property
-    def dim(self) -> int:
-        return self.operator.shape[0]
 
 
 def _effects(gobs: GeneralizedObservable, pd: float, rows: np.ndarray) -> np.ndarray:

@@ -59,8 +59,8 @@ from .model import (
     GeneralizedObservable,
     PureState,
     QuantumObservable,
-    canonical_outcome,
     default_no_registration_outcome,
+    split_event,
 )
 
 HEADER = "esrsim scenario v1"
@@ -318,15 +318,16 @@ def scenario_digest(sc: Scenario) -> str:
     return hashlib.sha256(serialize_scenario(sc).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuiltScenario:
-    """Validated model objects assembled from a parsed scenario."""
+    """Validated model objects assembled from a parsed scenario; ``events`` is
+    one read-only boolean row over ``gobs.outcomes`` (a0 first) per event line."""
 
     gobs: GeneralizedObservable
     psi: PureState
     apparatus: ApparatusModel
     experiment: ExperimentSpec
-    events: tuple[frozenset, ...]
+    events: np.ndarray
     digest: str
 
 
@@ -377,7 +378,7 @@ def _build_observable(sc: Scenario) -> QuantumObservable:
         if not defect <= ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvectors are not orthonormal (defect {defect:.3e})")
         order = np.argsort(values, kind="stable")
-        return QuantumObservable(_cluster(values[order], vectors[order].T))
+        return QuantumObservable(*_cluster(values[order], vectors[order].T))
 
     return _build("observable", spectral)
 
@@ -403,22 +404,21 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     a0 = sc.a0 if sc.a0 is not None else default_no_registration_outcome(base)
     gobs = _build("a0", GeneralizedObservable, base, a0, detection)
 
-    events = []
-    for event in sc.experiment.events:
-        resolved = []
+    events = np.zeros((len(sc.experiment.events), gobs.outcomes.size), dtype=bool)
+    for row, event in zip(events, sc.experiment.events):
         for v in event:
-            value = gobs.a0 if v == "a0" else _build("event", canonical_outcome, gobs, v)
-            if value is None:
+            hit = _build("event", split_event, gobs, (gobs.a0 if v == "a0" else v,))
+            if not hit.any():
                 raise _fail("event", f"{v!r} matches no outcome of the observable")
-            resolved.append(value)
-        events.append(frozenset(resolved))
+            row |= hit
+    events.flags.writeable = False
 
     return BuiltScenario(
         gobs=gobs,
         psi=psi,
         apparatus=_build("apparatus", ApparatusModel, sc.theta, sc.phi),
         experiment=sc.experiment,
-        events=tuple(events),
+        events=events,
         digest=scenario_digest(sc),
     )
 

@@ -15,7 +15,6 @@ from esrsim import (
     PovAxiomReport,
     PureState,
     QuantumObservable,
-    SpectralDecomposition,
     conditional_probability,
     detection_probability,
     measurement_operators,
@@ -124,16 +123,16 @@ def partial_trace_second(m: np.ndarray, dim_first: int, dim_second: int) -> np.n
     return np.einsum("iaja->ij", m.reshape(dim_first, dim_second, dim_first, dim_second))
 
 
-def reconstruct(sd: SpectralDecomposition) -> np.ndarray:
-    """``sum(a_k * P_k)``, the matrix a decomposition stands for."""
-    out = np.zeros((sd.dim, sd.dim), dtype=complex)
-    for a, p in zip(sd.eigenvalues, sd.projectors):
+def reconstruct(obs: QuantumObservable) -> np.ndarray:
+    """``sum(a_k * P_k)``, the matrix an observable's spectral form stands for."""
+    out = np.zeros((obs.dim, obs.dim), dtype=complex)
+    for a, p in zip(obs.eigenvalues, obs.projectors):
         out += a * p
     return out
 
 
-def spectral_defects(sd: SpectralDecomposition, source: np.ndarray | None = None) -> dict[str, float]:
-    """Frobenius-norm defects of a decomposition's numerical invariants.
+def spectral_defects(obs: QuantumObservable, source: np.ndarray | None = None) -> dict[str, float]:
+    """Frobenius-norm defects of an observable's spectral invariants.
 
     Keys: ``completeness`` (sum of projectors vs identity), ``hermiticity``,
     ``idempotency``, ``orthogonality`` (worst cross product), and
@@ -141,14 +140,14 @@ def spectral_defects(sd: SpectralDecomposition, source: np.ndarray | None = None
     """
     norm = np.linalg.norm
     out = {
-        "completeness": norm(sum(sd.projectors) - np.eye(sd.dim)),
-        "hermiticity": max(norm(p - p.conj().T) for p in sd.projectors),
-        "idempotency": max(norm(p @ p - p) for p in sd.projectors),
-        "orthogonality": max((norm(p @ q) for i, p in enumerate(sd.projectors)
-                              for q in sd.projectors[i + 1:]), default=0.0),
+        "completeness": norm(sum(obs.projectors) - np.eye(obs.dim)),
+        "hermiticity": max(norm(p - p.conj().T) for p in obs.projectors),
+        "idempotency": max(norm(p @ p - p) for p in obs.projectors),
+        "orthogonality": max((norm(p @ q) for i, p in enumerate(obs.projectors)
+                              for q in obs.projectors[i + 1:]), default=0.0),
     }
     if source is not None:
-        out["reconstruction"] = norm(reconstruct(sd) - source)
+        out["reconstruction"] = norm(reconstruct(obs) - source)
     return {name: float(value) for name, value in out.items()}
 
 
@@ -299,9 +298,8 @@ def verify_cases(kind: str) -> list[tuple[GeneralizedObservable, PureState]]:
     if kind == "shifted":
         # every projector lowered by 1e-9 I / K: each nonempty event's effect
         # then has a negative eigenvalue, so positivity is decided below 0
-        sd = gobs.base.spectral
-        shift = 1e-9 / sd.eigenvalues.size * np.eye(dim)
-        base = QuantumObservable(SpectralDecomposition(
-            sd.eigenvalues, tuple(p - shift for p in sd.projectors)))
+        base = gobs.base
+        shift = 1e-9 / base.eigenvalues.size * np.eye(dim)
+        base = QuantumObservable(base.eigenvalues, base.projectors - shift)
         gobs = GeneralizedObservable(base, gobs.a0, gobs.detection)
     return [(gobs, random_state(rng, dim))]

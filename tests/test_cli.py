@@ -229,6 +229,19 @@ class TestSample:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_event_value_merged_into_an_eigenvalue(self, tmp_path, capsys):
+        # 0 and 5e-9 merge into the eigenvalue 2.5e-9, which `event: 0` names
+        path = tmp_path / "merged.esr"
+        path.write_text("esrsim scenario v1\ndimension: 3\nstate: 1,0 0,0 0,0\nobservable:\n"
+                        "  row: 0,0 0,0 0,0\n  row: 0,0 5e-09,0 0,0\n  row: 0,0 0,0 1,0\n"
+                        "detection:\n  kind: constant\n  p: 0.5\n"
+                        "experiment:\n  trials: 1000\n  event: 0\n")
+        record = tmp_path / "rec.jsonl"
+        assert main(["sample", str(path), "--out", str(record)]) == 0
+        capsys.readouterr()
+        probabilities = json.loads(record.read_text())["event_probabilities"]
+        assert probabilities == {"{2.5e-09}": pytest.approx(0.5, abs=1e-12)}
+
     def test_records_append(self, good_scenario, tmp_path, capsys):
         path = tmp_path / "rec.jsonl"
         main(["sample", str(good_scenario), "--out", str(path)])

@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esrsim import (
-    DimensionMismatchError,
     NotHermitianError,
     NotSquareError,
-    SpectralDecomposition,
+    QuantumObservable,
     hermitian_eigendecompose,
 )
 from esrsim.linalg import _shifted_cholesky_exists
@@ -38,35 +37,40 @@ def random_complex(rng, shape):
 
 class TestEigendecompose:
     def test_identity(self):
-        sd = hermitian_eigendecompose(np.diag([1.0, 1.0]))
-        np.testing.assert_allclose(sd.eigenvalues, [1.0])
-        np.testing.assert_allclose(sd.projectors[0], np.eye(2), atol=1e-12)
+        eigenvalues, projectors = hermitian_eigendecompose(np.diag([1.0, 1.0]))
+        np.testing.assert_allclose(eigenvalues, [1.0])
+        np.testing.assert_allclose(projectors[0], np.eye(2), atol=1e-12)
+
+    def test_returns_eigenvalues_and_projector_stack(self):
+        eigenvalues, projectors = hermitian_eigendecompose(np.diag([2.0, -1.0, 2.0]))
+        assert eigenvalues.dtype == float and eigenvalues.shape == (2,)
+        assert projectors.dtype == complex and projectors.shape == (2, 3, 3)
 
     def test_diagonal_sign_pair(self):
         m = np.diag([-1.0, 1.0])
-        sd = hermitian_eigendecompose(m)
-        np.testing.assert_allclose(sd.eigenvalues, [-1.0, 1.0])
+        eigenvalues, projectors = hermitian_eigendecompose(m)
+        np.testing.assert_allclose(eigenvalues, [-1.0, 1.0])
         # defining relation P m = a P, checked entrywise
-        for a, p in zip(sd.eigenvalues, sd.projectors):
+        for a, p in zip(eigenvalues, projectors):
             np.testing.assert_allclose(p @ m, a * p, atol=1e-12)
-        np.testing.assert_allclose(sd.projectors[0], np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(sd.projectors[1], np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(projectors[0], np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(projectors[1], np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_pauli_x(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sd = hermitian_eigendecompose(m)
-        np.testing.assert_allclose(sd.eigenvalues, [-1.0, 1.0], atol=1e-12)
-        for p in sd.projectors:
+        obs = QuantumObservable(*hermitian_eigendecompose(m))
+        np.testing.assert_allclose(obs.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        for p in obs.projectors:
             assert abs(np.trace(p).real - 1.0) < 1e-12  # rank 1
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
-        np.testing.assert_allclose(reconstruct(sd), m, atol=1e-10)
+        np.testing.assert_allclose(reconstruct(obs), m, atol=1e-10)
 
     def test_clustering_merges_near_degenerate(self):
         m = np.diag([1.0, 1.0 + 1e-12, 2.0])
-        sd = hermitian_eigendecompose(m)
-        assert sd.eigenvalues.size == 2
-        assert abs(np.trace(sd.projectors[0]).real - 2.0) < 1e-12
-        assert abs(sd.eigenvalues[0] - (1.0 + 5e-13)) < 1e-12
+        eigenvalues, projectors = hermitian_eigendecompose(m)
+        assert eigenvalues.size == 2
+        assert abs(np.trace(projectors[0]).real - 2.0) < 1e-12
+        assert abs(eigenvalues[0] - (1.0 + 5e-13)) < 1e-12
 
     @pytest.mark.parametrize("values", [
         # 200 values 6e-9 apart span 1.2e-6, 120 times the 1e-8 tolerance
@@ -83,8 +87,8 @@ class TestEigendecompose:
         rng = np.random.default_rng(100 + dim)
         for _ in range(10):
             m = random_hermitian(rng, dim)
-            sd = hermitian_eigendecompose(m)
-            defects = spectral_defects(sd, source=m)
+            obs = QuantumObservable(*hermitian_eigendecompose(m))
+            defects = spectral_defects(obs, source=m)
             assert defects["completeness"] <= 1e-10
             assert defects["idempotency"] <= 1e-10
             assert defects["orthogonality"] <= 1e-10
@@ -98,18 +102,6 @@ class TestEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
             hermitian_eigendecompose(np.zeros((2, 3)))
-
-
-class TestSpectralDecomposition:
-    @pytest.mark.parametrize("projectors, error, message", [
-        ([np.eye(2), np.eye(3)], DimensionMismatchError, "share one dimension"),
-        (np.zeros((2, 2, 3)), NotSquareError, "not square"),
-        ([np.eye(2), np.full((2, 2), np.inf)], ValueError, "finite"),
-        ([np.eye(2)], ValueError, "one projector per eigenvalue"),
-    ])
-    def test_rejects_malformed_projectors(self, projectors, error, message):
-        with pytest.raises(error, match=message):
-            SpectralDecomposition(np.array([0.0, 1.0]), projectors)
 
 
 class TestPartialTrace:

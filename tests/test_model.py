@@ -22,11 +22,11 @@ from esrsim import (
     GeneralizedObservable,
     NotHermitianError,
     NotNormalizedError,
+    NotSquareError,
     ProbabilityRangeError,
     PureState,
     QuantumObservable,
     RngSpec,
-    SpectralDecomposition,
     complement_event,
     conditional_probability,
     detection_probability,
@@ -44,7 +44,6 @@ from esrsim.model import (
     _match_atol,
     _nearest_index,
     as_event,
-    canonical_outcome,
     clamp_probability,
 )
 from helpers import (
@@ -123,6 +122,28 @@ class TestDensityOperatorGate:
             else:
                 with pytest.raises(ValueError, match="positive semidefinite"):
                     DensityOperator(m)
+
+
+class TestQuantumObservable:
+    @pytest.mark.parametrize("projectors, error, message", [
+        ([np.eye(2), np.eye(3)], DimensionMismatchError, "share one dimension"),
+        (np.zeros((2, 2, 3)), NotSquareError, "not square"),
+        ([np.eye(2), np.full((2, 2), np.inf)], ValueError, "finite"),
+        ([np.eye(2)], ValueError, "one projector per eigenvalue"),
+    ])
+    def test_rejects_malformed_projectors(self, projectors, error, message):
+        with pytest.raises(error, match=message):
+            QuantumObservable(np.array([0.0, 1.0]), projectors)
+
+    @pytest.mark.parametrize("eigenvalues, message", [
+        ([1.0, 0.0], "strictly increasing"),
+        ([0.0, 0.0], "strictly increasing"),
+        ([0.0, np.nan], "finite"),
+        ([], "nonempty"),
+    ])
+    def test_rejects_malformed_eigenvalues(self, eigenvalues, message):
+        with pytest.raises(ValueError, match=message):
+            QuantumObservable(np.array(eigenvalues), np.zeros((len(eigenvalues), 2, 2)))
 
 
 class TestPvProjector:
@@ -295,6 +316,18 @@ class TestOverallProbability:
     def test_total_probability(self):
         gobs, psi = sigma_z_scenario(0.8)
         assert abs(overall_probability(gobs, psi, gobs.outcomes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("value", [0.0, 5e-9, 2.5e-9])
+    def test_values_merged_into_one_eigenvalue_match_it(self, value):
+        # 0 and 5e-9 lie within the 1e-8 merge tolerance and become one
+        # eigenvalue 2.5e-9, outside the 1e-9 match window of either input
+        gobs = GeneralizedObservable.from_matrix(np.diag([0.0, 5e-9, 1.0]),
+                                                 ConstantDetection(0.5))
+        psi = PureState(np.array([1.0, 0.0, 0.0]))
+        assert gobs.base.eigenvalues.size == 2
+        assert abs(overall_probability(gobs, psi, (value,)) - 0.5) < 1e-12
+        np.testing.assert_allclose(pv_projector(gobs.base, (value,)), np.diag([1.0, 1.0, 0.0]),
+                                   atol=1e-15)
 
     def test_empty_event(self):
         gobs, psi = sigma_z_scenario(0.8)
@@ -484,8 +517,8 @@ class TestResolvedEvents:
 
 def _hand_built(projectors, a0: float = -1.0, p: float = 0.8):
     """Observable with eigenvalues 0, 1, ... over caller-supplied projectors."""
-    sd = SpectralDecomposition(np.arange(len(projectors), dtype=float), tuple(projectors))
-    return GeneralizedObservable(QuantumObservable(sd), a0, ConstantDetection(p))
+    base = QuantumObservable(np.arange(len(projectors), dtype=float), tuple(projectors))
+    return GeneralizedObservable(base, a0, ConstantDetection(p))
 
 
 def _near_degenerate(rng, dim: int) -> GeneralizedObservable:
@@ -633,7 +666,6 @@ class TestSplitEvent:
         n = outcomes.size
         for i, v in enumerate(outcomes.tolist()):
             assert split_event(gobs, (v,)).tolist() == np.eye(n, dtype=bool)[i].tolist()
-            assert canonical_outcome(gobs, v) == outcomes[i]
         rng = np.random.default_rng(71)
         for _ in range(20):
             event = [float(v) for v in outcomes[rng.integers(0, 2, size=n).astype(bool)]]
@@ -654,5 +686,3 @@ class TestSplitEvent:
                     split_event(gobs, event)
                 with pytest.raises(ValueError, match="not a finite number"):
                     pv_projector(gobs.base, event)
-            with pytest.raises(ValueError, match="not a finite number"):
-                canonical_outcome(gobs, bad)

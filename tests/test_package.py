@@ -74,7 +74,10 @@ def test_readme_quick_start_runs():
 
 def test_every_public_member_is_used_by_the_library():
     # a method or property that only tests call belongs in the tests; dataclass
-    # fields are data, not code, and are not counted
+    # fields are data, not code, and are not counted. Members are matched by
+    # attribute name only: a member passes when any object's attribute of that
+    # name is read (``Effect.dim`` would pass because ``gobs.dim`` is read), so
+    # a member that shares its name with another needs a look by hand
     members = set()
     for name in esrsim.__all__:
         cls = getattr(esrsim, name)

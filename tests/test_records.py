@@ -4,8 +4,9 @@
 ``evolve`` records of ``demos/<demo>.esr``, in that order. The ``verify`` and
 ``evolve`` records were written before overall probabilities were computed
 from Born weights, the ``sample`` record after trial t came to read uniforms
-2t and 2t + 1 of one Philox stream. Records may move by roundoff, never in
-keys, counts, flags or strings.
+2t and 2t + 1 of one Philox stream; the three of ``spectral`` were written
+when that demo was added. Records may move by roundoff, never in keys, counts,
+flags or strings.
 """
 
 import copy
@@ -27,7 +28,7 @@ def _golden(demo: str) -> list[dict]:
     return [json.loads(line) for line in lines]
 
 
-@pytest.mark.parametrize("demo", ["qubit", "degenerate"])
+@pytest.mark.parametrize("demo", ["qubit", "degenerate", "spectral"])
 def test_records_close_to_golden(demo, tmp_path, capsys):
     out = tmp_path / "records.jsonl"
     for verb in VERBS:

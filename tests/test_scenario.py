@@ -191,7 +191,7 @@ class TestBuild:
     def test_spectral_build_matches_dense(self):
         # the spectral fixture encodes the Pauli-x matrix
         built = build_scenario(parse_scenario(SPECTRAL))
-        np.testing.assert_allclose(reconstruct(built.gobs.base.spectral),
+        np.testing.assert_allclose(reconstruct(built.gobs.base),
                                    [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_a0_clash_is_named(self):
@@ -224,8 +224,15 @@ class TestBuild:
         assert "event" in str(err.value)
 
     def test_events_resolve_a0(self):
+        # one read-only row per event line over the outcomes [a0, -1, 1]
         built = build_scenario(parse_scenario(FULL))
-        assert built.events == (frozenset((1.0,)), frozenset((0.0, -1.0)))
+        assert built.events.tolist() == [[False, False, True], [True, True, False]]
+        assert not built.events.flags.writeable
+
+    def test_empty_and_absent_events(self):
+        built = build_scenario(parse_scenario(FULL.replace("  event: 1\n", "  event:\n")))
+        assert built.events.tolist() == [[False, False, False], [True, True, False]]
+        assert build_scenario(parse_scenario(MINIMAL)).events.shape == (0, 3)
 
     def test_detection_dimension_checked(self):
         bad = SPECTRAL.replace("  row: 0,0 0.6,0", "")
@@ -244,9 +251,9 @@ class TestBuild:
         base = build_scenario(parse_scenario(spectral_scenario_text(values, u))).gobs.base
         assert base.eigenvalues.size == 2
         assert np.trace(base.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
-        dense = hermitian_eigendecompose(u @ np.diag(values) @ u.conj().T)
-        np.testing.assert_allclose(base.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
-        for got, want in zip(base.projectors, dense.projectors):
+        eigenvalues, projectors = hermitian_eigendecompose(u @ np.diag(values) @ u.conj().T)
+        np.testing.assert_allclose(base.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
+        for got, want in zip(base.projectors, projectors):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_ragged_rows_rejected(self):
