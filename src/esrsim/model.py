@@ -23,6 +23,7 @@ measure; with detection certain it is the projection-valued one.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -243,9 +244,10 @@ class GeneralizedObservable:
     """Standard observable plus a no-registration outcome and detection model.
 
     The outcome set is the spectrum extended by ``a0``; ``a0`` must stay
-    clear of every eigenvalue by more than both the merge tolerance of
-    :func:`linalg.default_cluster_tol` and the value-matching window, so that
-    event membership is unambiguous.
+    clear of every eigenvalue by more than the merge tolerance of
+    :func:`linalg.default_cluster_tol` plus twice the value-matching window,
+    so that no value falls in both a0's window and an eigenvalue's and event
+    membership is unambiguous.
     """
 
     base: QuantumObservable
@@ -261,7 +263,7 @@ class GeneralizedObservable:
         a0 = float(self.a0)
         eigs = self.base.eigenvalues
         separation = float(np.min(np.abs(eigs - a0)))
-        floor = max(linalg.default_cluster_tol(eigs), 2.0 * _match_atol(a0))
+        floor = linalg.default_cluster_tol(eigs) + 2.0 * _match_atol(a0)
         if not separation > floor:
             raise ValueError(
                 f"no-registration outcome {a0!r} clashes with the spectrum "
@@ -306,10 +308,21 @@ class GeneralizedObservable:
                 continue
             column = p[:, int(np.argmax(np.abs(np.diagonal(p))))]
             state = PureState(fix_phase(column / np.linalg.norm(column)))
-            pd, born, cum = _weights(self, state)
-            born.flags.writeable = False
-            table.append((state, pd, born, cum))
+            table.append((state, *_weights(self, state)))
         return tuple(table)
+
+    @cached_property
+    def _weights_memo(self) -> weakref.WeakKeyDictionary:
+        """Per start state of a sampler call, its ``sampling._weights``
+        ``(pd, born, cum)``, filled by ``sampling._start_weights`` on the
+        state's first call.
+
+        The key is the state object (``PureState`` compares by identity), held
+        weakly, so an entry lives only as long as its state. Both the observable
+        and the state are immutable, so an entry never goes stale; threads that
+        race on a new state compute the same weights and one of them is kept.
+        """
+        return weakref.WeakKeyDictionary()
 
 
 def split_event(gobs: GeneralizedObservable, event) -> np.ndarray:

@@ -18,15 +18,19 @@ up large runs without changing which uniforms a trial uses.
 Single draws run one loop, ``sample_sequence``; ``sample_measurement`` is a
 sequence of one. The Born weights are ``model._born_weights``, the one stacked
 product of all projectors with the state that overall probabilities use,
-clipped at 0 and normalized. The Lüders state of a rank-1 projector does not
-depend on the pre-state, so a detected draw on one takes its post-state and
-that state's weights from ``GeneralizedObservable._eigenstates``, built once
-per observable on the first detected draw. Higher ranks apply the Lüders rule
-per draw and compute the new state's weights only if another draw follows. An
-``RngSpec`` is served by one generator per thread, reset to counter 0 of the
-spec's stream on every call; it never leaves this module. A sequence fetches
-all its uniforms in one call, and each draw finds its Born bin by bisection on
-plain floats: the comparisons of the bulk path's ``searchsorted``.
+clipped at 0 and normalized. A prepared state is weighed once per observable:
+the start state's weights are kept in ``GeneralizedObservable._weights_memo``,
+keyed weakly by the state object, so measuring one state again and again
+computes them on the first call only. The Lüders state of a rank-1 projector
+does not depend on the pre-state, so a detected draw on one takes its
+post-state and that state's weights from
+``GeneralizedObservable._eigenstates``, built once per observable on the first
+detected draw. Higher ranks apply the Lüders rule per draw, a new state each
+time, and compute its weights only if another draw follows; those are never
+kept. An ``RngSpec`` is served by one generator per thread, reset to counter 0
+of the spec's stream on every call; it never leaves this module. A sequence
+fetches all its uniforms in one call, and each draw finds its Born bin by
+bisection on plain floats: the comparisons of the bulk path's ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -143,9 +147,23 @@ def _as_generator(rng) -> np.random.Generator:
 
 def _weights(gobs: GeneralizedObservable,
              psi: PureState) -> tuple[float, np.ndarray, tuple[float, ...]]:
-    """(detection probability, Born weights, their cumulative sums) of one state."""
+    """(detection probability, Born weights, their cumulative sums) of one state,
+    the Born weights read-only."""
     born = born_probabilities(gobs, psi)
+    born.setflags(write=False)  # the cheaper spelling of flags.writeable = False
     return detection_probability(gobs, psi), born, _cumulative(born)
+
+
+def _start_weights(gobs: GeneralizedObservable,
+                   psi: PureState) -> tuple[float, np.ndarray, tuple[float, ...]]:
+    """``_weights`` of a prepared state, computed on its first call with ``gobs``
+    and kept in ``gobs._weights_memo``. A state of the wrong dimension raises
+    and is never stored."""
+    memo = gobs._weights_memo
+    entry = memo.get(psi)
+    if entry is None:
+        entry = memo[psi] = _weights(gobs, psi)
+    return entry
 
 
 def sample_measurement(gobs: GeneralizedObservable, psi: PureState,
@@ -162,15 +180,17 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     detected, a Born draw on its second. ``rng`` is either an :class:`RngSpec`,
     whose stream is read from its start, so the same spec always yields the
     same records, or a live numpy Generator, which advances by exactly
-    ``2 * length`` uniforms. An undetected draw leaves the state object
-    untouched; a detected one applies the Lüders update, taken with its
+    ``2 * length`` uniforms. ``psi`` is weighed once per observable: its
+    weights are computed on its first call with ``gobs`` and reused by every
+    later call on the same state object. An undetected draw leaves the state
+    object untouched; a detected one applies the Lüders update, taken with its
     weights from the observable's eigenstate table when the projector has
     rank 1. A state of the wrong dimension raises DimensionMismatchError
     before any uniform is drawn.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    pd, born, cum = _weights(gobs, psi)
+    pd, born, cum = _start_weights(gobs, psi)
     uniforms = _as_generator(rng).random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
     state = psi
@@ -274,7 +294,7 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    pd, born, cum = _weights(gobs, psi)
+    pd, born, cum = _start_weights(gobs, psi)
     task_trials = _BLOCKS_PER_TASK * BLOCK_SIZE
 
     def count_task(start: int) -> np.ndarray:

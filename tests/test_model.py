@@ -418,6 +418,26 @@ class TestGeneralizedObservable:
             GeneralizedObservable.from_matrix(np.diag([1.0, -1.0]),
                                               ConstantDetection(0.5), a0=1.0)
 
+    def test_a0_window_stays_clear_of_an_eigenvalue_window(self):
+        # on diag(0, 1) the merge tolerance is 1e-8 and a0's match window about
+        # 2e-9: a0 = 1 + 1.1e-8 clears max(1e-8, 2 * 2e-9), yet 1 + 9.5e-9 lies
+        # in both its window and the eigenvalue 1's, and a0 is matched first
+        def build(a0):
+            return GeneralizedObservable.from_matrix(np.diag([0.0, 1.0]),
+                                                     ConstantDetection(0.5), a0=a0)
+
+        with pytest.raises(ValueError, match="clashes"):
+            build(1.0 + 1.1e-8)
+        floor = 1e-8 + 2.0 * _match_atol(1.0 + 1.4e-8)  # 1.4e-8 and a few 1e-17
+        with pytest.raises(ValueError, match="clashes"):
+            build(1.0 + 1.39e-8)
+        a0 = 1.0 + 1.41e-8
+        assert a0 - 1.0 > floor
+        gobs = build(a0)
+        assert split_event(gobs, (a0,)).tolist() == [True, False, False]
+        for v in 1.0 + np.linspace(0.0, 1e-8, 101):
+            assert split_event(gobs, (v,)).tolist() == [False, False, True], v
+
     def test_rejects_detection_operator_of_other_dimension(self):
         base = QuantumObservable.from_matrix(np.diag([1.0, -1.0]))
         with pytest.raises(DimensionMismatchError):

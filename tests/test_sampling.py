@@ -4,8 +4,10 @@ Statistical assertions run against the binomial-sigma envelope with fixed
 seeds, so they are deterministic.
 """
 
+import gc
 import sys
 import threading
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -105,6 +107,19 @@ def assert_record_probabilities_are_overall(gobs, psi):
     for _ in range(50):
         record = sample_measurement(gobs, psi, gen)
         assert abs(record.probability - expected[record.outcome]) <= 1e-14
+
+
+def count_weights(monkeypatch):
+    """Patch ``sampling._weights`` to log each state it weighs; returns the log."""
+    calls = []
+    weights = sampling._weights
+
+    def counted(g, state):
+        calls.append(state)
+        return weights(g, state)
+
+    monkeypatch.setattr(sampling, "_weights", counted)
+    return calls
 
 
 def benchmark_scenario(seed, dim=8):
@@ -537,51 +552,43 @@ class TestSampleSequence:
     @pytest.mark.parametrize("case", ["benchmark", "sigma-z"])
     def test_nondegenerate_sequence_computes_weights_once(self, case, monkeypatch):
         # every post-state of a detected draw is a table eigenstate, whose
-        # weights the observable holds, so only psi's are computed
+        # weights the observable holds, and psi's are kept after the first call,
+        # so over many sequences on one state only the first computes any
         gobs, psi = benchmark_scenario(617) if case == "benchmark" else sigma_z_scenario(0.6)
         gobs._eigenstates  # build the table before counting
-        calls = []
-        weights = sampling._weights
-
-        def counted(g, state):
-            calls.append(state)
-            return weights(g, state)
-
-        monkeypatch.setattr(sampling, "_weights", counted)
+        calls = count_weights(monkeypatch)
         detected = 0
         for seed in range(200):
             calls.clear()
             records = sample_sequence(gobs, psi, 12, RngSpec(seed=seed))
             detected += any(r.detected for r in records)
-            assert len(calls) == 1
-            assert calls[0] is psi
+            assert calls == ([psi] if seed == 0 else []), seed
         assert detected > 100
+        run_experiment(gobs, psi, 10, RngSpec(seed=1))
+        assert calls == []
 
     def test_last_draw_computes_no_weights(self, monkeypatch):
-        # a higher-rank post-state's weights are computed only for a next draw
+        # a higher-rank post-state is a new state on every draw: its weights
+        # are computed per draw, only when another draw follows, and never kept
         rng = np.random.default_rng(911)
         gobs = random_generalized(rng, 6, degenerate=True, detection=ConstantDetection(1.0))
         psi = random_state(rng, 6)
         gobs._eigenstates  # build the table before counting
-        calls = []
-        weights = sampling._weights
-
-        def counted(g, state):
-            calls.append(state)
-            return weights(g, state)
-
-        monkeypatch.setattr(sampling, "_weights", counted)
+        calls = count_weights(monkeypatch)
         rank = {float(v): round(float(np.trace(p).real))
                 for v, p in zip(gobs.base.eigenvalues, gobs.base.projectors)}
         last_higher = 0
+        first = True
         for seed in range(40):
             for length in (1, 3):
                 calls.clear()
                 records = sample_sequence(gobs, psi, length, RngSpec(seed=seed))
                 higher = [r.post_state for r in records[:-1] if rank[r.outcome] > 1]
-                assert calls == [psi] + higher
+                assert calls == ([psi] if first else []) + higher
                 last_higher += rank[records[-1].outcome] > 1
+                first = False
         assert last_higher > 0
+        assert list(gobs._weights_memo.keys()) == [psi]
 
     def test_length_validation(self):
         gobs, psi = sigma_z_scenario(0.5)
@@ -603,34 +610,57 @@ def philox_state(gen):
             state["uinteger"])
 
 
+def spec_draws(gobs, psi, stream):
+    """Records of 250 three-draw sequences and 250 single draws on ``stream``."""
+    out = []
+    for seed in range(250):
+        spec = RngSpec(seed=seed, stream_id=stream)
+        out += [record_key(r) for r in sample_sequence(gobs, psi, 3, spec)]
+        out.append(record_key(sample_measurement(gobs, psi, spec)))
+    return out
+
+
+def threaded_draws(gobs, psi, streams):
+    """``spec_draws`` per stream, one thread per stream, started together and
+    switching as often as the interpreter allows."""
+    results = {}
+    start = threading.Barrier(len(streams))
+
+    def run(stream):
+        start.wait(timeout=60)
+        results[stream] = spec_draws(gobs, psi, stream)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between reset and draw
+    try:
+        threads = [threading.Thread(target=run, args=(s,)) for s in streams]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
 class TestSingleDrawGenerators:
+    STREAMS = range(1, 5)  # more threads than the two cores of a small VM
+
     def test_concurrent_threads_match_a_serial_run(self):
         gobs, psi = benchmark_scenario(523)
+        serial = {stream: spec_draws(gobs, psi, stream) for stream in self.STREAMS}
+        assert threaded_draws(gobs, psi, self.STREAMS) == serial
 
-        def draws(stream):
-            out = []
-            for seed in range(250):
-                spec = RngSpec(seed=seed, stream_id=stream)
-                out += [record_key(r) for r in sample_sequence(gobs, psi, 3, spec)]
-                out.append(record_key(sample_measurement(gobs, psi, spec)))
-            return out
-
-        streams = range(1, 5)  # more threads than the two cores of a small VM
-        serial = {stream: draws(stream) for stream in streams}
-        results = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads between reset and draw
-        try:
-            threads = [threading.Thread(target=lambda s=s: results.update({s: draws(s)}))
-                       for s in streams]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == serial
+    def test_threads_on_a_cold_observable_match_a_serial_run(self):
+        # the threads race to build the eigenstate table and to weigh psi
+        serial_gobs, serial_psi = benchmark_scenario(523)
+        serial = {stream: spec_draws(serial_gobs, serial_psi, stream)
+                  for stream in self.STREAMS}
+        gobs, psi = benchmark_scenario(523)
+        assert "_weights_memo" not in vars(gobs) and "_eigenstates" not in vars(gobs)
+        assert threaded_draws(gobs, psi, self.STREAMS) == serial
+        assert list(gobs._weights_memo.keys()) == [psi]
 
     def test_spec_draws_leave_an_earlier_generator_alone(self):
         gobs, psi = benchmark_scenario(617)
@@ -653,6 +683,97 @@ class TestSingleDrawGenerators:
         reference.random(offset + 2 * length)
         sample_sequence(gobs, psi, length, gen)
         assert philox_state(gen) == philox_state(reference)
+
+
+def degenerate_scenario():
+    """A fixed degenerate d = 6 observable with expectation detection, and a state."""
+    rng = np.random.default_rng(307)  # ranks 2, 1, 2, 1
+    gobs = random_generalized(rng, 6, degenerate=True, detection=ExpectationDetection(
+        np.diag(rng.uniform(0.3, 0.9, size=6))))
+    return gobs, random_state(rng, 6)
+
+
+class TestStartWeights:
+    """A prepared state is weighed once per observable and state object."""
+
+    def test_equal_amplitudes_are_weighed_per_state_object(self, monkeypatch):
+        gobs, psi = benchmark_scenario(617)
+        twin = PureState(psi.amplitudes)
+        gobs._eigenstates  # build the table before counting
+        calls = count_weights(monkeypatch)
+        records = [sample_sequence(gobs, state, 1, RngSpec(seed=2))[0]
+                   for state in (psi, twin, psi, twin)]
+        assert calls == [psi, twin]
+        assert {record_key(r)[:3] for r in records} == {record_key(records[0])[:3]}
+        assert gobs._weights_memo[psi] is not gobs._weights_memo[twin]
+
+    def test_one_state_on_two_observables_gets_each_models_pd(self):
+        expectation, psi = benchmark_scenario(617)
+        constant = GeneralizedObservable(expectation.base, expectation.a0,
+                                         ConstantDetection(0.25))
+        expected = {expectation: sampling.detection_probability(expectation, psi),
+                    constant: 0.25}
+        assert expected[expectation] != 0.25
+        for gobs in (expectation, constant, expectation, constant):
+            pd = expected[gobs]
+            assert sampling._start_weights(gobs, psi)[0] == pd
+            records = [sample_measurement(gobs, psi, RngSpec(seed=s)) for s in range(40)]
+            assert {r.probability for r in records if not r.detected} == {1.0 - pd}
+            assert run_experiment(gobs, psi, 10, RngSpec(seed=1)).predicted[0] == 1.0 - pd
+            assert list(gobs._weights_memo.keys()) == [psi]
+
+    def test_entry_dies_with_its_state(self):
+        gobs, psi = benchmark_scenario(4243)
+        assert "_weights_memo" not in vars(gobs)  # filled on the first call, not at build
+        sample_sequence(gobs, psi, 4, RngSpec(seed=0))
+        run_experiment(gobs, psi, 10, RngSpec(seed=0))
+        assert list(gobs._weights_memo.keys()) == [psi]
+        alive = weakref.ref(psi)
+        del psi
+        gc.collect()
+        assert alive() is None
+        assert len(gobs._weights_memo) == 0
+
+    def test_wrong_dimension_state_raises_on_every_call_and_is_never_stored(self):
+        gobs, _ = benchmark_scenario(523)
+        psi = random_state(np.random.default_rng(5), 3)
+        gen = RngSpec(seed=1).generator()
+        before = philox_state(gen)
+        for _ in range(3):
+            for call in (lambda: sample_sequence(gobs, psi, 2, gen),
+                         lambda: sample_measurement(gobs, psi, RngSpec(seed=1)),
+                         lambda: run_experiment(gobs, psi, 10, RngSpec(seed=1))):
+                with pytest.raises(DimensionMismatchError):
+                    call()
+        assert philox_state(gen) == before
+        assert len(gobs._weights_memo) == 0
+
+    @pytest.mark.parametrize("case", ["benchmark", "degenerate"])
+    def test_warm_records_equal_those_of_a_fresh_observable(self, case):
+        build = (lambda: benchmark_scenario(523)) if case == "benchmark" else degenerate_scenario
+        gobs, psi = build()
+        sample_measurement(gobs, psi, RngSpec(seed=0))  # weigh psi
+        warm_weights = gobs._weights_memo[psi]
+        ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
+        seen = set()
+        for seed in range(60):
+            spec = RngSpec(seed=seed, stream_id=3)
+            fresh_gobs, fresh_psi = build()
+            warm = sample_sequence(gobs, psi, 5, spec)
+            fresh = sample_sequence(fresh_gobs, fresh_psi, 5, spec)
+            assert [record_key(r) for r in warm] == [record_key(r) for r in fresh]
+            for r in warm:
+                k = np.flatnonzero(gobs.base.eigenvalues == r.outcome)
+                seen.add("undetected" if not r.detected else
+                         "higher rank" if ranks[k[0]] > 1 else "rank 1")
+        assert gobs._weights_memo[psi] is warm_weights
+        assert seen == ({"undetected", "rank 1", "higher rank"} if case == "degenerate"
+                        else {"undetected", "rank 1"})
+        fresh_gobs, fresh_psi = build()
+        warm_report = run_experiment(gobs, psi, 5000, RngSpec(seed=9))
+        fresh_report = run_experiment(fresh_gobs, fresh_psi, 5000, RngSpec(seed=9))
+        assert warm_report.to_dict() == fresh_report.to_dict()
+        assert warm_report.predicted.tobytes() == fresh_report.predicted.tobytes()
 
 
 class TestRunExperiment:
