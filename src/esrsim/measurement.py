@@ -15,6 +15,7 @@ amplitude real and nonnegative) so they can be compared entrywise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,12 +170,14 @@ def nonselective_state(family: MeasurementOperatorFamily) -> DensityOperator:
     return DensityOperator(out)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcomeRecord:
-    """One sampled measurement.
+class MeasurementOutcomeRecord(NamedTuple):
+    """One sampled measurement: an immutable named tuple, so its fields can
+    also be read by index or unpacked in this order, it compares equal to the
+    plain tuple of its fields, and ``_replace`` gives a changed copy.
 
-    ``probability`` is the overall probability the realized outcome had,
-    given the pre-measurement state.
+    ``outcome`` and ``probability`` are Python floats and ``detected`` a
+    Python bool. ``probability`` is the overall probability the realized
+    outcome had, given the pre-measurement state.
     """
 
     outcome: float

@@ -288,10 +288,10 @@ class GeneralizedObservable:
         return np.concatenate(([self.a0], self.base.eigenvalues))
 
     @cached_property
-    def _eigenstates(self) -> tuple[tuple[PureState, float, np.ndarray, tuple[float, ...]]
+    def _eigenstates(self) -> tuple[tuple[PureState, float, tuple[float, ...], tuple[float, ...]]
                                     | None, ...]:
         """Per projector, its Lüders state and that state's ``sampling._weights``
-        ``(state, pd, born, cum)``, ``born`` read-only; ``None`` for rank > 1.
+        ``(state, pd, born, cum)``; ``None`` for rank > 1.
 
         For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
         ``P v != 0`` is ``e`` up to a global phase, so with the phase fixed it
@@ -310,6 +310,12 @@ class GeneralizedObservable:
             state = PureState(fix_phase(column / np.linalg.norm(column)))
             table.append((state, *_weights(self, state)))
         return tuple(table)
+
+    @cached_property
+    def _eigenvalue_floats(self) -> tuple[float, ...]:
+        """``base.eigenvalues`` as plain Python floats, the outcome a detected
+        draw reports: a tuple index is cheaper than a numpy scalar's ``float``."""
+        return tuple(self.base.eigenvalues.tolist())
 
     @cached_property
     def _weights_memo(self) -> weakref.WeakKeyDictionary:

@@ -28,9 +28,14 @@ post-state and that state's weights from
 detected draw. Higher ranks apply the Lüders rule per draw, a new state each
 time, and compute its weights only if another draw follows; those are never
 kept. An ``RngSpec`` is served by one generator per thread, reset to counter 0
-of the spec's stream on every call; it never leaves this module. A sequence
-fetches all its uniforms in one call, and each draw finds its Born bin by
-bisection on plain floats: the comparisons of the bulk path's ``searchsorted``.
+of the spec's stream on every call from a state of plain ints; it never leaves
+this module. A sequence fetches all its uniforms in one call. A draw reads
+only plain Python floats: it finds its Born bin by bisection on the
+cumulative weights (the comparisons of the bulk path's ``searchsorted``), and
+takes its outcome from ``GeneralizedObservable._eigenvalue_floats`` and its
+Born weight from the weights entry, where ``_weights`` keeps both weights and
+sums as tuples of floats. Each draw is one ``MeasurementOutcomeRecord``, a
+named tuple built from positional fields.
 """
 
 from __future__ import annotations
@@ -105,6 +110,13 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=self._key(), counter=counter))
 
 
+def _require_count(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer >= 1; as for ``RngSpec``, bool is an int subclass but no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
     """Conditional (detected) outcome distribution over the eigenvalues."""
     _require_dim(gobs, psi)
@@ -137,25 +149,26 @@ def _as_generator(rng) -> np.random.Generator:
     gen = getattr(_thread, "generator", None)
     if gen is None:
         gen = _thread.generator = np.random.Generator(np.random.Philox(key=0))
+    # plain ints set the state uint64 arrays would, with no array allocated;
+    # a fresh dict per call, as a shared template given each call's key would
+    # race between threads
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": rng._key()},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+        "state": {"counter": (0, 0, 0, 0), "key": (int(rng.seed), int(rng.stream_id))},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
 
 
 def _weights(gobs: GeneralizedObservable,
-             psi: PureState) -> tuple[float, np.ndarray, tuple[float, ...]]:
+             psi: PureState) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """(detection probability, Born weights, their cumulative sums) of one state,
-    the Born weights read-only."""
+    the weights and sums as tuples of plain floats."""
     born = born_probabilities(gobs, psi)
-    born.setflags(write=False)  # the cheaper spelling of flags.writeable = False
-    return detection_probability(gobs, psi), born, _cumulative(born)
+    return detection_probability(gobs, psi), tuple(born.tolist()), _cumulative(born)
 
 
 def _start_weights(gobs: GeneralizedObservable,
-                   psi: PureState) -> tuple[float, np.ndarray, tuple[float, ...]]:
+                   psi: PureState) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """``_weights`` of a prepared state, computed on its first call with ``gobs``
     and kept in ``gobs._weights_memo``. A state of the wrong dimension raises
     and is never stored."""
@@ -185,22 +198,22 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     later call on the same state object. An undetected draw leaves the state
     object untouched; a detected one applies the Lüders update, taken with its
     weights from the observable's eigenstate table when the projector has
-    rank 1. A state of the wrong dimension raises DimensionMismatchError
-    before any uniform is drawn.
+    rank 1. Each record's ``outcome`` and ``probability`` are Python floats
+    and its ``detected`` a Python bool. ``length`` must be a Python or numpy
+    integer >= 1, else ValueError; a state of the wrong dimension raises
+    DimensionMismatchError. Both are raised before any uniform is drawn.
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
+    _require_count("length", length)
     pd, born, cum = _start_weights(gobs, psi)
     uniforms = _as_generator(rng).random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
     state = psi
     for step, (u0, u1) in enumerate(uniforms, 1):
         pre, detected = state, u0 < pd
-        outcome, probability = gobs.a0, 1.0 - pd
         if detected:
             # the comparisons of np.searchsorted(cum, u1, side="right")
             k = bisect_right(cum, u1)
-            outcome, probability = float(gobs.base.eigenvalues[k]), pd * float(born[k])
+            outcome, probability = gobs._eigenvalue_floats[k], pd * born[k]
             entry = gobs._eigenstates[k]
             if entry is not None:
                 state, pd, born, cum = entry
@@ -208,9 +221,10 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
                 state = _branch_state(pre, gobs.base.projectors[k])
                 if step < length:
                     pd, born, cum = _weights(gobs, state)
-        records.append(MeasurementOutcomeRecord(
-            outcome=outcome, detected=detected, pre_state=pre, post_state=state,
-            probability=probability))
+        else:
+            outcome, probability = gobs.a0, 1.0 - pd
+        # positional, in field order: keywords cost a third more per record
+        records.append(MeasurementOutcomeRecord(outcome, detected, pre, state, probability))
     return records
 
 
@@ -290,10 +304,11 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
 
     Trial t reads uniforms 2t and 2t + 1 of ``rng``'s stream, so the report
     depends only on (scenario, rng, trials) and not on ``workers``, which only
-    sets how many runs of trials are counted at once.
+    sets how many runs of trials are counted at once. ``trials`` and
+    ``workers`` must be Python or numpy integers >= 1, else ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _require_count("trials", trials)
+    _require_count("workers", workers)
     pd, born, cum = _start_weights(gobs, psi)
     task_trials = _BLOCKS_PER_TASK * BLOCK_SIZE
 
@@ -317,7 +332,7 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
     return RunReport(
         outcomes=gobs.outcomes,
         counts=totals,
-        predicted=np.concatenate(([1.0 - pd], pd * born)),
-        trials=trials,
+        predicted=[1.0 - pd] + [pd * b for b in born],
+        trials=int(trials),  # a numpy integer would not serialize
         rng=rng.describe(),
     )

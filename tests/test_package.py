@@ -73,18 +73,23 @@ def test_readme_quick_start_runs():
 
 
 def test_every_public_member_is_used_by_the_library():
-    # a method or property that only tests call belongs in the tests; dataclass
-    # fields are data, not code, and are not counted. Members are matched by
-    # attribute name only: a member passes when any object's attribute of that
-    # name is read (``Effect.dim`` would pass because ``gobs.dim`` is read), so
-    # a member that shares its name with another needs a look by hand
+    # a method or property that only tests call belongs in the tests; the
+    # fields of a dataclass or a NamedTuple are data, not code, and are not
+    # counted (vars() lists a NamedTuple's fields as class attributes). Members
+    # are matched by attribute name only: a member passes when any object's
+    # attribute of that name is read (``Effect.dim`` would pass because
+    # ``gobs.dim`` is read), so a member that shares its name with another needs
+    # a look by hand
     members = set()
     for name in esrsim.__all__:
         cls = getattr(esrsim, name)
         if isinstance(cls, type):
-            fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+            if dataclasses.is_dataclass(cls):
+                fields = {f.name for f in dataclasses.fields(cls)}
+            else:
+                fields = set(getattr(cls, "_fields", ()))
             members |= {f"{name}.{attr}" for attr in vars(cls)
-                        if not attr.startswith("_") and attr not in {f.name for f in fields}}
+                        if not attr.startswith("_") and attr not in fields}
     assert set(DEMO_LEVEL) <= members
     used = library_references()
     assert sorted(m for m in members - set(DEMO_LEVEL) if m.split(".")[1] not in used) == []

@@ -398,9 +398,13 @@ class TestEigenstateTable:
             state, *weights = entry
             pd, born, cum = sampling._weights(gobs, state)
             assert np.float64(weights[0]).tobytes() == np.float64(pd).tobytes()
-            assert weights[1].tobytes() == born.tobytes()
+            # the weights are an immutable tuple of plain floats, the bits of
+            # born_probabilities
+            assert isinstance(weights[1], tuple) and {type(w) for w in weights[1]} == {float}
+            assert np.array(weights[1]).tobytes() == np.array(born).tobytes()
+            assert (np.array(born).tobytes()
+                    == born_probabilities(gobs, state).tobytes())
             assert weights[2] == cum and isinstance(weights[2], tuple)
-            assert not weights[1].flags.writeable
 
     def test_weights_are_built_on_the_first_detected_draw(self):
         rng = np.random.default_rng(907)
@@ -774,6 +778,70 @@ class TestStartWeights:
         fresh_report = run_experiment(fresh_gobs, fresh_psi, 5000, RngSpec(seed=9))
         assert warm_report.to_dict() == fresh_report.to_dict()
         assert warm_report.predicted.tobytes() == fresh_report.predicted.tobytes()
+
+
+RECORD_FIELDS = ("outcome", "detected", "pre_state", "post_state", "probability")
+
+
+class TestRecordContract:
+    """A record is an immutable named tuple holding plain Python scalars."""
+
+    @pytest.mark.parametrize("case", ["benchmark", "degenerate"])
+    def test_fields_types_and_immutability(self, case):
+        # the benchmark scenario takes every detected post-state from the
+        # eigenstate table; the degenerate one also applies the per-draw
+        # Lüders update of a higher-rank projector
+        gobs, psi = benchmark_scenario(523) if case == "benchmark" else degenerate_scenario()
+        ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
+        seen = set()
+        for seed in range(30):
+            for r in sample_sequence(gobs, psi, 4, RngSpec(seed=seed)):
+                assert r._fields == RECORD_FIELDS
+                assert r == tuple(getattr(r, name) for name in RECORD_FIELDS)
+                assert type(r.outcome) is float and type(r.probability) is float
+                assert type(r.detected) is bool
+                for name in RECORD_FIELDS:
+                    with pytest.raises(AttributeError):
+                        setattr(r, name, getattr(r, name))
+                k = np.flatnonzero(gobs.base.eigenvalues == r.outcome)
+                seen.add("undetected" if not r.detected else
+                         "higher rank" if ranks[k[0]] > 1 else "rank 1")
+        assert seen == ({"undetected", "rank 1", "higher rank"} if case == "degenerate"
+                        else {"undetected", "rank 1"})
+
+
+# Arguments that are no count of trials, workers or draws.
+NOT_COUNTS = [0, -3, 2.5, 2.0, np.float64(2.0), True, False, np.bool_(True), "2", None]
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("name", ["trials", "workers"])
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_run_experiment_rejects_non_counts(self, name, value):
+        # trials=True used to run one trial and report "trials": true
+        gobs, psi = sigma_z_scenario(0.5)
+        kwargs = {"trials": 10, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            run_experiment(gobs, psi, rng=RngSpec(seed=0), **kwargs)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_sample_sequence_rejects_non_counts(self, value):
+        gobs, psi = sigma_z_scenario(0.5)
+        gen = RngSpec(seed=0).generator()
+        before = philox_state(gen)
+        with pytest.raises(ValueError, match="length must be an integer of at least 1"):
+            sample_sequence(gobs, psi, value, gen)
+        assert philox_state(gen) == before
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_accepts_python_and_numpy_integers(self, value):
+        gobs, psi = benchmark_scenario(617)
+        report = run_experiment(gobs, psi, value, RngSpec(seed=4), workers=value)
+        assert type(report.trials) is int
+        assert report.to_dict() == run_experiment(gobs, psi, 3, RngSpec(seed=4)).to_dict()
+        records = sample_sequence(gobs, psi, value, RngSpec(seed=4))
+        assert ([record_key(r) for r in records]
+                == [record_key(r) for r in sample_sequence(gobs, psi, 3, RngSpec(seed=4))])
 
 
 class TestRunExperiment:
