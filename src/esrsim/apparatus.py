@@ -23,7 +23,7 @@ from .model import (
     DensityOperator,
     GeneralizedObservable,
     PureState,
-    _freeze_unit,
+    _freeze_finite,
     detection_probability,
 )
 
@@ -54,7 +54,12 @@ class ApparatusModel:
 
 @dataclass(frozen=True, eq=False)
 class CompoundState:
-    """Unit vector on the object⊗pointer space, object index major."""
+    """Vector on the object⊗pointer space, object index major.
+
+    Its norm is not gated: :func:`couple_and_evolve` gives a unit vector up to
+    the projectors' own defect, and ``measurement.coupling_checks`` reports
+    that defect as ``coupling-norm``. The states built from it are gated.
+    """
 
     amplitudes: np.ndarray
     dim_object: int
@@ -65,7 +70,7 @@ class CompoundState:
         if v.ndim != 1 or v.size != self.dim_object * self.dim_pointer:
             raise DimensionMismatchError(
                 f"amplitude count {v.size} != {self.dim_object} * {self.dim_pointer}")
-        object.__setattr__(self, "amplitudes", _freeze_unit(v, "compound"))
+        object.__setattr__(self, "amplitudes", _freeze_finite(v))
 
 
 def couple_and_evolve(gobs: GeneralizedObservable, psi: PureState,

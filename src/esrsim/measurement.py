@@ -1,4 +1,4 @@
-"""Post-measurement state transformations.
+"""Post-measurement state transformations, and the invariant checks.
 
 The generalized state-update rule conditions on the measured value falling in
 an outcome event: the state is untouched when the object goes undetected,
@@ -10,26 +10,40 @@ state an unread measurement leaves behind.
 
 Post-measurement vectors carry a fixed global phase (largest-magnitude
 amplitude real and nonnegative) so they can be compared entrywise.
+
+The checks that ``verify`` and ``evolve`` report live here too: each is a
+:class:`Check` value, every check runs through one guard, and
+:func:`failed_checks` is the one verdict rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
+from .apparatus import ApparatusModel, CompoundState, couple_and_evolve, reduced_object_state
 from .errors import ZeroProbabilityBranchError
 from .model import (
     DensityOperator,
     GeneralizedObservable,
     PureState,
+    _born_weights,
+    _conditional,
+    _effect,
     _effect_operator,
+    _event_subsets,
+    _overall,
+    _trace_probability,
     clamp_probability,
     detection_probability,
     split_event,
     to_density,
+    verify_pov_axioms,
 )
 
 # A branch whose conditioning amplitude falls below this cannot have occurred.
@@ -185,3 +199,164 @@ class MeasurementOutcomeRecord(NamedTuple):
     pre_state: PureState
     post_state: PureState
     probability: float
+
+
+# verify's random POV partitions and event subsets; the verify record names the seed
+PARTITION_TRIALS = 40
+VERIFY_SEED = 0
+
+
+class Check(NamedTuple):
+    """One named invariant check: its deviation, to compare with a tolerance,
+    and the cause, ``"ExcType: message"``, of an exception that kept it from
+    running; such a check reports an infinite deviation."""
+
+    name: str
+    deviation: float
+    cause: str | None = None
+
+
+def _guard(fn, *names: str) -> list[Check]:
+    """The checks ``names`` measured by ``fn()``: one deviation, or one per name
+    in order when there are several. An exception fails each of them."""
+    try:
+        values = fn() if len(names) > 1 else (fn(),)
+        return [Check(name, float(v)) for name, v in zip(names, values, strict=True)]
+    except Exception as exc:
+        return [Check(name, math.inf, f"{type(exc).__name__}: {exc}") for name in names]
+
+
+def failed_checks(checks: list[Check], tol: float) -> list[str]:
+    """Names of the checks whose deviation is not at most ``tol`` (NaN fails):
+    the verdict of every verb that reports checks, which passes when none fail."""
+    return [check.name for check in checks if not check.deviation <= tol]
+
+
+class Coupling(NamedTuple):
+    """The object coupled to the pointer, and the checks of that coupling. A
+    state that could not be built is None; the checks name the cause."""
+
+    compound: CompoundState | None
+    reduced: DensityOperator | None
+    checks: list[Check]
+
+
+def _coupling(gobs: GeneralizedObservable, psi: PureState, apparatus: ApparatusModel,
+              mixture) -> Coupling:
+    """``coupling-norm`` reads the norm of the amplitudes :func:`couple_and_evolve`
+    returns, and ``apparatus-consistency`` compares their partial trace with
+    ``mixture()``, the nonselective state."""
+    states = [None, None]
+
+    def deviations() -> tuple[float, float]:
+        target = mixture()
+        states[0] = compound = couple_and_evolve(gobs, psi, apparatus)
+        states[1] = reduced = reduced_object_state(compound)
+        return (abs(float(np.linalg.norm(compound.amplitudes)) - 1.0),
+                linalg.frobenius(reduced.matrix - target.matrix))
+
+    checks = _guard(deviations, "coupling-norm", "apparatus-consistency")
+    return Coupling(*states, checks)
+
+
+def coupling_checks(gobs: GeneralizedObservable, psi: PureState,
+                    apparatus: ApparatusModel) -> Coupling:
+    """The checks of ``evolve``: couple the object to the pointer, then check
+    the compound norm and that tracing out the pointer gives the nonselective
+    mixture. These are the last two of :func:`verification_checks`."""
+    return _coupling(gobs, psi, apparatus,
+                     lambda: nonselective_state(measurement_operators(gobs, psi)))
+
+
+def verification_checks(gobs: GeneralizedObservable, psi: PureState,
+                        apparatus: ApparatusModel) -> list[Check]:
+    """The checks of ``verify``, in their report order: the POV axioms, the
+    probability and update forms on random events, the measurement-operator
+    family, and the apparatus coupling. A check whose input cannot be built
+    fails with that input's exception as its cause."""
+    # Inputs shared by several checks, built on first use. An input that
+    # raises is not cached, so each check reading it reports its exception.
+    @cache
+    def events() -> tuple:
+        # each event is a boolean row over the outcomes, a0 first, resolved once
+        rows = _event_subsets(gobs.outcomes.size, np.random.default_rng(VERIFY_SEED), limit=256)
+        return rows, detection_probability(gobs, psi), _born_weights(gobs, psi)
+
+    operators = cache(lambda: measurement_operators(gobs, psi))
+    singletons = np.eye(gobs.outcomes.size, dtype=bool)
+
+    def overall(row) -> float:
+        _, pd, weights = events()
+        return _overall(pd, weights, row)
+
+    def pov_axioms():
+        report = verify_pov_axioms(gobs, psi, partition_trials=PARTITION_TRIALS,
+                                   seed=VERIFY_SEED)
+        return report.as_dict().values()
+
+    def factorization() -> float:
+        rows, pd, _ = events()
+        return max(abs(overall(row) - pd * _conditional(gobs, psi, row[1:]))
+                   for row in rows[~rows[:, 0]])
+
+    def form_agreement() -> float:
+        rows, pd, _ = events()
+        return max(abs(overall(row) - _trace_probability(psi, _effect(gobs, pd, row)))
+                   for row in rows)
+
+    def total_probability() -> float:
+        return abs(sum(map(overall, singletons)) - 1.0)
+
+    def update_form_agreement() -> float:
+        rows, pd, _ = events()
+        worst = 0.0
+        for row in rows:
+            if not row.any() or overall(row) < 1e-9:
+                continue
+            t = _effect(gobs, pd, row)
+            vector_form = to_density(_branch_state(psi, t)).matrix
+            worst = max(worst, linalg.frobenius(vector_form - _branch_density(psi, t).matrix))
+        return worst
+
+    def singleton_consistency() -> float:
+        family = operators()
+        return max(abs(outcome_probability(family, k) - overall(row))
+                   for k, row in enumerate(singletons))
+
+    def nonselective_forms() -> float:
+        family = operators()
+        mixture = nonselective_state(family).matrix
+        weighted = np.zeros_like(mixture)
+        for k in range(len(family)):
+            p = outcome_probability(family, k)
+            if p > 1e-12:
+                weighted += p * to_density(state_after_outcome(family, k)).matrix
+        return linalg.frobenius(mixture - weighted)
+
+    def repeatability() -> float:
+        family = operators()
+        worst = 0.0
+        for n in range(1, len(family)):
+            if outcome_probability(family, n) < 1e-9:
+                continue
+            post = state_after_outcome(family, n)
+            post_family = measurement_operators(gobs, post)
+            for m in range(1, len(family)):
+                if m != n:
+                    worst = max(worst, outcome_probability(post_family, m))
+        return worst
+
+    return [
+        *_guard(pov_axioms,
+                "pov-normalization", "pov-positivity", "pov-additivity", "pov-commutativity"),
+        *_guard(factorization, "factorization"),
+        *_guard(form_agreement, "probability-form-agreement"),
+        *_guard(total_probability, "total-probability"),
+        *_guard(update_form_agreement, "update-form-agreement"),
+        *_guard(lambda: operators().deviations().values(),
+                "family-completeness", "family-commutation"),
+        *_guard(singleton_consistency, "singleton-consistency"),
+        *_guard(nonselective_forms, "nonselective-forms"),
+        *_guard(repeatability, "repeatability"),
+        *_coupling(gobs, psi, apparatus, lambda: nonselective_state(operators())).checks,
+    ]

@@ -80,13 +80,10 @@ def _nearest_index(sorted_values: np.ndarray, value: float) -> int | None:
     return best if dist[best] <= window else None
 
 
-def _freeze_unit(v: np.ndarray, name: str) -> np.ndarray:
-    """Check that ``v`` is finite with unit norm, make it read-only and return it."""
+def _freeze_finite(v: np.ndarray) -> np.ndarray:
+    """Check that the amplitudes ``v`` are finite, make them read-only and return them."""
     if not np.all(np.isfinite(v)):
         raise ValueError("amplitudes must be finite")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NotNormalizedError(f"{name} norm is {norm!r}, expected 1")
     v.flags.writeable = False
     return v
 
@@ -109,7 +106,10 @@ class PureState:
         v = np.array(self.amplitudes, dtype=complex)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("amplitudes must form a nonempty 1-D sequence")
-        object.__setattr__(self, "amplitudes", _freeze_unit(v, "state"))
+        norm = float(np.linalg.norm(_freeze_finite(v)))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise NotNormalizedError(f"state norm is {norm!r}, expected 1")
+        object.__setattr__(self, "amplitudes", v)
 
     @property
     def dim(self) -> int:
@@ -480,8 +480,15 @@ def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> f
     Like :func:`conditional_probability`, it trusts the spectral
     decomposition; :func:`verify_pov_axioms` measures how far it is off.
     """
-    pd = detection_probability(gobs, psi)
-    return _overall(pd, _born_weights(gobs, psi), split_event(gobs, event))
+    return overall_probabilities(gobs, psi, split_event(gobs, event)[None])[0]
+
+
+def overall_probabilities(gobs: GeneralizedObservable, psi: PureState,
+                          rows) -> list[float]:
+    """:func:`overall_probability` of each resolved event: a boolean row over
+    ``gobs.outcomes`` (a0 first), as :func:`split_event` returns."""
+    pd, weights = detection_probability(gobs, psi), _born_weights(gobs, psi)
+    return [_overall(pd, weights, row) for row in rows]
 
 
 def _overall(pd: float, weights: np.ndarray, row: np.ndarray) -> float:

@@ -143,8 +143,12 @@ def _cumulative(born: np.ndarray) -> tuple[float, ...]:
 def _as_generator(rng) -> np.random.Generator:
     """A live generator as it is; for an ``RngSpec``, this thread's generator
     reset to the start of the spec's stream, which gives the uniforms of
-    ``rng.generator()`` without building a Philox per call."""
+    ``rng.generator()`` without building a Philox per call. Anything else
+    raises TypeError."""
     if not isinstance(rng, RngSpec):
+        if not isinstance(rng, np.random.Generator):
+            raise TypeError("rng must be an RngSpec or a numpy Generator, "
+                            f"got {type(rng).__name__}")
         return rng
     gen = getattr(_thread, "generator", None)
     if gen is None:
@@ -201,11 +205,13 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     rank 1. Each record's ``outcome`` and ``probability`` are Python floats
     and its ``detected`` a Python bool. ``length`` must be a Python or numpy
     integer >= 1, else ValueError; a state of the wrong dimension raises
-    DimensionMismatchError. Both are raised before any uniform is drawn.
+    DimensionMismatchError, and any other ``rng`` TypeError. All three are
+    raised before any uniform is drawn, and the last before ``psi`` is weighed.
     """
     _require_count("length", length)
+    gen = _as_generator(rng)
     pd, born, cum = _start_weights(gobs, psi)
-    uniforms = _as_generator(rng).random((length, DRAWS_PER_TRIAL)).tolist()
+    uniforms = gen.random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
     state = psi
     for step, (u0, u1) in enumerate(uniforms, 1):
@@ -305,10 +311,13 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
     Trial t reads uniforms 2t and 2t + 1 of ``rng``'s stream, so the report
     depends only on (scenario, rng, trials) and not on ``workers``, which only
     sets how many runs of trials are counted at once. ``trials`` and
-    ``workers`` must be Python or numpy integers >= 1, else ValueError.
+    ``workers`` must be Python or numpy integers >= 1, else ValueError, and
+    ``rng`` an ``RngSpec``, else TypeError; both before ``psi`` is weighed.
     """
     _require_count("trials", trials)
     _require_count("workers", workers)
+    if not isinstance(rng, RngSpec):
+        raise TypeError(f"rng must be an RngSpec, got {type(rng).__name__}")
     pd, born, cum = _start_weights(gobs, psi)
     task_trials = _BLOCKS_PER_TASK * BLOCK_SIZE
 

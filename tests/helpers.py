@@ -257,7 +257,7 @@ def reference_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
 
 def reference_event_checks(gobs: GeneralizedObservable, psi: PureState,
                            partition_trials: int, seed: int) -> dict[str, float]:
-    """The checks of ``cli.verification_checks`` that evaluate events."""
+    """The checks of ``measurement.verification_checks`` that evaluate events."""
     report = reference_pov_axioms(gobs, psi, partition_trials, seed)
     checks = {"pov-" + name: value for name, value in report.as_dict().items()}
     subsets = reference_event_subsets(gobs.outcomes, np.random.default_rng(seed), limit=256)

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from esrsim import ApparatusModel, cli
+from esrsim import measurement
 from esrsim.cli import main
-from helpers import reference_event_checks, spectral_scenario_text, verify_cases
+from helpers import spectral_scenario_text
 
 GOOD = """\
 esrsim scenario v1
@@ -44,6 +44,22 @@ observable:
 detection:
   kind: constant
   p: 0.8
+"""
+
+# eigenvectors (1, 0) and (3e-7, 1): orthonormal only to 3e-7, which the 1e-6
+# build gate admits; the coupled compound state's norm is 1 + 1.296e-7
+SKEWED = """\
+esrsim scenario v1
+dimension: 2
+state: 0.6,0 0.8,0
+observable:
+  eigenvalue: 1
+  vector: 1,0 0,0
+  eigenvalue: -1
+  vector: 3e-7,0 1,0
+detection:
+  kind: constant
+  p: 0.9
 """
 
 # without events, so that no event diagnostic can stand in for the observable's
@@ -158,9 +174,9 @@ class TestVerify:
         # a broken input fails every check that reads it: the operator family
         # feeds the family, singleton, nonselective, repeatability and coupling
         # checks
-        monkeypatch.setattr(cli, "verify_pov_axioms", broken)
-        monkeypatch.setattr(cli, "measurement_operators", broken)
-        monkeypatch.setattr(cli, "_branch_density", broken)
+        monkeypatch.setattr(measurement, "verify_pov_axioms", broken)
+        monkeypatch.setattr(measurement, "measurement_operators", broken)
+        monkeypatch.setattr(measurement, "_branch_density", broken)
         record_path = tmp_path / "records.jsonl"
         assert main(["verify", str(good_scenario), "--out", str(record_path)]) == 1
         out = capsys.readouterr().out
@@ -181,7 +197,7 @@ class TestVerify:
         def broken(*args):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(cli, "couple_and_evolve", broken)
+        monkeypatch.setattr(measurement, "couple_and_evolve", broken)
         record_path = tmp_path / "records.jsonl"
         assert main(["verify", str(good_scenario), "--out", str(record_path)]) == 1
         capsys.readouterr()
@@ -189,20 +205,6 @@ class TestVerify:
         failing = ("coupling-norm", "apparatus-consistency")
         assert record["errors"] == dict.fromkeys(failing, "RuntimeError: injected fault")
         assert {name for name, value in record["checks"].items() if value is None} == set(failing)
-
-
-@pytest.mark.parametrize("kind", ["stream", "d32"])
-def test_event_checks_match_reference(kind):
-    """verify's event checks, with each event resolved once, give the bits of
-    the per-value reference forms (the other cases of ``verify_cases`` are
-    compared on ``verify_pov_axioms`` in test_model)."""
-    for gobs, psi in verify_cases(kind):
-        built = SimpleNamespace(gobs=gobs, psi=psi,
-                                apparatus=ApparatusModel())
-        checks, errors = cli.verification_checks(built)
-        reference = reference_event_checks(gobs, psi, cli.PARTITION_TRIALS, cli.VERIFY_SEED)
-        assert errors == {}
-        assert {name: checks[name] for name in reference} == reference
 
 
 class TestSample:
@@ -274,6 +276,45 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert "pointer dim=3" in captured.out and "status: pass" in captured.out
         assert captured.err == ""
+
+    def test_skewed_projectors_fail_both_verbs_alike(self, tmp_path, capsys):
+        # both verbs report the compound norm as a number and exit 1
+        path = tmp_path / "skewed.esr"
+        path.write_text(SKEWED)
+        record_path = tmp_path / "records.jsonl"
+        assert main(["verify", str(path), "--out", str(record_path)]) == 1
+        assert main(["evolve", str(path), "--out", str(record_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        verify, evolve = map(json.loads, record_path.read_text().splitlines())
+        coupling = ("coupling-norm", "apparatus-consistency")
+        assert {name: verify["checks"][name] for name in coupling} == evolve["checks"]
+        assert evolve["checks"]["coupling-norm"] == pytest.approx(1.296e-7, rel=1e-6)
+        assert evolve["checks"]["apparatus-consistency"] <= 1e-15
+        assert "errors" not in evolve and not set(verify["errors"]) & set(coupling)
+        assert verify["passed"] is evolve["passed"] is False
+        assert re.search(r"^coupling-norm +1\.296e-07  FAIL$", captured.out, re.M)
+        assert re.search(r"^coupling norm defect: +1\.296e-07$", captured.out, re.M)
+
+    def test_coupling_failure_names_its_cause(self, good_scenario, tmp_path, monkeypatch,
+                                              capsys):
+        def broken(*args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(measurement, "couple_and_evolve", broken)
+        record_path = tmp_path / "records.jsonl"
+        assert main(["evolve", str(good_scenario), "--out", str(record_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for label in ("coupling norm defect:", "reduced-vs-mixture deviation:"):
+            assert re.search(rf"^{label} +inf  RuntimeError: injected fault$", captured.out, re.M)
+        assert "status: FAIL" in captured.out
+        record = json.loads(record_path.read_text())
+        failing = ("coupling-norm", "apparatus-consistency")
+        assert record["errors"] == dict.fromkeys(failing, "RuntimeError: injected fault")
+        assert record["checks"] == dict.fromkeys(failing)
+        assert record["compound_amplitudes"] is record["reduced_state"] is None
+        assert record["passed"] is False
 
 
 class TestErrorPaths:

@@ -1,4 +1,4 @@
-"""Post-measurement update tests.
+"""Post-measurement update tests, and the invariant checks' guard and verdict.
 
 The yes-branch special cases are checked against brute-force oracles that
 assemble the effect from its defining formula and renormalize by hand.
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from esrsim import (
+    ApparatusModel,
     ConstantDetection,
     PureState,
     ZeroProbabilityBranchError,
@@ -26,7 +27,22 @@ from esrsim import (
     state_after_outcome,
     to_density,
 )
-from helpers import random_event, random_generalized, random_state, sigma_z_scenario
+from esrsim.measurement import (
+    PARTITION_TRIALS,
+    VERIFY_SEED,
+    Check,
+    coupling_checks,
+    failed_checks,
+    verification_checks,
+)
+from helpers import (
+    random_event,
+    random_generalized,
+    random_state,
+    reference_event_checks,
+    sigma_z_scenario,
+    verify_cases,
+)
 
 
 def brute_force_update(gobs, psi, event):
@@ -364,3 +380,31 @@ class TestRepeatability:
         post = state_after_outcome(family, 0)
         # unchanged up to global phase
         assert abs(abs(np.vdot(post.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["stream", "d32"])
+def test_event_checks_match_reference(kind):
+    """verify's event checks, with each event resolved once, give the bits of
+    the per-value reference forms (the other cases of ``verify_cases`` are
+    compared on ``verify_pov_axioms`` in test_model)."""
+    for gobs, psi in verify_cases(kind):
+        checks = verification_checks(gobs, psi, ApparatusModel())
+        reference = reference_event_checks(gobs, psi, PARTITION_TRIALS, VERIFY_SEED)
+        assert [check for check in checks if check.cause] == []
+        assert {c.name: c.deviation for c in checks if c.name in reference} == reference
+
+
+class TestChecks:
+    def test_verdict_fails_nan_and_infinity(self):
+        checks = [Check("a", 0.0), Check("b", 1e-10), Check("c", float("nan")),
+                  Check("d", float("inf"), "RuntimeError: x")]
+        assert failed_checks(checks, 1e-10) == ["c", "d"]
+        assert failed_checks(checks[:2], 1e-10) == []
+
+    def test_coupling_checks_are_verifys_last_two(self):
+        gobs, psi = sigma_z_scenario()
+        app = ApparatusModel(0.3, 1.1)
+        coupling = coupling_checks(gobs, psi, app)
+        assert coupling.checks == verification_checks(gobs, psi, app)[-2:]
+        assert [c.name for c in coupling.checks] == ["coupling-norm", "apparatus-consistency"]
+        assert coupling.compound.dim_pointer == 3 and coupling.reduced.matrix.shape == (2, 2)

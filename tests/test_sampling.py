@@ -257,10 +257,12 @@ class TestBinCounts:
             assert sampling._bin_counts(x.copy(), cum)[-1] == 0
 
 
-class FixedUniforms:
-    """Stands in for a generator: one draw whose uniforms are (0.0, u1)."""
+class FixedUniforms(np.random.Generator):
+    """Stands in for a generator: one draw whose uniforms are (0.0, u1). A
+    numpy Generator subclass, because the samplers accept no other kind."""
 
     def __init__(self, u1):
+        super().__init__(np.random.PCG64(0))
         self.u1 = u1
 
     def random(self, shape):
@@ -750,6 +752,16 @@ class TestStartWeights:
                 with pytest.raises(DimensionMismatchError):
                     call()
         assert philox_state(gen) == before
+        assert len(gobs._weights_memo) == 0
+
+    @pytest.mark.parametrize("rng", [5, None, np.random.default_rng(0)])
+    def test_rng_of_another_type_raises_before_the_state_is_weighed(self, rng):
+        gobs, psi = benchmark_scenario(523)
+        if not isinstance(rng, np.random.Generator):
+            with pytest.raises(TypeError, match="rng must be an RngSpec or a numpy Generator"):
+                sample_sequence(gobs, psi, 2, rng)
+        with pytest.raises(TypeError, match="rng must be an RngSpec, got"):
+            run_experiment(gobs, psi, 10, rng)
         assert len(gobs._weights_memo) == 0
 
     @pytest.mark.parametrize("case", ["benchmark", "degenerate"])
