@@ -4,8 +4,11 @@ Each trial draws detection first (Bernoulli), then a Born draw among the
 eigenvalues if detected. Trial t reads uniforms 2t and 2t + 1 of one
 counter-based Philox stream keyed by (seed, stream), so every run is a pure
 function of (seed, stream), bit-identical across repeats and worker counts,
-and its counts are those of chained single draws on one generator.
+and its counts are those of chained single draws on one generator. The demo
+exits nonzero if either of those two claims fails.
 """
+
+import sys
 
 import numpy as np
 
@@ -45,20 +48,28 @@ for i, value in enumerate(report.outcomes):
 print("  max deviation:", round(report.max_sigma_deviation, 2), "sigma")
 
 print("\ndeterminism: same spec, different worker counts, identical counts")
+false_claims = []
 for workers in (1, 4):
     again = run_experiment(gobs, psi, 100_000, RngSpec(seed=42), workers=workers)
-    print(f"  workers={workers}: counts {list(map(int, again.counts))} "
-          f"identical={bool(np.array_equal(again.counts, report.counts))}")
+    identical = bool(np.array_equal(again.counts, report.counts))
+    print(f"  workers={workers}: counts {list(map(int, again.counts))} identical={identical}")
+    if not identical:
+        false_claims.append(f"workers={workers} changed the counts")
 
 print("\nthe bulk counts are chained single draws on one generator:")
 spec = RngSpec(seed=7)
 gen = spec.generator()
 shots = [sample_measurement(gobs, psi, gen).outcome for _ in range(5000)]
 chained = [shots.count(v) for v in report.outcomes]
-bulk = run_experiment(gobs, psi, 5000, spec)
-print(f"  chained {chained}, run_experiment {list(map(int, bulk.counts))}")
+bulk = list(map(int, run_experiment(gobs, psi, 5000, spec).counts))
+print(f"  chained {chained}, run_experiment {bulk}")
+if chained != bulk:
+    false_claims.append("the bulk counts differ from the chained draws")
 
 print("\nindependent streams give independent data:")
 for stream in range(3):
     r = run_experiment(gobs, psi, 10_000, RngSpec(seed=42, stream_id=stream))
     print(f"  {r.rng}: counts {list(map(int, r.counts))}")
+
+if false_claims:
+    sys.exit("claim failed: " + "; ".join(false_claims))

@@ -107,7 +107,9 @@ def _branch_density(psi: PureState, t: np.ndarray) -> DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOperatorFamily:
-    """Measurement operators indexed like the outcome list (no-registration first).
+    """Measurement operators indexed like the outcome list (no-registration first),
+    one read-only ``(K + 1, d, d)`` array; another shape or a non-finite entry
+    raises ValueError.
 
     Index 0 scales the identity by sqrt(1 - p_d); index k >= 1 scales the
     k-th spectral projector by sqrt(p_d). The family is complete (the sum of
@@ -117,14 +119,15 @@ class MeasurementOperatorFamily:
 
     gobs: GeneralizedObservable
     psi: PureState
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(linalg.as_matrix(m) for m in self.operators)
-        if len(ops) != self.gobs.outcomes.size:
-            raise ValueError("need exactly one operator per outcome")
-        for m in ops:
-            m.flags.writeable = False
+        ops = np.array(self.operators, dtype=complex)
+        if ops.shape != (self.gobs.outcomes.size, self.gobs.dim, self.gobs.dim):
+            raise ValueError(f"need one d x d operator per outcome, got shape {ops.shape}")
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("matrix entries must be finite")
+        ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
 
     def __len__(self) -> int:
@@ -148,14 +151,15 @@ class MeasurementOperatorFamily:
 def measurement_operators(gobs: GeneralizedObservable, psi: PureState) -> MeasurementOperatorFamily:
     """Build the measurement-operator family at the given state."""
     pd = detection_probability(gobs, psi)
-    ops = [np.sqrt(1.0 - pd) * np.eye(gobs.dim, dtype=complex)]
-    ops.extend(np.sqrt(pd) * p for p in gobs.base.projectors)
-    return MeasurementOperatorFamily(gobs, psi, tuple(ops))
+    ops = np.concatenate(([np.sqrt(1.0 - pd) * np.eye(gobs.dim, dtype=complex)],
+                          np.sqrt(pd) * gobs.base.projectors))
+    return MeasurementOperatorFamily(gobs, psi, ops)
 
 
 def _check_index(family: MeasurementOperatorFamily, k: int) -> None:
-    if not 0 <= k < len(family):
-        raise IndexError(f"outcome index {k} out of range [0, {len(family)})")
+    # a bool would index the stack as a mask, and bool is an int subclass
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < len(family):
+        raise IndexError(f"outcome index {k!r} is not an integer in [0, {len(family)})")
 
 
 def outcome_probability(family: MeasurementOperatorFamily, k: int) -> float:
@@ -241,15 +245,16 @@ class Coupling(NamedTuple):
     checks: list[Check]
 
 
-def _coupling(gobs: GeneralizedObservable, psi: PureState, apparatus: ApparatusModel,
-              mixture) -> Coupling:
-    """``coupling-norm`` reads the norm of the amplitudes :func:`couple_and_evolve`
-    returns, and ``apparatus-consistency`` compares their partial trace with
-    ``mixture()``, the nonselective state."""
+def coupling_checks(gobs: GeneralizedObservable, psi: PureState,
+                    apparatus: ApparatusModel) -> Coupling:
+    """The checks of ``evolve``, and the last two of :func:`verification_checks`:
+    ``coupling-norm`` reads the norm of the amplitudes :func:`couple_and_evolve`
+    returns, and ``apparatus-consistency`` compares their partial trace over
+    the pointer with the nonselective mixture of a family built here."""
     states = [None, None]
 
     def deviations() -> tuple[float, float]:
-        target = mixture()
+        target = nonselective_state(measurement_operators(gobs, psi))
         states[0] = compound = couple_and_evolve(gobs, psi, apparatus)
         states[1] = reduced = reduced_object_state(compound)
         return (abs(float(np.linalg.norm(compound.amplitudes)) - 1.0),
@@ -259,21 +264,12 @@ def _coupling(gobs: GeneralizedObservable, psi: PureState, apparatus: ApparatusM
     return Coupling(*states, checks)
 
 
-def coupling_checks(gobs: GeneralizedObservable, psi: PureState,
-                    apparatus: ApparatusModel) -> Coupling:
-    """The checks of ``evolve``: couple the object to the pointer, then check
-    the compound norm and that tracing out the pointer gives the nonselective
-    mixture. These are the last two of :func:`verification_checks`."""
-    return _coupling(gobs, psi, apparatus,
-                     lambda: nonselective_state(measurement_operators(gobs, psi)))
-
-
 def verification_checks(gobs: GeneralizedObservable, psi: PureState,
                         apparatus: ApparatusModel) -> list[Check]:
     """The checks of ``verify``, in their report order: the POV axioms, the
     probability and update forms on random events, the measurement-operator
-    family, and the apparatus coupling. A check whose input cannot be built
-    fails with that input's exception as its cause."""
+    family, and the apparatus coupling, :func:`coupling_checks`. A check whose
+    input cannot be built fails with that input's exception as its cause."""
     # Inputs shared by several checks, built on first use. An input that
     # raises is not cached, so each check reading it reports its exception.
     @cache
@@ -358,5 +354,5 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         *_guard(singleton_consistency, "singleton-consistency"),
         *_guard(nonselective_forms, "nonselective-forms"),
         *_guard(repeatability, "repeatability"),
-        *_coupling(gobs, psi, apparatus, lambda: nonselective_state(operators())).checks,
+        *coupling_checks(gobs, psi, apparatus).checks,
     ]

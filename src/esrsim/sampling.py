@@ -70,6 +70,16 @@ RNG_ALGORITHM = "philox4x64-seq"
 _thread = threading.local()
 
 
+def _require_integer(name: str, value, uint64: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer, not a bool, in [0, 2**64) if ``uint64``, else at least 1."""
+    # bool is an int subclass, but True is no seed and no count
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not (0 <= value < 2 ** 64 if uint64 else value >= 1)):
+        bounds = "in [0, 2**64)" if uint64 else "of at least 1"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Deterministic random-stream identity: a (seed, stream) pair.
@@ -81,15 +91,8 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no seed
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not 0 <= int(self.stream_id) < 2 ** 64:
-            raise ValueError("stream_id must be a nonnegative 64-bit integer")
+        _require_integer("seed", self.seed, uint64=True)
+        _require_integer("stream_id", self.stream_id, uint64=True)
 
     def describe(self) -> str:
         """Algorithm identifier recorded in reports."""
@@ -108,13 +111,6 @@ class RngSpec:
         ``block * BLOCK_SIZE``. Each Philox counter step yields four uniforms."""
         counter = block * BLOCK_SIZE * DRAWS_PER_TRIAL // 4
         return np.random.Generator(np.random.Philox(key=self._key(), counter=counter))
-
-
-def _require_count(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a Python or numpy
-    integer >= 1; as for ``RngSpec``, bool is an int subclass but no count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
@@ -208,7 +204,7 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     DimensionMismatchError, and any other ``rng`` TypeError. All three are
     raised before any uniform is drawn, and the last before ``psi`` is weighed.
     """
-    _require_count("length", length)
+    _require_integer("length", length)
     gen = _as_generator(rng)
     pd, born, cum = _start_weights(gobs, psi)
     uniforms = gen.random((length, DRAWS_PER_TRIAL)).tolist()
@@ -309,13 +305,13 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
     """Sample ``trials`` independent measurements of the same prepared state.
 
     Trial t reads uniforms 2t and 2t + 1 of ``rng``'s stream, so the report
-    depends only on (scenario, rng, trials) and not on ``workers``, which only
-    sets how many runs of trials are counted at once. ``trials`` and
+    depends only on (scenario, rng, trials) and not on ``workers``, the threads
+    of the one pool that counts the runs of trials, one or more. ``trials`` and
     ``workers`` must be Python or numpy integers >= 1, else ValueError, and
     ``rng`` an ``RngSpec``, else TypeError; both before ``psi`` is weighed.
     """
-    _require_count("trials", trials)
-    _require_count("workers", workers)
+    _require_integer("trials", trials)
+    _require_integer("workers", workers)
     if not isinstance(rng, RngSpec):
         raise TypeError(f"rng must be an RngSpec, got {type(rng).__name__}")
     pd, born, cum = _start_weights(gobs, psi)
@@ -331,12 +327,8 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
         # _cumulative leaves no draw past the top bin, so the last count is 0
         return np.concatenate(([size - detected.size], _bin_counts(detected, cum)[:-1]))
 
-    starts = range(0, trials, task_trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = sum(pool.map(count_task, starts))
-    else:
-        totals = sum(count_task(start) for start in starts)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        totals = sum(pool.map(count_task, range(0, trials, task_trials)))
 
     return RunReport(
         outcomes=gobs.outcomes,

@@ -10,6 +10,7 @@ import pytest
 from esrsim import (
     ApparatusModel,
     ConstantDetection,
+    MeasurementOperatorFamily,
     PureState,
     ZeroProbabilityBranchError,
     complement_event,
@@ -178,6 +179,19 @@ class TestMeasurementOperators:
                                    0.8 * np.diag([1.0, 0.0]), atol=1e-15)
         assert family.deviations()["completeness"] <= 1e-12
 
+    def test_family_is_one_read_only_stack(self):
+        gobs, psi = sigma_z_scenario(0.64, a0=0.0)
+        family = measurement_operators(gobs, psi)
+        assert family.operators.shape == (3, 2, 2) and not family.operators.flags.writeable
+        with pytest.raises(ValueError, match="one d x d operator per outcome"):
+            MeasurementOperatorFamily(gobs, psi, family.operators[1:])
+        with pytest.raises(ValueError, match="one d x d operator per outcome"):
+            MeasurementOperatorFamily(gobs, psi, family.operators[:, :1])
+        bad = family.operators.copy()
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            MeasurementOperatorFamily(gobs, psi, bad)
+
     def test_family_invariants_random(self):
         rng = np.random.default_rng(101)
         for _ in range(25):
@@ -226,12 +240,15 @@ class TestOutcomeProbability:
                            - overall_probability(gobs, psi, (float(value),))) < 1e-12
 
     def test_index_out_of_range(self):
+        # True used to index outcome 1, and as a mask of the operator stack it
+        # would sum over all outcomes; 1.0 and np.bool_ likewise are no index
         gobs, psi = sigma_z_scenario(0.8)
         family = measurement_operators(gobs, psi)
-        with pytest.raises(IndexError):
-            outcome_probability(family, 3)
-        with pytest.raises(IndexError):
-            outcome_probability(family, -1)
+        for function in (outcome_probability, state_after_outcome):
+            for k in (True, np.bool_(True), 1.0, -1, 3):
+                with pytest.raises(IndexError, match=rf"outcome index {k!r} is not an "
+                                                     r"integer in \[0, 3\)"):
+                    function(family, k)
 
 
 class TestStateAfterOutcome:

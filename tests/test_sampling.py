@@ -154,10 +154,11 @@ class TestRngSpec:
         assert RngSpec(seed=5, stream_id=2).describe() == "philox4x64-seq:seed=5:stream=2"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RngSpec(seed=-1)
-        with pytest.raises(ValueError):
-            RngSpec(seed=0, stream_id=-2)
+        for field in ("seed", "stream_id"):
+            for value in (-1, -2, 2 ** 64):
+                with pytest.raises(ValueError, match=rf"{field} must be an integer in "
+                                                     rf"\[0, 2\*\*64\), got {value}$"):
+                    RngSpec(**{"seed": 0, field: value})
 
     @pytest.mark.parametrize("field", ["seed", "stream_id"])
     @pytest.mark.parametrize("value", [1.5, 7.0, np.float64(2.0), True, np.bool_(True),
