@@ -1,7 +1,8 @@
 """Dense complex-matrix kernel for small Hilbert spaces.
 
 Hermitian eigendecomposition with eigenvalue clustering, spectral projector
-assembly and a shifted-Cholesky positivity test. A decomposition is the plain
+assembly and a shifted-Cholesky positivity test; the Hermiticity and positivity
+tests take one matrix or a ``(n, d, d)`` stack of them. A decomposition is the plain
 pair (distinct eigenvalues, ``(K, d, d)`` projector stack); the type that holds
 and checks it is ``model.QuantumObservable``. The merge tolerance of the
 clustering is derived from the spectrum (1e-8 times its range), never passed
@@ -10,6 +11,8 @@ never mutated. Intended for dense operators up to dimension of a few dozen.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -36,17 +39,29 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def _frobenius_each(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    entries = np.ascontiguousarray(m).view(float)
+    return np.sqrt(np.einsum("...ij,...ij->...", entries, entries))
+
+
 def require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate Hermiticity and return the symmetrized matrix (m + m†)/2.
+    """Validate Hermiticity of a matrix, or of each matrix of a
+    ``(n, d, d)`` stack, and return the symmetrized (m + m†)/2; a failure names
+    the defect of the lowest-index matrix that fails.
 
     Symmetrizing stabilizes downstream projector algebra against roundoff.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise NotSquareError(f"matrix of shape {m.shape} is not square")
-    adjoint = m.conj().T
-    defect = frobenius(m - adjoint)
-    if defect > rtol * (1.0 + frobenius(m)):
-        raise NotHermitianError(f"matrix is not Hermitian: defect {defect:.3e}")
+    adjoint = m.conj().swapaxes(-2, -1)
+    defect = _frobenius_each(m - adjoint)
+    # the bound is at least rtol, so its norm is needed only past rtol
+    if defect.max() > rtol:
+        excess = defect > rtol * (1.0 + _frobenius_each(m))
+        if excess.any():
+            raise NotHermitianError(
+                f"matrix is not Hermitian: defect {np.ravel(defect)[np.argmax(excess)]:.3e}")
     return (m + adjoint) / 2.0
 
 
@@ -98,13 +113,21 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     return _cluster(w, v)
 
 
+@cache
+def _scaled_identity(scale: float, dim: int) -> np.ndarray:
+    """``scale * I`` of dimension ``dim``, read-only, built once per pair."""
+    m = scale * np.eye(dim)
+    m.flags.writeable = False
+    return m
+
+
 def _shifted_cholesky_exists(h: np.ndarray, tol: float) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian matrix ``h``, which the
-    caller has symmetrized, is >= -tol, decided by whether ``h + tol*I`` has a
-    Cholesky factor (several times cheaper than an eigensolver; only the
-    rounding at the boundary differs)."""
+    """True iff the smallest eigenvalue of the Hermitian matrix ``h``, or of
+    every matrix of a stack, which the caller has symmetrized, is >= -tol,
+    decided by whether ``h + tol*I`` has a Cholesky factor (several times
+    cheaper than an eigensolver; only the rounding at the boundary differs)."""
     try:
-        np.linalg.cholesky(h + tol * np.eye(h.shape[0]))
+        np.linalg.cholesky(h + _scaled_identity(tol, h.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True

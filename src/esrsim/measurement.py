@@ -13,13 +13,16 @@ amplitude real and nonnegative) so they can be compared entrywise.
 
 The checks that ``verify`` and ``evolve`` report live here too: each is a
 :class:`Check` value, every check runs through one guard, and
-:func:`failed_checks` is the one verdict rule.
+:func:`failed_checks` is the one verdict rule. The dense event checks run
+over small stacks of events (:func:`_stacks`), and both update forms of a
+stack pass the one density gate of ``model`` together; each event gets the
+bits, and a failing one the error, that it would get alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -34,11 +37,12 @@ from .model import (
     PureState,
     _born_weights,
     _conditional,
-    _effect,
+    _density_gate,
     _effect_operator,
+    _effects,
     _event_subsets,
     _overall,
-    _trace_probability,
+    _trace_forms,
     clamp_probability,
     detection_probability,
     split_event,
@@ -48,6 +52,13 @@ from .model import (
 
 # A branch whose conditioning amplitude falls below this cannot have occurred.
 ZERO_BRANCH_TOL = 1e-12
+
+
+def _stacks(items: np.ndarray, dim: int):
+    """Consecutive slices of ``items`` (event rows or matrices), sized so a
+    stack of d x d complex matrices, one per item, takes at most 128 KiB."""
+    size = max(1, 2 ** 17 // (16 * dim * dim))
+    return (items[start:start + size] for start in range(0, len(items), size))
 
 
 def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
@@ -77,11 +88,19 @@ def post_measurement_state_yes(gobs: GeneralizedObservable, psi: PureState,
 
 def _branch_state(psi: PureState, op: np.ndarray, branch: str = "conditioning event") -> PureState:
     """``op psi`` normalized, with its phase fixed; ``branch`` names it in the error."""
-    v = op @ psi.amplitudes
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_BRANCH_TOL:
-        raise ZeroProbabilityBranchError(f"{branch} has zero probability")
-    return PureState(fix_phase(v / norm))
+    return _branch_states(psi, op[None], branch)[0]
+
+
+def _branch_states(psi: PureState, ops: np.ndarray,
+                   branch: str = "conditioning event") -> list[PureState]:
+    """:func:`_branch_state` of each operator of a ``(n, d, d)`` stack, in order."""
+    states = []
+    for v in ops @ psi.amplitudes:
+        norm = float(np.linalg.norm(v))
+        if norm < ZERO_BRANCH_TOL:
+            raise ZeroProbabilityBranchError(f"{branch} has zero probability")
+        states.append(PureState(fix_phase(v / norm)))
+    return states
 
 
 def post_measurement_state_no(gobs: GeneralizedObservable, psi: PureState,
@@ -93,16 +112,18 @@ def post_measurement_state_no(gobs: GeneralizedObservable, psi: PureState,
 def post_measurement_density(gobs: GeneralizedObservable, psi: PureState,
                              event) -> DensityOperator:
     """Density form of the yes-branch update: T W T† over its trace."""
-    return _branch_density(psi, _effect_operator(gobs, psi, event))
+    return DensityOperator(_branch_density(psi, _effect_operator(gobs, psi, event)[None])[0])
 
 
-def _branch_density(psi: PureState, t: np.ndarray) -> DensityOperator:
+def _branch_density(psi: PureState, ts: np.ndarray) -> np.ndarray:
+    """T W T† over its trace for each effect T of a ``(n, d, d)`` stack, before
+    the density gate."""
     w = to_density(psi).matrix
-    numerator = t @ w @ t.conj().T
-    weight = float(np.trace(numerator).real)
-    if np.sqrt(max(weight, 0.0)) < ZERO_BRANCH_TOL:
+    numerators = ts @ w @ ts.conj().swapaxes(1, 2)
+    weights = numerators.trace(axis1=1, axis2=2).real
+    if (np.sqrt(np.maximum(weights, 0.0)) < ZERO_BRANCH_TOL).any():
         raise ZeroProbabilityBranchError("conditioning event has zero probability")
-    return DensityOperator(numerator / weight)
+    return numerators / weights[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +141,12 @@ class MeasurementOperatorFamily:
     gobs: GeneralizedObservable
     psi: PureState
     operators: np.ndarray
+    # True only for a stack :func:`measurement_operators` has just built and
+    # holds no other reference to: it is kept without a copy
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        ops = np.array(self.operators, dtype=complex)
+    def __post_init__(self, _fresh):
+        ops = self.operators if _fresh else np.array(self.operators, dtype=complex)
         if ops.shape != (self.gobs.outcomes.size, self.gobs.dim, self.gobs.dim):
             raise ValueError(f"need one d x d operator per outcome, got shape {ops.shape}")
         if not np.all(np.isfinite(ops)):
@@ -143,8 +167,9 @@ class MeasurementOperatorFamily:
         completeness = linalg.frobenius(total - np.eye(self.gobs.dim))
         commutation = 0.0
         for i, a in enumerate(self.operators):
-            for b in self.operators[i + 1:]:
-                commutation = max(commutation, linalg.frobenius(a @ b - b @ a))
+            for rest in _stacks(self.operators[i + 1:], self.gobs.dim):
+                for defect in a @ rest - rest @ a:
+                    commutation = max(commutation, linalg.frobenius(defect))
         return {"completeness": completeness, "commutation": commutation}
 
 
@@ -153,7 +178,7 @@ def measurement_operators(gobs: GeneralizedObservable, psi: PureState) -> Measur
     pd = detection_probability(gobs, psi)
     ops = np.concatenate(([np.sqrt(1.0 - pd) * np.eye(gobs.dim, dtype=complex)],
                           np.sqrt(pd) * gobs.base.projectors))
-    return MeasurementOperatorFamily(gobs, psi, ops)
+    return MeasurementOperatorFamily(gobs, psi, ops, _fresh=True)
 
 
 def _check_index(family: MeasurementOperatorFamily, k: int) -> None:
@@ -165,8 +190,13 @@ def _check_index(family: MeasurementOperatorFamily, k: int) -> None:
 def outcome_probability(family: MeasurementOperatorFamily, k: int) -> float:
     """Overall probability of the k-th outcome (index 0 is no registration)."""
     _check_index(family, k)
-    v = family.operators[k] @ family.psi.amplitudes
-    return clamp_probability(float(np.vdot(v, v).real))
+    return _outcome_probabilities(family, [k])[0]
+
+
+def _outcome_probabilities(family: MeasurementOperatorFamily, ks: list[int]) -> list[float]:
+    """:func:`outcome_probability` of each index of ``ks``, in order."""
+    return [clamp_probability(float(np.vdot(v, v).real))
+            for v in family.operators[ks] @ family.psi.amplitudes]
 
 
 def state_after_outcome(family: MeasurementOperatorFamily, k: int) -> PureState:
@@ -297,21 +327,38 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
 
     def form_agreement() -> float:
         rows, pd, _ = events()
-        return max(abs(overall(row) - _trace_probability(psi, _effect(gobs, pd, row)))
-                   for row in rows)
+        return max(abs(overall(row) - clamp_probability(trace))
+                   for block in _stacks(rows, gobs.dim)
+                   for row, trace in zip(block, _trace_forms(psi, _effects(gobs, pd, block))))
 
     def total_probability() -> float:
         return abs(sum(map(overall, singletons)) - 1.0)
 
+    def update_forms(block) -> list[float]:
+        # per nonempty event that can occur (a NaN probability counts as one
+        # that can): its vector form against its density form
+        _, pd, _ = events()
+        live = block[[bool(row.any()) and not overall(row) < 1e-9 for row in block]]
+        if not len(live):
+            return []
+        ts = _effects(gobs, pd, live)
+        amplitudes = np.array([state.amplitudes for state in _branch_states(psi, ts)])
+        vector_forms = _density_gate(amplitudes[:, :, None] * amplitudes[:, None, :].conj())
+        density_forms = _density_gate(_branch_density(psi, ts))
+        return [linalg.frobenius(a - b) for a, b in zip(vector_forms, density_forms)]
+
     def update_form_agreement() -> float:
-        rows, pd, _ = events()
+        rows, _, _ = events()
         worst = 0.0
-        for row in rows:
-            if not row.any() or overall(row) < 1e-9:
-                continue
-            t = _effect(gobs, pd, row)
-            vector_form = to_density(_branch_state(psi, t)).matrix
-            worst = max(worst, linalg.frobenius(vector_form - _branch_density(psi, t).matrix))
+        for block in _stacks(rows, gobs.dim):
+            try:
+                deviations = update_forms(block)
+            except Exception:
+                # one event at a time, so the first event that fails, in its
+                # first failing step, names the cause
+                deviations = [x for i in range(len(block)) for x in update_forms(block[i:i + 1])]
+            for x in deviations:
+                worst = max(worst, x)
         return worst
 
     def singleton_consistency() -> float:
@@ -335,11 +382,10 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         for n in range(1, len(family)):
             if outcome_probability(family, n) < 1e-9:
                 continue
-            post = state_after_outcome(family, n)
-            post_family = measurement_operators(gobs, post)
-            for m in range(1, len(family)):
-                if m != n:
-                    worst = max(worst, outcome_probability(post_family, m))
+            post_family = measurement_operators(gobs, state_after_outcome(family, n))
+            others = [m for m in range(1, len(family)) if m != n]
+            for p in _outcome_probabilities(post_family, others):
+                worst = max(worst, p)
         return worst
 
     return [

@@ -122,6 +122,29 @@ class PureState:
         return DensityOperator(np.outer(v, v.conj()))
 
 
+def _density_gate(stack: np.ndarray) -> np.ndarray:
+    """The gate of :class:`DensityOperator` on a ``(n, d, d)`` complex stack:
+    finite entries, Hermitian, unit trace and positive semidefinite, each to
+    ``OPERATOR_GATE_TOL``. Returns the symmetrized stack, read-only. A stack
+    that fails raises what its lowest-index failing matrix raises alone."""
+    try:
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
+        h = linalg.require_hermitian(stack, rtol=OPERATOR_GATE_TOL)
+        for trace in h.trace(axis1=1, axis2=2).real.tolist():
+            if abs(trace - 1.0) > OPERATOR_GATE_TOL:
+                raise ValueError(f"trace is {trace!r}, expected 1")
+        if not linalg._shifted_cholesky_exists(h, OPERATOR_GATE_TOL):
+            raise ValueError("operator is not positive semidefinite")
+    except ValueError:
+        if len(stack) > 1:
+            for i in range(len(stack)):
+                _density_gate(stack[i:i + 1])
+        raise
+    h.flags.writeable = False
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive Hermitian operator of unit trace."""
@@ -129,14 +152,10 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.require_hermitian(linalg.as_matrix(self.matrix), rtol=OPERATOR_GATE_TOL)
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > OPERATOR_GATE_TOL:
-            raise ValueError(f"trace is {trace!r}, expected 1")
-        if not linalg._shifted_cholesky_exists(m, OPERATOR_GATE_TOL):
-            raise ValueError("operator is not positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
+        object.__setattr__(self, "matrix", _density_gate(m[None])[0])
 
     def purity(self) -> float:
         """Trace of the squared operator; 1 exactly for pure states."""
@@ -498,12 +517,13 @@ def _overall(pd: float, weights: np.ndarray, row: np.ndarray) -> float:
 def overall_probability_density(gobs: GeneralizedObservable, psi: PureState, event) -> float:
     """Trace-form evaluation Tr[W T(event)] with the dense effect matrix; an
     independent check on :func:`overall_probability`."""
-    return _trace_probability(psi, _effect_operator(gobs, psi, event))
+    return clamp_probability(_trace_forms(psi, _effect_operator(gobs, psi, event)[None])[0])
 
 
-def _trace_probability(psi: PureState, t: np.ndarray) -> float:
-    """``Tr[W t]`` for the density ``W`` of ``psi``, clamped."""
-    return clamp_probability(float(np.trace(to_density(psi).matrix @ t).real))
+def _trace_forms(psi: PureState, ts: np.ndarray) -> list[float]:
+    """``Tr[W t]``, unclamped, for the density ``W`` of ``psi`` and each effect
+    ``t`` of a ``(n, d, d)`` stack."""
+    return np.trace(to_density(psi).matrix @ ts, axis1=1, axis2=2).real.tolist()
 
 
 @dataclass(frozen=True)

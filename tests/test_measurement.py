@@ -10,6 +10,7 @@ import pytest
 from esrsim import (
     ApparatusModel,
     ConstantDetection,
+    DensityOperator,
     MeasurementOperatorFamily,
     PureState,
     ZeroProbabilityBranchError,
@@ -28,6 +29,7 @@ from esrsim import (
     state_after_outcome,
     to_density,
 )
+from esrsim import measurement
 from esrsim.measurement import (
     PARTITION_TRIALS,
     VERIFY_SEED,
@@ -191,6 +193,15 @@ class TestMeasurementOperators:
         bad[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="must be finite"):
             MeasurementOperatorFamily(gobs, psi, bad)
+
+    def test_family_never_aliases_the_callers_array(self):
+        gobs, psi = sigma_z_scenario(0.64, a0=0.0)
+        ops = measurement_operators(gobs, psi).operators.copy()
+        family = MeasurementOperatorFamily(gobs, psi, ops)
+        expected = ops.copy()
+        ops[1, 0, 0] = 5.0
+        assert ops.flags.writeable and not family.operators.flags.writeable
+        np.testing.assert_array_equal(family.operators, expected)
 
     def test_family_invariants_random(self):
         rng = np.random.default_rng(101)
@@ -399,7 +410,7 @@ class TestRepeatability:
         assert abs(abs(np.vdot(post.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["stream", "d32"])
+@pytest.mark.parametrize("kind", ["stream", "d32", "d32-degenerate"])
 def test_event_checks_match_reference(kind):
     """verify's event checks, with each event resolved once, give the bits of
     the per-value reference forms (the other cases of ``verify_cases`` are
@@ -409,6 +420,63 @@ def test_event_checks_match_reference(kind):
         reference = reference_event_checks(gobs, psi, PARTITION_TRIALS, VERIFY_SEED)
         assert [check for check in checks if check.cause] == []
         assert {c.name: c.deviation for c in checks if c.name in reference} == reference
+
+
+def _per_event_update_cause(gobs, psi) -> str | None:
+    """The cause update-form-agreement names when its events are checked one
+    at a time in order, each with its vector form before its density form."""
+    rows = measurement._event_subsets(gobs.outcomes.size,
+                                      np.random.default_rng(VERIFY_SEED), limit=256)
+    pd = detection_probability(gobs, psi)
+    for row in rows:
+        if not row.any() or overall_probability(gobs, psi, gobs.outcomes[row]) < 1e-9:
+            continue
+        t = measurement._effects(gobs, pd, row[None])[0]
+        try:
+            to_density(measurement._branch_state(psi, t))
+            DensityOperator(measurement._branch_density(psi, t[None])[0])
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("density_event, vector_event", [(2, 5), (5, 2)])
+def test_update_form_cause_is_the_first_failing_event(monkeypatch, density_event,
+                                                      vector_event):
+    """A stack of events that fails names the cause of its first failing event,
+    as checking the events one by one would: one event's density form is
+    scaled off unit trace, another's effect is zeroed, so its vector form fails
+    first."""
+    rng = np.random.default_rng(29)
+    gobs = random_generalized(rng, 3)
+    psi = random_state(rng, 3)
+    pd = detection_probability(gobs, psi)
+    rows = measurement._event_subsets(gobs.outcomes.size,
+                                      np.random.default_rng(VERIFY_SEED), limit=256)
+    live = [row for row in rows if row.any()
+            and overall_probability(gobs, psi, gobs.outcomes[row]) >= 1e-9]
+    density_row, vector_row = live[density_event], live[vector_event]
+    density_effect = measurement._effects(gobs, pd, density_row[None])[0]
+    effects, branch_density = measurement._effects, measurement._branch_density
+
+    def corrupt_effects(gobs, pd, rows):
+        out = effects(gobs, pd, rows)
+        out[(rows == vector_row).all(axis=1)] = 0.0
+        return out
+
+    def corrupt_density(psi, ts):
+        out = branch_density(psi, ts)
+        out[[np.array_equal(t, density_effect) for t in ts]] *= 2.0
+        return out
+
+    monkeypatch.setattr(measurement, "_effects", corrupt_effects)
+    monkeypatch.setattr(measurement, "_branch_density", corrupt_density)
+    checks = {c.name: c for c in verification_checks(gobs, psi, ApparatusModel())}
+    cause = checks["update-form-agreement"].cause
+    assert cause == _per_event_update_cause(gobs, psi)
+    first = ("ValueError: trace is" if density_event < vector_event
+             else "ZeroProbabilityBranchError: conditioning event")
+    assert cause.startswith(first)
 
 
 class TestChecks:

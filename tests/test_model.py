@@ -40,6 +40,7 @@ from esrsim import (
 )
 from esrsim import model
 from esrsim.model import (
+    _density_gate,
     _effect_operator,
     _match_atol,
     _nearest_index,
@@ -122,6 +123,47 @@ class TestDensityOperatorGate:
             else:
                 with pytest.raises(ValueError, match="positive semidefinite"):
                     DensityOperator(m)
+
+
+class TestStackedDensityGate:
+    """The density gate on a stack raises what its lowest-index failing matrix
+    raises alone, and passes each good matrix with the bits it gets alone."""
+
+    @staticmethod
+    def _stack(rng, dim=3):
+        return np.array([to_density(random_state(rng, dim)).matrix for _ in range(4)])
+
+    @pytest.mark.parametrize("mode", ["not Hermitian", "trace", "not PSD", "non-finite"])
+    def test_stack_raises_what_the_bad_matrix_raises_alone(self, mode):
+        rng = np.random.default_rng(19)
+        stack = self._stack(rng)
+        bad = stack[2].copy()
+        if mode == "not Hermitian":
+            bad[0, 1] += 0.1
+        elif mode == "trace":
+            bad *= 1.001
+        elif mode == "not PSD":
+            bad = _rotated_spectrum(rng, [1.2, -0.2, 0.0])
+        else:
+            bad[1, 1] = np.nan
+        stack[2] = bad
+        # index 3 fails at an earlier step of the gate than index 2 may
+        stack[3, 0, 0] = np.inf
+        with pytest.raises(ValueError) as alone:
+            DensityOperator(bad)
+        with pytest.raises(ValueError) as stacked:
+            _density_gate(stack)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_good_stack_matches_each_matrix_alone(self):
+        rng = np.random.default_rng(23)
+        stack = self._stack(rng, dim=4)
+        stack += 1e-17 * rng.normal(size=stack.shape)  # not Hermitian bit for bit
+        gated = _density_gate(stack)
+        assert not gated.flags.writeable
+        for matrix, alone in zip(gated, stack):
+            np.testing.assert_array_equal(matrix, DensityOperator(alone).matrix)
 
 
 class TestQuantumObservable:
