@@ -93,10 +93,14 @@ def _branch_state(psi: PureState, op: np.ndarray, branch: str = "conditioning ev
 
 def _branch_states(psi: PureState, ops: np.ndarray,
                    branch: str = "conditioning event") -> list[PureState]:
-    """:func:`_branch_state` of each operator of a ``(n, d, d)`` stack, in order."""
+    """:func:`_branch_state` of each operator of a ``(n, d, d)`` stack, in order.
+    A branch whose norm is not finite raises the ValueError ``PureState`` raises
+    for such amplitudes, before any division could warn."""
     states = []
     for v in ops @ psi.amplitudes:
         norm = float(np.linalg.norm(v))
+        if not math.isfinite(norm):
+            raise ValueError("amplitudes must be finite")
         if norm < ZERO_BRANCH_TOL:
             raise ZeroProbabilityBranchError(f"{branch} has zero probability")
         states.append(PureState(fix_phase(v / norm)))

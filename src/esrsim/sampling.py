@@ -10,10 +10,14 @@ whatever the number of workers.
 
 ``run_experiment`` hands each worker task a fixed run of trials. The task
 starts a generator at its first trial (each Philox counter step yields four
-uniforms) and draws the run in one call. The detected draws are sorted once
-and the Born bins counted from one binary search per bin edge. numpy releases
-the GIL while it fills, sorts and counts the draws, so ``workers > 1`` speeds
-up large runs without changing which uniforms a trial uses.
+outputs) and reads the run's raw 64-bit outputs in one call, with no float
+array built. A uniform is ``(raw >> 11) * 2**-53``, so ``u < x`` holds exactly
+when ``raw < L(x)``, ``L(x) = min(ceil(x * 2**53), 2**53) * 2**11``
+(``_raw_limit``): each comparison of the float rule is made on the integer,
+with the same outcome. The detected outputs are sorted once and the Born bins
+counted from one binary search per limit. numpy releases the GIL while it
+fills, sorts and counts the outputs, so ``workers > 1`` speeds up large runs
+without changing which uniforms a trial uses.
 
 Single draws run one loop, ``sample_sequence``; ``sample_measurement`` is a
 sequence of one. The Born weights are ``model._born_weights``, the one stacked
@@ -31,7 +35,7 @@ kept. An ``RngSpec`` is served by one generator per thread, reset to counter 0
 of the spec's stream on every call from a state of plain ints; it never leaves
 this module. A sequence fetches all its uniforms in one call. A draw reads
 only plain Python floats: it finds its Born bin by bisection on the
-cumulative weights (the comparisons of the bulk path's ``searchsorted``), and
+cumulative weights (the comparisons the bulk path makes on raw outputs), and
 takes its outcome from ``GeneralizedObservable._eigenvalue_floats`` and its
 Born weight from the weights entry, where ``_weights`` keeps both weights and
 sums as tuples of floats. Each draw is one ``MeasurementOutcomeRecord``, a
@@ -40,6 +44,7 @@ named tuple built from positional fields.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +70,8 @@ DRAWS_PER_TRIAL = 2
 _BLOCKS_PER_TASK = 16
 
 RNG_ALGORITHM = "philox4x64-seq"
+# One past the largest raw output: the limit that every output is below.
+_RAW_END = 2 ** 64
 
 # Holds each thread's generator for ``RngSpec`` draws (see ``_as_generator``).
 _thread = threading.local()
@@ -289,15 +296,31 @@ class RunReport:
         }
 
 
-def _bin_counts(x: np.ndarray, cum: tuple[float, ...]) -> np.ndarray:
-    """``bincount(searchsorted(cum, x, side="right"), minlength=len(cum) + 1)``.
+def _raw_limit(x: float) -> int:
+    """The ``L`` with ``raw < L`` exactly when ``(raw >> 11) * 2**-53 < x``, for
+    every raw 64-bit output and ``x >= 0``:
+    ``L = min(ceil(x * 2**53), 2**53) * 2**11``, in [0, 2**64]. Scaling by
+    ``2**53`` is exact, and ``m * 2**-53 < x`` holds for an integer ``m``
+    exactly when ``m < ceil(x * 2**53)``. ``L = 0`` passes no output (``x = 0``)
+    and ``L = 2**64``, which fits no uint64, every output (``x >= 1``)."""
+    return min(math.ceil(math.ldexp(x, 53)), 2 ** 53) << 11
 
-    Counted from the sorted draws instead: ``#{x < cum[k]}`` is the number of
-    draws whose right-side index is at most ``k``, ties in ``cum`` and draws
-    equal to an entry included. Sorts ``x`` in place.
+
+def _bin_counts(x: np.ndarray, limits: tuple[int, ...]) -> np.ndarray:
+    """``bincount(searchsorted(cum, u, side="right"), minlength=len(cum) + 1)``
+    of the uniforms ``u`` that the raw outputs ``x`` stand for, given
+    ``limits = [_raw_limit(c) for c in cum]``.
+
+    Counted from the sorted outputs instead: ``#{x < limits[k]}``, which is
+    ``#{u < cum[k]}``, is the number of draws whose right-side index is at most
+    ``k``, ties in ``cum`` and draws equal to an entry included. The limits
+    of 2**64 (``cum`` entries of 1.0 or more) end the tuple and count every output.
+    Sorts ``x`` in place.
     """
     x.sort()
-    return np.diff(np.searchsorted(x, cum), prepend=0, append=x.size)
+    inner = np.array([limit for limit in limits if limit < _RAW_END], dtype=np.uint64)
+    tail = [x.size] * (len(limits) - inner.size + 1)
+    return np.diff(np.searchsorted(x, inner), prepend=0, append=tail)
 
 
 def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
@@ -316,16 +339,20 @@ def run_experiment(gobs: GeneralizedObservable, psi: PureState, trials: int,
         raise TypeError(f"rng must be an RngSpec, got {type(rng).__name__}")
     pd, born, cum = _start_weights(gobs, psi)
     task_trials = _BLOCKS_PER_TASK * BLOCK_SIZE
+    detect, limits = _raw_limit(pd), tuple(_raw_limit(c) for c in cum)
 
     def count_task(start: int) -> np.ndarray:
         size = min(trials - start, task_trials)
-        u = rng.block_generator(start // BLOCK_SIZE).random((size, DRAWS_PER_TRIAL))
-        # The detected trials' second uniforms, taken by flat index. np.compress
+        gen = rng.block_generator(start // BLOCK_SIZE)
+        raw = gen.bit_generator.random_raw(DRAWS_PER_TRIAL * size)
+        # The detected trials' second outputs, taken by flat index. np.compress
         # first copies the strided column; that extra 0.5 MiB per task is enough
         # for malloc to return the heap to the OS and fault it back in each task.
-        detected = u.ravel().take(DRAWS_PER_TRIAL * np.flatnonzero(u[:, 0] < pd) + 1)
+        hits = (np.flatnonzero(raw[::DRAWS_PER_TRIAL] < np.uint64(detect))
+                if detect < _RAW_END else np.arange(size))
+        detected = raw.take(DRAWS_PER_TRIAL * hits + 1)
         # _cumulative leaves no draw past the top bin, so the last count is 0
-        return np.concatenate(([size - detected.size], _bin_counts(detected, cum)[:-1]))
+        return np.concatenate(([size - detected.size], _bin_counts(detected, limits)[:-1]))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         totals = sum(pool.map(count_task, range(0, trials, task_trials)))

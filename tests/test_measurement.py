@@ -4,6 +4,8 @@ The yes-branch special cases are checked against brute-force oracles that
 assemble the effect from its defining formula and renormalize by hand.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -477,6 +479,26 @@ def test_update_form_cause_is_the_first_failing_event(monkeypatch, density_event
     first = ("ValueError: trace is" if density_event < vector_event
              else "ZeroProbabilityBranchError: conditioning event")
     assert cause.startswith(first)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_update_form_cause_of_a_nan_effect_ignores_the_warning_filter(monkeypatch, action):
+    """An effect with a NaN entry names one cause whatever the warning filter,
+    and no warning is issued: the branch norm is checked before it divides."""
+    gobs, psi = sigma_z_scenario(0.8)
+    effects = measurement._effects
+
+    def nan_effects(gobs, pd, rows):
+        out = effects(gobs, pd, rows)
+        out[:, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(measurement, "_effects", nan_effects)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        checks = {c.name: c for c in verification_checks(gobs, psi, ApparatusModel())}
+    assert checks["update-form-agreement"].cause == "ValueError: amplitudes must be finite"
+    assert [str(w.message) for w in caught] == []
 
 
 class TestChecks:

@@ -5,10 +5,12 @@ seeds, so they are deterministic.
 """
 
 import gc
+import math
 import sys
 import threading
 import weakref
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,31 +199,92 @@ class TestRngSpec:
             expected = gen.random(4 + k)[4:]
         np.testing.assert_array_equal(spec.block_generator(block).random(k), expected)
 
+    @pytest.mark.parametrize("block", [0, 2 ** 40 + 5])
+    def test_uniforms_are_the_raw_outputs_top_53_bits(self, block):
+        # run_experiment counts on raw outputs on this premise: if numpy ever
+        # converts raw outputs to doubles another way, this fails, not the counts
+        spec = RngSpec(seed=13, stream_id=6)
+        n = 2 * BLOCK_SIZE + 3
+        raw = spec.block_generator(block).bit_generator.random_raw(n)
+        uniforms = spec.block_generator(block).random(n)
+        assert uniforms.tobytes() == ((raw >> 11) * 2.0 ** -53).tobytes()
+
 
 def bincount_bins(x, cum):
     """The bins as one binary search per draw: side="right" index, past-the-top last."""
     return np.bincount(np.searchsorted(cum, x, side="right"), minlength=len(cum) + 1)
 
 
-# Born weights and detected draws that tie with, or sit next to, a bin edge.
+# The spacing of the uniforms the generator emits: (raw >> 11) * STEP.
+STEP = 2.0 ** -53
+
+
+def on_grid(x):
+    """The largest uniform the generator can emit that is at most ``x`` in [0, 1)."""
+    return math.floor(x / STEP) * STEP
+
+
+def grid_neighbours(cum):
+    """The emitted uniforms on each ``cum`` entry and one step either side of
+    it: the two grid points around an entry off the grid, and one step beyond each."""
+    steps = {k for c in cum
+             for k in range(math.floor(c / STEP) - 1, math.ceil(c / STEP) + 2)}
+    return [k * STEP for k in sorted(steps) if 0 <= k < 2 ** 53]
+
+
+def raw_outputs(u):
+    """(raw, uniforms): the least and the greatest raw output that converts to
+    each emitted uniform of ``u``, and the uniform of each output."""
+    top = (np.asarray(u, dtype=float) / STEP).astype(np.uint64) << np.uint64(11)
+    raw = np.concatenate((top, top | np.uint64(2047)))
+    uniforms = (raw >> np.uint64(11)) * STEP
+    np.testing.assert_array_equal(uniforms, np.concatenate((u, u)))
+    return raw, uniforms
+
+
+def raw_bin_counts(u, cum):
+    """``_bin_counts`` of the raw outputs of the uniforms ``u``, and the float
+    ``bincount_bins`` of the same draws."""
+    raw, uniforms = raw_outputs(u)
+    limits = tuple(sampling._raw_limit(c) for c in cum)
+    return sampling._bin_counts(raw, limits), bincount_bins(uniforms, cum)
+
+
+# Born weights and detected draws that tie with, or sit next to, a bin edge,
+# all of them uniforms the generator can emit.
 TIE_CASES = [
-    ([0.25, 0.25, 0.5], [0.25, 0.5, 0.1, 0.25, 0.7, 0.5]),  # draws equal to cum entries
-    ([0.3, 0.0, 0.0, 0.7], [0.3, 0.29, 0.3, 0.31, 0.0]),  # ties from zero-weight bins
-    ([0.0, 0.4, 0.0, 0.6, 0.0], [0.0, 0.4, 0.4, 0.99, 0.2]),  # zero-weight ends
+    ([0.25, 0.25, 0.5], [*grid_neighbours([0.25, 0.5]), on_grid(0.1), 0.25, 0.5]),  # on cum
+    ([0.3, 0.0, 0.0, 0.7], [*grid_neighbours([0.3]), on_grid(0.29), on_grid(0.31),
+                            0.0]),  # ties from zero-weight bins
+    ([0.0, 0.4, 0.0, 0.6, 0.0], [*grid_neighbours([0.0, 0.4]), on_grid(0.99)]),  # empty ends
     ([0.2, 0.8], []),  # no detected draw
-    ([1.0], [0.0, 0.5, np.nextafter(1.0, 0.0)]),  # K = 1
-    ([0.5, 0.5], [np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0)]),  # just below 1
-    ([0.5, 0.25, 0.0], [0.75, 0.9, np.nextafter(1.0, 0.0)]),  # residue past an empty top bin
+    ([1.0], [0.0, 0.5, 1.0 - STEP]),  # K = 1
+    ([0.5, 0.5], [1.0 - STEP, *grid_neighbours([0.5])]),  # just below 1
+    # residue past an empty top bin
+    ([0.5, 0.25, 0.0], [*grid_neighbours([0.75]), on_grid(0.9), 1.0 - STEP]),
 ]
+
+
+class TestRawLimit:
+    @pytest.mark.parametrize("x", [0.0, 5e-324, STEP, 0.375 - STEP, 0.375, 0.375 + STEP,
+                                   np.nextafter(0.375, 0.0), np.nextafter(0.375, 1.0),
+                                   0.3, 1.0 - STEP, 1.0, np.nextafter(1.0, 2.0)])
+    def test_agrees_with_the_float_comparison(self, x):
+        # a limit in [0, 2**64] that agrees on these outputs is 0 for x = 0 and
+        # 2**64 from x = 1 on, where a cumulative sum may round past 1
+        limit = sampling._raw_limit(x)
+        assert 0 <= limit <= 2 ** 64 and limit % 2048 == 0
+        for raw in {min(max(limit + d, 0), 2 ** 64 - 1) for d in (-1, 0, 1, 2047, 2048)}:
+            assert (raw < limit) == ((raw >> 11) * STEP < x), raw
+            if limit < 2 ** 64:  # as run_experiment compares: uint64 with uint64
+                assert bool(np.uint64(raw) < np.uint64(limit)) == (raw < limit)
 
 
 class TestBinCounts:
     @pytest.mark.parametrize("born, x", TIE_CASES)
     def test_matches_binary_search_per_draw(self, born, x):
         cum = sampling._cumulative(np.array(born))
-        x = np.array(x, dtype=float)
-        expected = bincount_bins(x, cum)
-        bins = sampling._bin_counts(x.copy(), cum)
+        bins, expected = raw_bin_counts(x, cum)
         assert bins.shape == expected.shape
         np.testing.assert_array_equal(bins, expected)
 
@@ -232,11 +295,10 @@ class TestBinCounts:
             if not born.any():
                 born[0] = 1.0
             cum = sampling._cumulative(born / born.sum())
-            x = np.concatenate((rng.random(5000), cum, cum[:-1], np.nextafter(cum, 0.0)))
-            x = x[x < 1.0]
+            # Generator.random emits the same grid from any bit generator
+            x = np.concatenate((rng.random(5000), grid_neighbours(cum)))
             rng.shuffle(x)
-            np.testing.assert_array_equal(sampling._bin_counts(x.copy(), cum),
-                                          bincount_bins(x, cum))
+            np.testing.assert_array_equal(*raw_bin_counts(x, cum))
 
     def test_no_draw_lands_on_an_empty_bin(self):
         rng = np.random.default_rng(227)
@@ -249,13 +311,13 @@ class TestBinCounts:
             if trial % 2:
                 born /= born.sum()
             cum = sampling._cumulative(born)
-            x = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0),
-                                rng.random(5000)))
-            x = x[x < 1.0]
+            x = np.concatenate(([0.0, 1.0 - STEP], grid_neighbours(cum), rng.random(5000)))
             bins = np.array([bisect_right(cum, u) for u in x])
             np.testing.assert_array_equal(bins, np.searchsorted(cum, x, side="right"))
             assert np.all(born[bins] > 0.0)
-            assert sampling._bin_counts(x.copy(), cum)[-1] == 0
+            counts, expected = raw_bin_counts(x, cum)
+            np.testing.assert_array_equal(counts, expected)
+            assert counts[-1] == 0
 
 
 class FixedUniforms(np.random.Generator):
@@ -927,6 +989,43 @@ class TestRunExperiment:
         for workers in (1, 2, 3):
             report = run_experiment(gobs, psi, TASK + BLOCK_SIZE + 1, spec, workers=workers)
             np.testing.assert_array_equal(report.counts, expected)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_detection_counts_match_block_oracle(self, p):
+        # limits of 0 and 2**64: no trial detected, or every one
+        rng = np.random.default_rng(43)
+        gobs = random_generalized(rng, 5, detection=ConstantDetection(p))
+        psi = random_state(rng, 5)
+        spec = RngSpec(seed=43, stream_id=5)
+        trials = TASK + BLOCK_SIZE + 1
+        expected = block_oracle(gobs, psi, trials, spec)
+        assert expected[0] == (trials if p == 0.0 else 0)
+        for workers in (1, 2, 3):
+            report = run_experiment(gobs, psi, trials, spec, workers=workers)
+            np.testing.assert_array_equal(report.counts, expected)
+
+    def test_outputs_at_the_limits_count_as_their_uniforms(self, monkeypatch):
+        # every trial's raw outputs sit at, or one output or one grid step
+        # beside, the detection limit and a bin limit; the counts must be the
+        # float rule's on the uniforms those outputs convert to
+        rng = np.random.default_rng(47)
+        gobs = random_generalized(rng, 4, detection=ConstantDetection(0.3))
+        psi = random_state(rng, 4)
+        cum = sampling._start_weights(gobs, psi)[2]
+
+        def around(x):
+            limit = sampling._raw_limit(x)
+            return [min(max(limit + d, 0), 2 ** 64 - 1) for d in (-2048, -1, 0, 2047, 2048)]
+
+        first = around(0.3) + [0, 2 ** 64 - 1]
+        second = [raw for c in cum for raw in around(c)]
+        raw = np.array([[a, b] for a in first for b in second], dtype=np.uint64).ravel()
+        gen = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda n: raw[:n].copy()))
+        monkeypatch.setattr(RngSpec, "block_generator", lambda spec, block: gen)
+        trials = raw.size // 2
+        report = run_experiment(gobs, psi, trials, RngSpec(seed=0))
+        uniforms = ((raw >> np.uint64(11)) * STEP).reshape(trials, 2)
+        np.testing.assert_array_equal(report.counts, scalar_rule_counts(gobs, psi, uniforms))
 
     def test_empty_born_bin_counts_zero(self):
         # the state is orthogonal to the top eigenvector, so its Born weight is 0
