@@ -32,14 +32,17 @@ post-state and that state's weights from
 detected draw. Higher ranks apply the Lüders rule per draw, a new state each
 time, and compute its weights only if another draw follows; those are never
 kept. An ``RngSpec`` is served by one generator per thread, reset to counter 0
-of the spec's stream on every call from a state of plain ints; it never leaves
-this module. A sequence fetches all its uniforms in one call. A draw reads
-only plain Python floats: it finds its Born bin by bisection on the
-cumulative weights (the comparisons the bulk path makes on raw outputs), and
-takes its outcome from ``GeneralizedObservable._eigenvalue_floats`` and its
-Born weight from the weights entry, where ``_weights`` keeps both weights and
-sums as tuples of floats. Each draw is one ``MeasurementOutcomeRecord``, a
-named tuple built from positional fields.
+of the spec's stream on every call from one state dict of plain ints per
+thread, of which a call replaces only the key; the generator never leaves this
+module. The integer gate only range-checks an exact ``int``. A sequence
+fetches all its uniforms in one call. A draw reads only plain Python floats:
+it finds its Born bin by bisection on the cumulative weights (the
+comparisons the bulk path makes on raw outputs), and takes its outcome from
+``GeneralizedObservable._eigenvalue_floats`` and its Born weight from the
+weights entry, where ``_weights`` keeps both weights and sums as tuples of
+floats. Each draw is one ``MeasurementOutcomeRecord``, a named tuple made by
+``tuple.__new__`` from its fields in order, which skips the class's
+Python-level ``__new__``.
 """
 
 from __future__ import annotations
@@ -73,15 +76,17 @@ RNG_ALGORITHM = "philox4x64-seq"
 # One past the largest raw output: the limit that every output is below.
 _RAW_END = 2 ** 64
 
-# Holds each thread's generator for ``RngSpec`` draws (see ``_as_generator``).
+# Each thread's generator for ``RngSpec`` draws and its reset (``_as_generator``).
 _thread = threading.local()
 
 
 def _require_integer(name: str, value, uint64: bool = False) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a Python or numpy
-    integer, not a bool, in [0, 2**64) if ``uint64``, else at least 1."""
+    integer, not a bool, in [0, 2**64) if ``uint64``, else at least 1. An
+    exact ``int`` skips the type tests, which decide every other value."""
     # bool is an int subclass, but True is no seed and no count
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+    if ((type(value) is not int
+         and (isinstance(value, bool) or not isinstance(value, (int, np.integer))))
             or not (0 <= value < 2 ** 64 if uint64 else value >= 1)):
         bounds = "in [0, 2**64)" if uint64 else "of at least 1"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
@@ -153,16 +158,18 @@ def _as_generator(rng) -> np.random.Generator:
             raise TypeError("rng must be an RngSpec or a numpy Generator, "
                             f"got {type(rng).__name__}")
         return rng
-    gen = getattr(_thread, "generator", None)
-    if gen is None:
-        gen = _thread.generator = np.random.Generator(np.random.Philox(key=0))
-    # plain ints set the state uint64 arrays would, with no array allocated;
-    # a fresh dict per call, as a shared template given each call's key would
-    # race between threads
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (int(rng.seed), int(rng.stream_id))},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    reset = getattr(_thread, "reset", None)
+    if reset is None:
+        # plain ints set the state uint64 arrays would, with no array
+        # allocated. The setter only reads the dict, so each thread builds one
+        # once and a call replaces only its key: no thread sees another's dict.
+        philox = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+        reset = _thread.reset = (np.random.Generator(np.random.Philox(key=0)), philox, {
+            "bit_generator": "Philox", "state": philox, "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0})
+    gen, philox, state = reset
+    philox["key"] = (int(rng.seed), int(rng.stream_id))
+    gen.bit_generator.state = state
     return gen
 
 
@@ -216,13 +223,14 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     pd, born, cum = _start_weights(gobs, psi)
     uniforms = gen.random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
+    record, eigenvalues = records.append, gobs._eigenvalue_floats
     state = psi
     for step, (u0, u1) in enumerate(uniforms, 1):
         pre, detected = state, u0 < pd
         if detected:
             # the comparisons of np.searchsorted(cum, u1, side="right")
             k = bisect_right(cum, u1)
-            outcome, probability = gobs._eigenvalue_floats[k], pd * born[k]
+            outcome, probability = eigenvalues[k], pd * born[k]
             entry = gobs._eigenstates[k]
             if entry is not None:
                 state, pd, born, cum = entry
@@ -232,8 +240,10 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
                     pd, born, cum = _weights(gobs, state)
         else:
             outcome, probability = gobs.a0, 1.0 - pd
-        # positional, in field order: keywords cost a third more per record
-        records.append(MeasurementOutcomeRecord(outcome, detected, pre, state, probability))
+        # tuple.__new__ in field order skips the class's Python-level __new__,
+        # about 40% of a record's cost
+        record(tuple.__new__(MeasurementOutcomeRecord,
+                             (outcome, detected, pre, state, probability)))
     return records
 
 

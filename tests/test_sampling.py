@@ -42,6 +42,11 @@ from helpers import (
 TASK = _BLOCKS_PER_TASK * BLOCK_SIZE
 
 
+class Integer(int):
+    """An int subclass: not an exact int, so the integer gate's full rule
+    decides it."""
+
+
 def scalar_rule_counts(gobs, psi, u):
     """Counts of trials whose uniform pairs are the rows of ``u``, each
     classified as a single draw is: detected iff u0 < p_d, then the Born bin
@@ -157,7 +162,7 @@ class TestRngSpec:
 
     def test_validation(self):
         for field in ("seed", "stream_id"):
-            for value in (-1, -2, 2 ** 64):
+            for value in (-1, -2, 2 ** 64, Integer(-1), Integer(2 ** 64)):
                 with pytest.raises(ValueError, match=rf"{field} must be an integer in "
                                                      rf"\[0, 2\*\*64\), got {value}$"):
                     RngSpec(**{"seed": 0, field: value})
@@ -171,8 +176,8 @@ class TestRngSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             RngSpec(**kwargs)
 
-    @pytest.mark.parametrize("value", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(9),
-                                       np.int64(5)])
+    @pytest.mark.parametrize("value", [0, 1, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(9),
+                                       np.int64(5), Integer(0), Integer(2 ** 64 - 1)])
     def test_accepts_python_and_numpy_integers(self, value):
         spec = RngSpec(seed=value, stream_id=value)
         assert spec.describe() == f"philox4x64-seq:seed={int(value)}:stream={int(value)}"
@@ -181,6 +186,21 @@ class TestRngSpec:
             RngSpec(seed=int(value), stream_id=int(value)).generator().random(4))
         # single draws reset a per-thread generator to the state generator() starts in
         assert philox_state(sampling._as_generator(spec)) == philox_state(spec.generator())
+
+    def test_reset_restores_every_state_field(self):
+        # the thread's generator is left mid-buffer (ten doubles leave
+        # buffer_pos at 2) and holding half a 64-bit output (has_uint32 = 1);
+        # the next spec's reset must clear both, as generator() starts
+        gobs, psi = benchmark_scenario(523)
+        for spec in (RngSpec(seed=7, stream_id=1), RngSpec(seed=2 ** 64 - 1, stream_id=9),
+                     RngSpec(seed=7, stream_id=1)):
+            gen = sampling._as_generator(spec)
+            assert philox_state(gen) == philox_state(spec.generator())
+            np.testing.assert_array_equal(gen.random(6), spec.generator().random(6))
+            sample_sequence(gobs, psi, 5, spec)
+            assert gen.bit_generator.state["buffer_pos"] == 2
+            gen.integers(2 ** 32, dtype=np.uint32)
+            assert gen.bit_generator.state["has_uint32"] == 1
 
     @pytest.mark.parametrize("block", [0, 1, 17, 2 ** 32 + 3])
     def test_block_generator_continues_the_stream(self, block):
@@ -886,7 +906,8 @@ class TestRecordContract:
 
 
 # Arguments that are no count of trials, workers or draws.
-NOT_COUNTS = [0, -3, 2.5, 2.0, np.float64(2.0), True, False, np.bool_(True), "2", None]
+NOT_COUNTS = [0, -3, 2.5, 2.0, np.float64(2.0), True, False, np.bool_(True), "2", None,
+              Integer(0)]
 
 
 class TestCountArguments:
@@ -908,15 +929,16 @@ class TestCountArguments:
             sample_sequence(gobs, psi, value, gen)
         assert philox_state(gen) == before
 
-    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    @pytest.mark.parametrize("value", [1, 3, np.int64(3), np.uint8(3), Integer(1), Integer(3)])
     def test_accepts_python_and_numpy_integers(self, value):
         gobs, psi = benchmark_scenario(617)
+        count = int(value)
         report = run_experiment(gobs, psi, value, RngSpec(seed=4), workers=value)
         assert type(report.trials) is int
-        assert report.to_dict() == run_experiment(gobs, psi, 3, RngSpec(seed=4)).to_dict()
+        assert report.to_dict() == run_experiment(gobs, psi, count, RngSpec(seed=4)).to_dict()
         records = sample_sequence(gobs, psi, value, RngSpec(seed=4))
         assert ([record_key(r) for r in records]
-                == [record_key(r) for r in sample_sequence(gobs, psi, 3, RngSpec(seed=4))])
+                == [record_key(r) for r in sample_sequence(gobs, psi, count, RngSpec(seed=4))])
 
 
 class TestRunExperiment:
