@@ -16,12 +16,15 @@ The checks that ``verify`` and ``evolve`` report live here too: each is a
 :func:`failed_checks` is the one verdict rule. The dense event checks run
 over small stacks of events (:func:`_stacks`), and both update forms of a
 stack pass the one density gate of ``model`` together; each event gets the
-bits, and a failing one the error, that it would get alone.
+bits, and a failing one the error, that it would get alone. ``verify``'s
+POV-axiom pass runs on one extra thread; no record depends on it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from functools import cache
 from typing import NamedTuple
@@ -303,7 +306,10 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
     """The checks of ``verify``, in their report order: the POV axioms, the
     probability and update forms on random events, the measurement-operator
     family, and the apparatus coupling, :func:`coupling_checks`. A check whose
-    input cannot be built fails with that input's exception as its cause."""
+    input cannot be built fails with that input's exception as its cause. The
+    POV axioms run on one extra thread, in a copy of the caller's context (so
+    under its numpy error state), while the caller runs the rest: they read no
+    shared input, and their eigensolves release the GIL. No number depends on it."""
     # Inputs shared by several checks, built on first use. An input that
     # raises is not cached, so each check reading it reports its exception.
     @cache
@@ -392,17 +398,19 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
                 worst = max(worst, p)
         return worst
 
-    return [
-        *_guard(pov_axioms,
-                "pov-normalization", "pov-positivity", "pov-additivity", "pov-commutativity"),
-        *_guard(factorization, "factorization"),
-        *_guard(form_agreement, "probability-form-agreement"),
-        *_guard(total_probability, "total-probability"),
-        *_guard(update_form_agreement, "update-form-agreement"),
-        *_guard(lambda: operators().deviations().values(),
-                "family-completeness", "family-commutation"),
-        *_guard(singleton_consistency, "singleton-consistency"),
-        *_guard(nonselective_forms, "nonselective-forms"),
-        *_guard(repeatability, "repeatability"),
-        *coupling_checks(gobs, psi, apparatus).checks,
-    ]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pov = pool.submit(contextvars.copy_context().run, _guard, pov_axioms, "pov-normalization",
+                          "pov-positivity", "pov-additivity", "pov-commutativity")
+        others = [
+            *_guard(factorization, "factorization"),
+            *_guard(form_agreement, "probability-form-agreement"),
+            *_guard(total_probability, "total-probability"),
+            *_guard(update_form_agreement, "update-form-agreement"),
+            *_guard(lambda: operators().deviations().values(),
+                    "family-completeness", "family-commutation"),
+            *_guard(singleton_consistency, "singleton-consistency"),
+            *_guard(nonselective_forms, "nonselective-forms"),
+            *_guard(repeatability, "repeatability"),
+            *coupling_checks(gobs, psi, apparatus).checks,
+        ]
+    return [*pov.result(), *others]

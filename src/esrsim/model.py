@@ -374,13 +374,14 @@ def _match_values(observable: QuantumObservable, values, a0: float | None) -> np
 
 
 def _projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
-    """``sum_{k in mask} P_k`` for each boolean row of ``masks``, as ``(m, d, d)``, added
-    one by one in ascending k: a row gives the same bits alone or in a stack."""
+    """``sum_{k in mask} P_k`` for each boolean row of ``masks``, as ``(m, d, d)``: one
+    ``sum(axis=0)`` of the row's gathered projectors, which adds them entry by entry
+    in ascending k, added into zeros so that a sum of zeros reads ``+0.0``. These are
+    the bits of adding the projectors one by one, whether a row is alone or in a stack."""
     stack = observable.projectors
     out = np.zeros((len(masks), observable.dim, observable.dim), dtype=complex)
     for total, mask in zip(out, masks):
-        for k in np.flatnonzero(mask):
-            total += stack[k]
+        total += stack[mask].sum(axis=0)
     return out
 
 

@@ -131,6 +131,17 @@ def reconstruct(obs: QuantumObservable) -> np.ndarray:
     return out
 
 
+def reference_projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
+    """``model._projector_sums`` as it was first written: each row's projectors
+    added one by one, in ascending k, into zeros."""
+    stack = observable.projectors
+    out = np.zeros((len(masks), observable.dim, observable.dim), dtype=complex)
+    for total, mask in zip(out, masks):
+        for k in np.flatnonzero(mask):
+            total += stack[k]
+    return out
+
+
 def spectral_defects(obs: QuantumObservable, source: np.ndarray | None = None) -> dict[str, float]:
     """Frobenius-norm defects of an observable's spectral invariants.
 

@@ -4,6 +4,8 @@ The yes-branch special cases are checked against brute-force oracles that
 assemble the effect from its defining formula and renormalize by hand.
 """
 
+import math
+import threading
 import warnings
 
 import numpy as np
@@ -499,6 +501,34 @@ def test_update_form_cause_of_a_nan_effect_ignores_the_warning_filter(monkeypatc
         checks = {c.name: c for c in verification_checks(gobs, psi, ApparatusModel())}
     assert checks["update-form-agreement"].cause == "ValueError: amplitudes must be finite"
     assert [str(w.message) for w in caught] == []
+
+
+def test_pov_thread_failure_names_its_cause(monkeypatch):
+    """An exception in the POV-axiom pass, which runs on its own thread, fails
+    the four pov checks with its cause; the other checks keep their bits and
+    the report its order, the pass sees the caller's numpy error state, and
+    the thread is gone when the call returns."""
+    rng = np.random.default_rng(41)
+    gobs = random_generalized(rng, 4)
+    psi = random_state(rng, 4)
+    baseline = threading.active_count()
+    with np.errstate(divide="raise"):
+        clean = verification_checks(gobs, psi, ApparatusModel())
+
+        def broken(*args, **kwargs):
+            raise RuntimeError(f"pov pass failed, divide={np.geterr()['divide']}")
+
+        monkeypatch.setattr(measurement, "verify_pov_axioms", broken)
+        checks = verification_checks(gobs, psi, ApparatusModel())
+    assert threading.active_count() == baseline
+    assert [c.name for c in checks] == [c.name for c in clean]
+    assert checks[:4] == [Check(c.name, math.inf, "RuntimeError: pov pass failed, divide=raise")
+                          for c in clean[:4]]
+    assert [c.name for c in clean[:4]] == ["pov-normalization", "pov-positivity",
+                                           "pov-additivity", "pov-commutativity"]
+    assert [(c.name, c.deviation.hex(), c.cause) for c in checks[4:]] == \
+        [(c.name, c.deviation.hex(), c.cause) for c in clean[4:]]
+    assert len(checks[4:]) == 11
 
 
 class TestChecks:

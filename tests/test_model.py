@@ -55,6 +55,7 @@ from helpers import (
     random_unitary,
     reference_effect,
     reference_pov_axioms,
+    reference_projector_sums,
     scenario_stream,
     sigma_z_scenario,
     verify_cases,
@@ -209,6 +210,41 @@ class TestPvProjector:
         obs = QuantumObservable.from_matrix(np.diag([1.0, -1.0]))
         np.testing.assert_allclose(pv_projector(obs, (7.5, 1.0)),
                                    pv_projector(obs, (1.0,)))
+
+
+def test_projector_sums_match_the_loop():
+    """Each row's gathered sum has the bits of adding its projectors one by one,
+    signs of zero included: d = 1 to 48, projectors onto each column of a random
+    unitary and onto random blocks of its columns (a degenerate spectrum), and
+    diagonal projectors whose zero entries are all -0.0. Each observable's rows
+    hold the empty, the full and every singleton mask, and random masks of
+    several densities, most of them at small d, where rows are cheap."""
+    rng = np.random.default_rng(2026)
+    rows_checked = 0
+    for dim in range(1, 49):
+        u = random_unitary(rng, dim)
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(0, max(1, dim - 1))),
+                                  replace=False))
+        observables = [QuantumObservable(np.arange(len(blocks), dtype=float),
+                                         [b @ b.conj().T for b in blocks])
+                       for blocks in (np.split(u, dim, axis=1), np.split(u, cuts, axis=1))]
+        signed = np.eye(dim)[:, None, :] * np.eye(dim)[:, :, None] + 0j
+        parts = signed.view(float)
+        parts[parts == 0.0] = -0.0
+        observables.append(QuantumObservable(np.arange(dim, dtype=float), signed))
+        for obs in observables:
+            k = obs.eigenvalues.size
+            extra = max(8, 600 // dim)
+            masks = np.concatenate([
+                np.zeros((1, k), dtype=bool), np.ones((1, k), dtype=bool),
+                np.eye(k, dtype=bool),
+                rng.random((extra, k)) < rng.choice([0.1, 0.5, 0.9], size=(extra, 1)),
+            ])
+            got = model._projector_sums(obs, masks)
+            want = reference_projector_sums(obs, masks)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dim
+            rows_checked += len(masks)
+    assert rows_checked >= 10 ** 4
 
 
 class TestDetectionProbability:
