@@ -4,10 +4,10 @@ Hermitian eigendecomposition with eigenvalue clustering, spectral projector
 assembly and a shifted-Cholesky positivity test; the Hermiticity and positivity
 tests take one matrix or a ``(n, d, d)`` stack of them. A decomposition is the plain
 pair (distinct eigenvalues, ``(K, d, d)`` projector stack); the type that holds
-and checks it is ``model.QuantumObservable``. The merge tolerance of the
-clustering is derived from the spectrum (1e-8 times its range), never passed
-in. Everything works on plain ``numpy.ndarray`` values and is pure: inputs are
-never mutated. Intended for dense operators up to dimension of a few dozen.
+and checks it is ``model.QuantumObservable``. The clustering's merge tolerance
+is derived from the spectrum (1e-8 times its range, at least eigh's roundoff),
+never passed in. Everything works on plain ``numpy.ndarray`` values and is pure:
+inputs are never mutated. Intended for dense operators up to dimension of a few dozen.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .errors import NotHermitianError, NotSquareError
 HERMITICITY_RTOL = 1e-9
 # Eigenvalue-merge tolerance, as a fraction of the spectral range.
 CLUSTER_TOL_FACTOR = 1e-8
+# Its floor C: eigh's roundoff spreads a d-fold eigenvalue over at most 3 d eps max|eigenvalue|.
+CLUSTER_TOL_ROUNDOFF = 8.0
 
 
 def as_matrix(values) -> np.ndarray:
@@ -66,11 +68,14 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarr
 
 
 def default_cluster_tol(eigenvalues) -> float:
-    """Eigenvalue-merge tolerance: a small fraction of the spectral range."""
+    """Eigenvalue-merge tolerance of ``n`` eigenvalues: 1e-8 times their range, at least
+    ``C * n * eps * max|eigenvalue|`` with ``C = 8``. ``model.QuantumObservable``
+    caches the tolerance of its eigenvalues, beside their plain floats."""
     w = np.asarray(eigenvalues, dtype=float)
     if w.size < 2:
         return 0.0
-    return CLUSTER_TOL_FACTOR * float(w.max() - w.min())
+    roundoff = CLUSTER_TOL_ROUNDOFF * w.size * float(np.finfo(float).eps) * float(np.abs(w).max())
+    return max(CLUSTER_TOL_FACTOR * float(w.max() - w.min()), roundoff)
 
 
 def _cluster(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +104,8 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix into its distinct eigenvalues, ascending,
     and their spectral projectors as one ``(K, d, d)`` array.
 
-    Eigenvalues closer than 1e-8 times the spectral range
-    (:func:`default_cluster_tol`) are merged into one degenerate eigenvalue
+    Eigenvalues closer than :func:`default_cluster_tol` (1e-8 times the spectral
+    range, at least eigh's roundoff) are merged into one degenerate eigenvalue
     (their mean) whose projector spans the combined eigenspace. Floating point
     never reproduces exactly equal eigenvalues, so merging is how intended
     degeneracies are recovered.

@@ -112,8 +112,10 @@ def _branch_states(psi: PureState, ops: np.ndarray,
 
 def post_measurement_state_no(gobs: GeneralizedObservable, psi: PureState,
                               event) -> PureState:
-    """State after the measured value was observed to fall outside the event."""
-    return post_measurement_state_yes(gobs, psi, complement_event(gobs, event))
+    """State after the measured value was observed to fall outside the event:
+    :func:`post_measurement_state_yes` of its :func:`complement_event`, resolved once."""
+    row = ~split_event(gobs, event)
+    return _branch_state(psi, _effects(gobs, detection_probability(gobs, psi), row[None])[0])
 
 
 def post_measurement_density(gobs: GeneralizedObservable, psi: PureState,

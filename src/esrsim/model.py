@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -69,17 +70,6 @@ def _match_atol(value: float) -> float:
     return OUTCOME_MATCH_RTOL * (1.0 + abs(value))
 
 
-def _nearest_index(sorted_values: np.ndarray, value: float) -> int | None:
-    """Index of the entry nearest ``value`` within the match window or the
-    merge tolerance of ``sorted_values``, else None."""
-    i = int(np.searchsorted(sorted_values, value))
-    dist = {k: abs(float(sorted_values[k]) - value) for k in (i - 1, i)
-            if 0 <= k < sorted_values.size}
-    best = min(dist, key=dist.get)  # the lower neighbour on a tie
-    window = max(_match_atol(value), linalg.default_cluster_tol(sorted_values))
-    return best if dist[best] <= window else None
-
-
 def _freeze_finite(v: np.ndarray) -> np.ndarray:
     """Check that the amplitudes ``v`` are finite, make them read-only and return them."""
     if not np.all(np.isfinite(v)):
@@ -88,12 +78,14 @@ def _freeze_finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _require_unit_spectrum(h: np.ndarray, tol: float, name: str) -> None:
-    """Raise ValueError unless the symmetrized ``h`` has its spectrum in [-tol, 1 + tol]."""
+def _require_unit_spectrum(h: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """The symmetrized ``h``, read-only; ValueError unless its spectrum is in [-tol, 1 + tol]."""
     if not (linalg._shifted_cholesky_exists(h, tol)
             and linalg._shifted_cholesky_exists(np.eye(h.shape[0]) - h, tol)):
         eigs = np.linalg.eigvalsh(h)
         raise ValueError(f"{name} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] must lie in [0, 1]")
+    h.flags.writeable = False
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +144,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-        object.__setattr__(self, "matrix", _density_gate(m[None])[0])
+        object.__setattr__(self, "matrix", _density_gate(linalg.as_matrix(self.matrix)[None])[0])
 
     def purity(self) -> float:
         """Trace of the squared operator; 1 exactly for pure states."""
@@ -211,6 +200,17 @@ class QuantumObservable:
     def dim(self) -> int:
         return self.projectors.shape[1]
 
+    @cached_property
+    def _eigenvalue_floats(self) -> tuple[float, ...]:
+        """``eigenvalues`` as plain Python floats, which the event resolver bisects
+        and a draw reports: a tuple index is cheaper than a numpy scalar's ``float``."""
+        return tuple(self.eigenvalues.tolist())
+
+    @cached_property
+    def _merge_tol(self) -> float:
+        """:func:`linalg.default_cluster_tol` of the eigenvalues, decided once."""
+        return linalg.default_cluster_tol(self.eigenvalues)
+
 
 @dataclass(frozen=True)
 class ConstantDetection:
@@ -238,9 +238,7 @@ class ExpectationDetection:
 
     def __post_init__(self):
         b = linalg.require_hermitian(linalg.as_matrix(self.operator))
-        _require_unit_spectrum(b, NORM_TOL, "operator")
-        b.flags.writeable = False
-        object.__setattr__(self, "operator", b)
+        object.__setattr__(self, "operator", _require_unit_spectrum(b, NORM_TOL, "operator"))
 
     def probability(self, psi: PureState) -> float:
         if psi.dim != self.operator.shape[0]:
@@ -280,9 +278,8 @@ class GeneralizedObservable:
                 f"detection operator dim {self.detection.operator.shape[0]} "
                 f"!= observable dim {self.base.dim}")
         a0 = float(self.a0)
-        eigs = self.base.eigenvalues
-        separation = float(np.min(np.abs(eigs - a0)))
-        floor = linalg.default_cluster_tol(eigs) + 2.0 * _match_atol(a0)
+        separation = float(np.min(np.abs(self.base.eigenvalues - a0)))
+        floor = self.base._merge_tol + 2.0 * _match_atol(a0)
         if not separation > floor:
             raise ValueError(
                 f"no-registration outcome {a0!r} clashes with the spectrum "
@@ -331,12 +328,6 @@ class GeneralizedObservable:
         return tuple(table)
 
     @cached_property
-    def _eigenvalue_floats(self) -> tuple[float, ...]:
-        """``base.eigenvalues`` as plain Python floats, the outcome a detected
-        draw reports: a tuple index is cheaper than a numpy scalar's ``float``."""
-        return tuple(self.base.eigenvalues.tolist())
-
-    @cached_property
     def _weights_memo(self) -> weakref.WeakKeyDictionary:
         """Per start state of a sampler call, its ``sampling._weights``
         ``(pd, born, cum)``, filled by ``sampling._start_weights`` on the
@@ -353,22 +344,25 @@ class GeneralizedObservable:
 def split_event(gobs: GeneralizedObservable, event) -> np.ndarray:
     """Resolve an event to a boolean row aligned with ``gobs.outcomes``: entry 0
     for a0, entry ``k + 1`` for the k-th eigenvalue. A value matches a0 within
-    the match window, else the nearest eigenvalue within that window or the
-    merge tolerance (so a merged eigenvalue matches each value merged into it);
-    values matching no outcome contribute nothing."""
+    the match window, else the nearest eigenvalue (the lower one on a tie) within
+    that window or the merge tolerance (so a merged eigenvalue matches each value
+    merged into it); values matching no outcome contribute nothing. The
+    eigenvalues' plain-float tuple and merge tolerance are cached on ``gobs.base``."""
     return _match_values(gobs.base, as_event(event), gobs.a0)
 
 
 def _match_values(observable: QuantumObservable, values, a0: float | None) -> np.ndarray:
-    """Row of the outcomes ``values`` match: ``a0`` (never when None), then the eigenvalues."""
-    eigs = observable.eigenvalues
-    row = np.zeros(eigs.size + 1, dtype=bool)
+    """Row of the outcomes ``values`` match, in one pass: ``a0`` (never when None) first."""
+    eigs, tol = observable._eigenvalue_floats, observable._merge_tol
+    row = np.zeros(len(eigs) + 1, dtype=bool)
     for v in values:
-        if a0 is not None and abs(v - a0) <= _match_atol(v):
+        window = _match_atol(v)
+        k = bisect_left(eigs, v)
+        if k == len(eigs) or (k and v - eigs[k - 1] <= eigs[k] - v):
+            k -= 1  # eigs[k - 1] < v <= eigs[k]: the lower one is nearer, or as near
+        if a0 is not None and abs(v - a0) <= window:
             row[0] = True
-            continue
-        k = _nearest_index(eigs, v)
-        if k is not None:
+        elif abs(eigs[k] - v) <= max(window, tol):
             row[k + 1] = True
     return row
 
@@ -450,10 +444,8 @@ class Effect:
     operator: np.ndarray
 
     def __post_init__(self):
-        op = linalg.require_hermitian(linalg.as_matrix(self.operator), rtol=OPERATOR_GATE_TOL)
-        _require_unit_spectrum(op, OPERATOR_GATE_TOL, "effect")
-        op.flags.writeable = False
-        object.__setattr__(self, "operator", op)
+        h = linalg.require_hermitian(linalg.as_matrix(self.operator), rtol=OPERATOR_GATE_TOL)
+        object.__setattr__(self, "operator", _require_unit_spectrum(h, OPERATOR_GATE_TOL, "effect"))
 
 
 def _effects(gobs: GeneralizedObservable, pd: float, rows: np.ndarray) -> np.ndarray:

@@ -38,11 +38,11 @@ module. The integer gate only range-checks an exact ``int``. A sequence
 fetches all its uniforms in one call. A draw reads only plain Python floats:
 it finds its Born bin by bisection on the cumulative weights (the
 comparisons the bulk path makes on raw outputs), and takes its outcome from
-``GeneralizedObservable._eigenvalue_floats`` and its Born weight from the
-weights entry, where ``_weights`` keeps both weights and sums as tuples of
-floats. Each draw is one ``MeasurementOutcomeRecord``, a named tuple made by
-``tuple.__new__`` from its fields in order, which skips the class's
-Python-level ``__new__``.
+``gobs.base._eigenvalue_floats``, the tuple the event resolver bisects, and
+its Born weight from the weights entry, where ``_weights`` keeps both weights
+and sums as tuples of floats. Each draw is one ``MeasurementOutcomeRecord``,
+a named tuple made by ``tuple.__new__`` from its fields in order, which skips
+the class's Python-level ``__new__``.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     pd, born, cum = _start_weights(gobs, psi)
     uniforms = gen.random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
-    record, eigenvalues = records.append, gobs._eigenvalue_floats
+    record, eigenvalues = records.append, gobs.base._eigenvalue_floats
     state = psi
     for step, (u0, u1) in enumerate(uniforms, 1):
         pre, detected = state, u0 < pd

@@ -1,6 +1,6 @@
 """Shared builders for randomized test scenarios, a record comparator, the
-linear-algebra oracles of the kernel tests, and the per-value reference forms
-of the ``verify`` checks."""
+linear-algebra oracles of the kernel tests, the per-value reference forms
+of the ``verify`` checks, and the value matcher of the event-resolver tests."""
 
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from esrsim import (
     split_event,
     to_density,
 )
+from esrsim import linalg
+from esrsim.model import _match_atol
 
 
 def random_state(rng: np.random.Generator, dim: int) -> PureState:
@@ -129,6 +131,17 @@ def reconstruct(obs: QuantumObservable) -> np.ndarray:
     for a, p in zip(obs.eigenvalues, obs.projectors):
         out += a * p
     return out
+
+
+def _nearest_index(sorted_values: np.ndarray, value: float) -> int | None:
+    """Index of the entry nearest ``value`` within the match window or the
+    merge tolerance of ``sorted_values``, else None."""
+    i = int(np.searchsorted(sorted_values, value))
+    dist = {k: abs(float(sorted_values[k]) - value) for k in (i - 1, i)
+            if 0 <= k < sorted_values.size}
+    best = min(dist, key=dist.get)  # the lower neighbour on a tie
+    window = max(_match_atol(value), linalg.default_cluster_tol(sorted_values))
+    return best if dist[best] <= window else None
 
 
 def reference_projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:

@@ -18,7 +18,13 @@ from esrsim import (
     hermitian_eigendecompose,
 )
 from esrsim.linalg import _shifted_cholesky_exists
-from helpers import partial_trace_second, random_hermitian, reconstruct, spectral_defects
+from helpers import (
+    partial_trace_second,
+    random_hermitian,
+    random_unitary,
+    reconstruct,
+    spectral_defects,
+)
 
 
 def ptrace2_oracle(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -71,6 +77,16 @@ class TestEigendecompose:
         assert eigenvalues.size == 2
         assert abs(np.trace(projectors[0]).real - 2.0) < 1e-12
         assert abs(eigenvalues[0] - (1.0 + 5e-13)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 35])
+    def test_rotated_multiple_of_identity_is_one_eigenvalue(self, dim):
+        # eigh spreads the d-fold eigenvalue 3 by roundoff alone (up to 1.2e-14 at
+        # d = 35): a spectral range that small, times 1e-8, would merge nothing
+        # without the roundoff floor of the merge tolerance
+        u = random_unitary(np.random.default_rng(dim), dim)
+        eigenvalues, projectors = hermitian_eigendecompose(u @ (3.0 * np.eye(dim)) @ u.conj().T)
+        assert eigenvalues.shape == (1,) and abs(eigenvalues[0] - 3.0) <= 1e-12
+        np.testing.assert_allclose(projectors[0], np.eye(dim), atol=1e-12)
 
     @pytest.mark.parametrize("values", [
         # 200 values 6e-9 apart span 1.2e-6, 120 times the 1e-8 tolerance

@@ -43,11 +43,11 @@ from esrsim.model import (
     _density_gate,
     _effect_operator,
     _match_atol,
-    _nearest_index,
     as_event,
     clamp_probability,
 )
 from helpers import (
+    _nearest_index,
     random_event,
     random_generalized,
     random_observable,
@@ -733,19 +733,60 @@ class TestSplitEvent:
                     np.nextafter(x, np.inf), (x + 0.37) * 1.01]
         return out
 
+    def _offsets(self, gobs):
+        """One ulp below each outcome, half and twice the wider of the match
+        window and the merge tolerance off each eigenvalue (past the window alone
+        on a merged cluster), and the midpoint of each pair of neighbours."""
+        out = [np.nextafter(x, -np.inf) for x in gobs.outcomes.tolist()]
+        eigs = gobs.base.eigenvalues.tolist()
+        for x in eigs:
+            w = max(_match_atol(x), gobs.base._merge_tol)
+            out += [x + 0.5 * w, x - 0.5 * w, x + 2.0 * w, x - 2.0 * w]
+        return out + [(a + b) / 2.0 for a, b in zip(eigs, eigs[1:])]
+
     @pytest.mark.parametrize("a0", [0.0, -3.0])
     def test_matches_window_reference(self, a0):
         gobs = GeneralizedObservable.from_matrix(np.diag([-1.0, 0.0, 1.0, 2.5]),
                                                  ConstantDetection(0.7), a0=a0 - 5.0)
         zero_a0, _ = sigma_z_scenario(0.7, a0=a0)
         rng = np.random.default_rng(47)
-        for g in (gobs, zero_a0, random_generalized(rng, 5), _near_degenerate(rng, 6)):
+        cases = [gobs, zero_a0, random_generalized(rng, 5), _near_degenerate(rng, 6)]
+        for g in cases:
             values = self._values(g)
             for v in values:
                 assert np.array_equal(split_event(g, (v,)), _reference_split(g, (v,))), v
             for _ in range(30):
                 event = [values[i] for i in rng.integers(0, len(values), size=4)]
                 assert np.array_equal(split_event(g, event), _reference_split(g, event)), event
+
+        # a0 between and above the spectrum too (0.5 and 6 for a0 = 0, -2.5 and 3
+        # for a0 = -3), merged clusters and d = 32; then 10^4 random events of 1
+        # to 6 values in all, whose reference row is the union of their values' rows
+        more = np.random.default_rng(147)
+        cases += [GeneralizedObservable.from_matrix(np.diag([-1.0, 0.0, 1.0, 2.5]),
+                                                    ConstantDetection(0.7), a0=a0 + shift)
+                  for shift in (0.5, 6.0)]
+        cases += [_near_degenerate(more, 8), random_generalized(more, 32),
+                  random_generalized(more, 32, degenerate=True)]
+        # neighbours 2**-26 apart, 1.5 merge tolerances: their midpoint 1 + 2**-27 lies
+        # in both windows, at one distance from each, and resolves to the lower one
+        ties = QuantumObservable(np.array([0.0, 1.0, 1.0 + 2.0 ** -26]),
+                                 [np.diag(row) for row in np.eye(3)])
+        cases.append(GeneralizedObservable(ties, a0 - 2.0, ConstantDetection(0.7)))
+        assert split_event(cases[-1], (1.0 + 2.0 ** -27,)).tolist() == [False, False, True, False]
+        for g in cases:
+            values = self._values(g) + self._offsets(g)
+            singles = np.array([_reference_split(g, (v,)) for v in values])
+            for v, row in zip(values, singles):
+                assert np.array_equal(split_event(g, (v,)), row), v
+            count = 10_000 // len(cases) + 1
+            picks = more.integers(0, len(values), size=(count, 6))
+            picked = np.arange(6) < more.integers(1, 7, size=(count, 1))
+            events = [[values[i] for i in row[on]] for row, on in zip(picks, picked)]
+            expected = (singles[picks] & picked[:, :, None]).any(axis=1)
+            rows = np.array([split_event(g, event) for event in events])
+            bad = np.flatnonzero((rows != expected).any(axis=1))
+            assert not bad.size, events[bad[0]]
 
     def test_negative_zero_matches_zero(self):
         gobs, _ = sigma_z_scenario(0.7, a0=0.0)
