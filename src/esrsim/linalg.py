@@ -5,9 +5,9 @@ assembly and a shifted-Cholesky positivity test; the Hermiticity and positivity
 tests take one matrix or a ``(n, d, d)`` stack of them. A decomposition is the plain
 pair (distinct eigenvalues, ``(K, d, d)`` projector stack); the type that holds
 and checks it is ``model.QuantumObservable``. The clustering's merge tolerance
-is derived from the spectrum (1e-8 times its range, at least eigh's roundoff),
-never passed in. Everything works on plain ``numpy.ndarray`` values and is pure:
-inputs are never mutated. Intended for dense operators up to dimension of a few dozen.
+is derived from the spectrum by :func:`default_cluster_tol`, never passed in.
+Everything works on plain ``numpy.ndarray`` values and is pure: inputs are
+never mutated. Intended for dense operators up to dimension of a few dozen.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarr
 
 
 def default_cluster_tol(eigenvalues) -> float:
-    """Eigenvalue-merge tolerance of ``n`` eigenvalues: 1e-8 times their range, at least
-    ``C * n * eps * max|eigenvalue|`` with ``C = 8``. ``model.QuantumObservable``
-    caches the tolerance of its eigenvalues, beside their plain floats."""
+    """Eigenvalue-merge tolerance of ``n`` eigenvalues: ``CLUSTER_TOL_FACTOR`` times their
+    range, at least ``CLUSTER_TOL_ROUNDOFF * n * eps * max|eigenvalue|``.
+    ``model.QuantumObservable`` caches it for its eigenvalues, beside their plain floats."""
     w = np.asarray(eigenvalues, dtype=float)
     if w.size < 2:
         return 0.0
@@ -104,11 +104,11 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix into its distinct eigenvalues, ascending,
     and their spectral projectors as one ``(K, d, d)`` array.
 
-    Eigenvalues closer than :func:`default_cluster_tol` (1e-8 times the spectral
-    range, at least eigh's roundoff) are merged into one degenerate eigenvalue
-    (their mean) whose projector spans the combined eigenspace. Floating point
-    never reproduces exactly equal eigenvalues, so merging is how intended
-    degeneracies are recovered.
+    Eigenvalues closer than :func:`default_cluster_tol` (``CLUSTER_TOL_FACTOR``
+    times the spectral range, at least eigh's roundoff) are merged into one
+    degenerate eigenvalue (their mean) whose projector spans the combined
+    eigenspace. Floating point never reproduces exactly equal eigenvalues, so
+    merging is how intended degeneracies are recovered.
 
     Raises NotSquareError or NotHermitianError for invalid input, and ValueError
     when neighbours closer than the merge tolerance chain into a wider cluster.

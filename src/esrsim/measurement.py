@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -55,6 +55,11 @@ from .model import (
 
 # A branch whose conditioning amplitude falls below this cannot have occurred.
 ZERO_BRANCH_TOL = 1e-12
+# The checks that compare post-states skip an event or outcome less likely than
+# this: a post-state normalized from norm sqrt(p) carries roundoff of about eps / sqrt(p).
+BRANCH_FLOOR = 1e-9
+# nonselective-forms leaves each outcome at most this likely out of its sum.
+MIXTURE_FLOOR = 1e-12
 
 
 def _stacks(items: np.ndarray, dim: int):
@@ -150,12 +155,9 @@ class MeasurementOperatorFamily:
     gobs: GeneralizedObservable
     psi: PureState
     operators: np.ndarray
-    # True only for a stack :func:`measurement_operators` has just built and
-    # holds no other reference to: it is kept without a copy
-    _fresh: InitVar[bool] = False
 
-    def __post_init__(self, _fresh):
-        ops = self.operators if _fresh else np.array(self.operators, dtype=complex)
+    def __post_init__(self):
+        ops = np.array(self.operators, dtype=complex)
         if ops.shape != (self.gobs.outcomes.size, self.gobs.dim, self.gobs.dim):
             raise ValueError(f"need one d x d operator per outcome, got shape {ops.shape}")
         if not np.all(np.isfinite(ops)):
@@ -185,9 +187,9 @@ class MeasurementOperatorFamily:
 def measurement_operators(gobs: GeneralizedObservable, psi: PureState) -> MeasurementOperatorFamily:
     """Build the measurement-operator family at the given state."""
     pd = detection_probability(gobs, psi)
-    ops = np.concatenate(([np.sqrt(1.0 - pd) * np.eye(gobs.dim, dtype=complex)],
-                          np.sqrt(pd) * gobs.base.projectors))
-    return MeasurementOperatorFamily(gobs, psi, ops, _fresh=True)
+    ops = [np.sqrt(1.0 - pd) * np.eye(gobs.dim, dtype=complex),
+           *(np.sqrt(pd) * gobs.base.projectors)]
+    return MeasurementOperatorFamily(gobs, psi, ops)
 
 
 def _check_index(family: MeasurementOperatorFamily, k: int) -> None:
@@ -350,7 +352,7 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         # per nonempty event that can occur (a NaN probability counts as one
         # that can): its vector form against its density form
         _, pd, _ = events()
-        live = block[[bool(row.any()) and not overall(row) < 1e-9 for row in block]]
+        live = block[[bool(row.any()) and not overall(row) < BRANCH_FLOOR for row in block]]
         if not len(live):
             return []
         ts = _effects(gobs, pd, live)
@@ -384,7 +386,7 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         weighted = np.zeros_like(mixture)
         for k in range(len(family)):
             p = outcome_probability(family, k)
-            if p > 1e-12:
+            if p > MIXTURE_FLOOR:
                 weighted += p * to_density(state_after_outcome(family, k)).matrix
         return linalg.frobenius(mixture - weighted)
 
@@ -392,7 +394,7 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         family = operators()
         worst = 0.0
         for n in range(1, len(family)):
-            if outcome_probability(family, n) < 1e-9:
+            if outcome_probability(family, n) < BRANCH_FLOOR:
                 continue
             post_family = measurement_operators(gobs, state_after_outcome(family, n))
             others = [m for m in range(1, len(family)) if m != n]

@@ -40,13 +40,15 @@ from .errors import (
     ProbabilityRangeError,
 )
 
+# Unit-norm gate of a state's amplitudes, and the detection operator's spectral margin.
 NORM_TOL = 1e-10
 # Tolerated numerical overshoot before a computed probability is an error.
 PROBABILITY_TOL = 1e-9
-# Construction-time gate for effects and density operators. Deliberately
-# coarser than the 1e-10 the verification suite asserts, so that slightly
-# corrupted inputs surface as named check failures instead of exceptions.
-OPERATOR_GATE_TOL = 1e-6
+# Construction-time gate for effects, density operators and the eigenvectors of
+# a spectral-form scenario. Deliberately coarser than the check tolerance
+# (cli.DEFAULT_TOL), so that slightly corrupted inputs surface as named check
+# failures instead of exceptions.
+BUILD_GATE_TOL = 1e-6
 # Relative half-width of the window used to match quoted outcome values.
 OUTCOME_MATCH_RTOL = 1e-9
 
@@ -117,22 +119,18 @@ class PureState:
 def _density_gate(stack: np.ndarray) -> np.ndarray:
     """The gate of :class:`DensityOperator` on a ``(n, d, d)`` complex stack:
     finite entries, Hermitian, unit trace and positive semidefinite, each to
-    ``OPERATOR_GATE_TOL``. Returns the symmetrized stack, read-only. A stack
-    that fails raises what its lowest-index failing matrix raises alone."""
-    try:
-        if not np.isfinite(stack).all():
-            raise ValueError("matrix entries must be finite")
-        h = linalg.require_hermitian(stack, rtol=OPERATOR_GATE_TOL)
-        for trace in h.trace(axis1=1, axis2=2).real.tolist():
-            if abs(trace - 1.0) > OPERATOR_GATE_TOL:
-                raise ValueError(f"trace is {trace!r}, expected 1")
-        if not linalg._shifted_cholesky_exists(h, OPERATOR_GATE_TOL):
-            raise ValueError("operator is not positive semidefinite")
-    except ValueError:
-        if len(stack) > 1:
-            for i in range(len(stack)):
-                _density_gate(stack[i:i + 1])
-        raise
+    ``BUILD_GATE_TOL``. Returns the symmetrized stack, read-only. A stack that
+    fails raises the error of the first step that some matrix fails, which
+    need not be what its lowest-index failing matrix raises alone: a caller
+    that must name that matrix's error gates the matrices one at a time."""
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    h = linalg.require_hermitian(stack, rtol=BUILD_GATE_TOL)
+    for trace in h.trace(axis1=1, axis2=2).real.tolist():
+        if abs(trace - 1.0) > BUILD_GATE_TOL:
+            raise ValueError(f"trace is {trace!r}, expected 1")
+    if not linalg._shifted_cholesky_exists(h, BUILD_GATE_TOL):
+        raise ValueError("operator is not positive semidefinite")
     h.flags.writeable = False
     return h
 
@@ -163,8 +161,9 @@ class QuantumObservable:
     shapes raise DimensionMismatchError, non-square ones NotSquareError, and
     non-finite entries, a count other than one per eigenvalue or eigenvalues
     that are not strictly increasing ValueError. Observables built by
-    :meth:`from_matrix` meet the numerical invariants to ~1e-10, while
-    hand-built projectors are the caller's responsibility.
+    :meth:`from_matrix` meet the numerical invariants within the check
+    tolerance (``cli.DEFAULT_TOL``), while hand-built projectors are the
+    caller's responsibility.
     """
 
     eigenvalues: np.ndarray
@@ -444,8 +443,8 @@ class Effect:
     operator: np.ndarray
 
     def __post_init__(self):
-        h = linalg.require_hermitian(linalg.as_matrix(self.operator), rtol=OPERATOR_GATE_TOL)
-        object.__setattr__(self, "operator", _require_unit_spectrum(h, OPERATOR_GATE_TOL, "effect"))
+        h = linalg.require_hermitian(linalg.as_matrix(self.operator), rtol=BUILD_GATE_TOL)
+        object.__setattr__(self, "operator", _require_unit_spectrum(h, BUILD_GATE_TOL, "effect"))
 
 
 def _effects(gobs: GeneralizedObservable, pd: float, rows: np.ndarray) -> np.ndarray:

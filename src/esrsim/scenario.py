@@ -28,11 +28,12 @@ Files are UTF-8. Every line is ``key: value``; section contents are indented
 by exactly two spaces. Complex numbers are ``re,im`` pairs. The observable may
 instead be given in spectral form as alternating ``eigenvalue:`` and
 ``vector:`` entries (one unit eigenvector per eigenvalue; the vectors must be
-orthonormal and span the space). Only ``row``, ``eigenvalue``, ``vector`` and
-``event`` may repeat; any other key or section given twice is rejected at the
-line of the repeat, as is an unknown key. Each value is parsed at its own
-line, so of several bad lines the first is reported; the rules that tie lines
-together (required keys, one observable form, the detection kind) come after.
+orthonormal, to within ``model.BUILD_GATE_TOL``, and span the space). Only
+``row``, ``eigenvalue``, ``vector`` and ``event`` may repeat; any other key or
+section given twice is rejected at the line of the repeat, as is an unknown
+key. Each value is parsed at its own line, so of several bad lines the first is
+reported; the rules that tie lines together (required keys, one observable
+form, the detection kind) come after.
 
 Parsing and the canonical serializer round-trip: ``parse(serialize(s)) == s``.
 """
@@ -53,6 +54,7 @@ from .errors import (
 )
 from .linalg import _cluster, frobenius
 from .model import (
+    BUILD_GATE_TOL,
     ConstantDetection,
     DetectionModel,
     ExpectationDetection,
@@ -65,9 +67,6 @@ from .model import (
 
 HEADER = "esrsim scenario v1"
 MODES = ("verify", "sample", "evolve")
-# Orthonormality gate for spectral-form input; coarser than the 1e-10 the
-# verification suite asserts, so mild corruption is runnable and reportable.
-ORTHONORMALITY_TOL = 1e-6
 
 
 @dataclass
@@ -375,7 +374,7 @@ def _build_observable(sc: Scenario) -> QuantumObservable:
 
     def spectral() -> QuantumObservable:
         defect = frobenius(vectors.conj() @ vectors.T - np.eye(dim))
-        if not defect <= ORTHONORMALITY_TOL:
+        if not defect <= BUILD_GATE_TOL:
             raise ValueError(f"eigenvectors are not orthonormal (defect {defect:.3e})")
         order = np.argsort(values, kind="stable")
         return QuantumObservable(*_cluster(values[order], vectors[order].T))

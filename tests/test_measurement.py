@@ -431,9 +431,9 @@ def _per_event_update_cause(gobs, psi) -> str | None:
     at a time in order, each with its vector form before its density form."""
     rows = measurement._event_subsets(gobs.outcomes.size,
                                       np.random.default_rng(VERIFY_SEED), limit=256)
-    pd = detection_probability(gobs, psi)
+    pd, floor = detection_probability(gobs, psi), measurement.BRANCH_FLOOR
     for row in rows:
-        if not row.any() or overall_probability(gobs, psi, gobs.outcomes[row]) < 1e-9:
+        if not row.any() or overall_probability(gobs, psi, gobs.outcomes[row]) < floor:
             continue
         t = measurement._effects(gobs, pd, row[None])[0]
         try:
@@ -444,13 +444,37 @@ def _per_event_update_cause(gobs, psi) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("density_event, vector_event", [(2, 5), (5, 2)])
+# each way a density form can fail the gate, and the start of the cause it names
+DENSITY_FAULTS = {
+    "not Hermitian": "NotHermitianError: matrix is not Hermitian",
+    "trace": "ValueError: trace is",
+    "not PSD": "ValueError: operator is not positive semidefinite",
+    "non-finite": "ValueError: matrix entries must be finite",
+}
+
+
+def _corrupt_density_form(w: np.ndarray, mode: str) -> None:
+    """Make the density form ``w`` fail the density gate in the way ``mode`` names."""
+    if mode == "not Hermitian":
+        w[0, 1] += 0.1
+    elif mode == "trace":
+        w *= 2.0
+    elif mode == "not PSD":
+        w[...] = np.diag([1.2, -0.2, 0.0])
+    else:
+        w[1, 1] = np.nan
+
+
+@pytest.mark.parametrize("mode", list(DENSITY_FAULTS))
+@pytest.mark.parametrize("density_event, vector_event", [(2, 5), (5, 2), (2, None)])
 def test_update_form_cause_is_the_first_failing_event(monkeypatch, density_event,
-                                                      vector_event):
+                                                      vector_event, mode):
     """A stack of events that fails names the cause of its first failing event,
-    as checking the events one by one would: one event's density form is
-    scaled off unit trace, another's effect is zeroed, so its vector form fails
-    first."""
+    as checking the events one by one would: one event's density form fails
+    the density gate in each of its ways; another's effect is zeroed (unless
+    ``vector_event`` is None), so its vector form fails first; and a later
+    event's density form holds an infinite entry, which the gate tests a
+    whole stack for before any other step."""
     rng = np.random.default_rng(29)
     gobs = random_generalized(rng, 3)
     psi = random_state(rng, 3)
@@ -458,19 +482,25 @@ def test_update_form_cause_is_the_first_failing_event(monkeypatch, density_event
     rows = measurement._event_subsets(gobs.outcomes.size,
                                       np.random.default_rng(VERIFY_SEED), limit=256)
     live = [row for row in rows if row.any()
-            and overall_probability(gobs, psi, gobs.outcomes[row]) >= 1e-9]
-    density_row, vector_row = live[density_event], live[vector_event]
-    density_effect = measurement._effects(gobs, pd, density_row[None])[0]
+            and overall_probability(gobs, psi, gobs.outcomes[row]) >= measurement.BRANCH_FLOOR]
+    density_row, infinite_row = live[density_event], live[7]
+    density_effect, infinite_effect = measurement._effects(
+        gobs, pd, np.array([density_row, infinite_row]))
     effects, branch_density = measurement._effects, measurement._branch_density
 
     def corrupt_effects(gobs, pd, rows):
         out = effects(gobs, pd, rows)
-        out[(rows == vector_row).all(axis=1)] = 0.0
+        if vector_event is not None:
+            out[(rows == live[vector_event]).all(axis=1)] = 0.0
         return out
 
     def corrupt_density(psi, ts):
         out = branch_density(psi, ts)
-        out[[np.array_equal(t, density_effect) for t in ts]] *= 2.0
+        for t, w in zip(ts, out):
+            if np.array_equal(t, density_effect):
+                _corrupt_density_form(w, mode)
+            elif np.array_equal(t, infinite_effect):
+                w[0, 0] = np.inf
         return out
 
     monkeypatch.setattr(measurement, "_effects", corrupt_effects)
@@ -478,7 +508,7 @@ def test_update_form_cause_is_the_first_failing_event(monkeypatch, density_event
     checks = {c.name: c for c in verification_checks(gobs, psi, ApparatusModel())}
     cause = checks["update-form-agreement"].cause
     assert cause == _per_event_update_cause(gobs, psi)
-    first = ("ValueError: trace is" if density_event < vector_event
+    first = (DENSITY_FAULTS[mode] if vector_event is None or density_event < vector_event
              else "ZeroProbabilityBranchError: conditioning event")
     assert cause.startswith(first)
 

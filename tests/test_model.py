@@ -101,7 +101,7 @@ def _rotated_spectrum(rng, spectrum) -> np.ndarray:
 
 
 class TestDensityOperatorGate:
-    """Each of the gate's rejections, at OPERATOR_GATE_TOL = 1e-6."""
+    """Each of the gate's rejections, at BUILD_GATE_TOL = 1e-6."""
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -127,39 +127,14 @@ class TestDensityOperatorGate:
 
 
 class TestStackedDensityGate:
-    """The density gate on a stack raises what its lowest-index failing matrix
-    raises alone, and passes each good matrix with the bits it gets alone."""
-
-    @staticmethod
-    def _stack(rng, dim=3):
-        return np.array([to_density(random_state(rng, dim)).matrix for _ in range(4)])
-
-    @pytest.mark.parametrize("mode", ["not Hermitian", "trace", "not PSD", "non-finite"])
-    def test_stack_raises_what_the_bad_matrix_raises_alone(self, mode):
-        rng = np.random.default_rng(19)
-        stack = self._stack(rng)
-        bad = stack[2].copy()
-        if mode == "not Hermitian":
-            bad[0, 1] += 0.1
-        elif mode == "trace":
-            bad *= 1.001
-        elif mode == "not PSD":
-            bad = _rotated_spectrum(rng, [1.2, -0.2, 0.0])
-        else:
-            bad[1, 1] = np.nan
-        stack[2] = bad
-        # index 3 fails at an earlier step of the gate than index 2 may
-        stack[3, 0, 0] = np.inf
-        with pytest.raises(ValueError) as alone:
-            DensityOperator(bad)
-        with pytest.raises(ValueError) as stacked:
-            _density_gate(stack)
-        assert type(stacked.value) is type(alone.value)
-        assert str(stacked.value) == str(alone.value)
+    """The density gate on a stack passes each good matrix with the bits it
+    gets alone. Which error a failing stack names is the caller's to decide;
+    test_measurement's test_update_form_cause_is_the_first_failing_event
+    checks the one caller that gates stacks."""
 
     def test_good_stack_matches_each_matrix_alone(self):
         rng = np.random.default_rng(23)
-        stack = self._stack(rng, dim=4)
+        stack = np.array([to_density(random_state(rng, 4)).matrix for _ in range(4)])
         stack += 1e-17 * rng.normal(size=stack.shape)  # not Hermitian bit for bit
         gated = _density_gate(stack)
         assert not gated.flags.writeable
@@ -663,7 +638,7 @@ class TestEffectGateCertificate:
                 call(gobs, psi, (1.0,))
 
     def test_gate_decides_at_its_tolerance(self):
-        # OPERATOR_GATE_TOL is 1e-6: 1 + 0.75e-6 passes the gate, 1 + 2e-6 fails it
+        # BUILD_GATE_TOL is 1e-6: 1 + 0.75e-6 passes the gate, 1 + 2e-6 fails it
         psi = PureState(np.array([1.0, 0.0]))
         ok = _hand_built([np.diag([1.0 + 0.75e-6, 0.0]), np.diag([0.0, 1.0])], p=1.0)
         assert effect(ok, psi, (0.0,)).operator[0, 0] == 1.0 + 0.75e-6
