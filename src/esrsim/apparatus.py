@@ -27,6 +27,9 @@ from .model import (
     detection_probability,
 )
 
+__all__ = ["ApparatusModel", "CompoundState", "compound_density", "couple_and_evolve",
+           "reduced_object_state"]
+
 
 @dataclass(frozen=True)
 class ApparatusModel:

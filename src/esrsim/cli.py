@@ -29,8 +29,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import EsrError
-from .measurement import VERIFY_SEED, coupling_checks, failed_checks, verification_checks
-from .model import overall_probabilities
+from .measurement import coupling_checks, failed_checks, verification_checks
+from .model import VERIFY_SEED, overall_probabilities
 from .sampling import RngSpec, run_experiment
 from .scenario import BuiltScenario, load_scenario
 

@@ -1,5 +1,9 @@
 """Exception types shared across the library."""
 
+__all__ = ["DimensionMismatchError", "EsrError", "EventContainsNoRegistrationError",
+           "NotHermitianError", "NotNormalizedError", "NotSquareError", "ProbabilityRangeError",
+           "ScenarioParseError", "ScenarioValidationError", "ZeroProbabilityBranchError"]
+
 
 class EsrError(Exception):
     """Base class for all errors raised by esrsim."""

@@ -12,11 +12,11 @@ never mutated. Intended for dense operators up to dimension of a few dozen.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .errors import NotHermitianError, NotSquareError
+
+__all__ = ["hermitian_eigendecompose"]
 
 # Relative Frobenius tolerance for accepting a matrix as Hermitian.
 HERMITICITY_RTOL = 1e-9
@@ -118,21 +118,13 @@ def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     return _cluster(w, v)
 
 
-@cache
-def _scaled_identity(scale: float, dim: int) -> np.ndarray:
-    """``scale * I`` of dimension ``dim``, read-only, built once per pair."""
-    m = scale * np.eye(dim)
-    m.flags.writeable = False
-    return m
-
-
 def _shifted_cholesky_exists(h: np.ndarray, tol: float) -> bool:
     """True iff the smallest eigenvalue of the Hermitian matrix ``h``, or of
     every matrix of a stack, which the caller has symmetrized, is >= -tol,
     decided by whether ``h + tol*I`` has a Cholesky factor (several times
     cheaper than an eigensolver; only the rounding at the boundary differs)."""
     try:
-        np.linalg.cholesky(h + _scaled_identity(tol, h.shape[-1]))
+        np.linalg.cholesky(h + tol * np.eye(h.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True

@@ -35,6 +35,8 @@ from . import linalg
 from .apparatus import ApparatusModel, CompoundState, couple_and_evolve, reduced_object_state
 from .errors import ZeroProbabilityBranchError
 from .model import (
+    PARTITION_TRIALS,  # verify's partition count, the default of verify_pov_axioms
+    VERIFY_SEED,
     DensityOperator,
     GeneralizedObservable,
     PureState,
@@ -52,6 +54,11 @@ from .model import (
     to_density,
     verify_pov_axioms,
 )
+
+__all__ = ["MeasurementOperatorFamily", "MeasurementOutcomeRecord", "fix_phase",
+           "measurement_operators", "nonselective_state", "outcome_probability",
+           "post_measurement_density", "post_measurement_state_no", "post_measurement_state_yes",
+           "state_after_outcome"]
 
 # A branch whose conditioning amplitude falls below this cannot have occurred.
 ZERO_BRANCH_TOL = 1e-12
@@ -76,11 +83,6 @@ def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
     if pivot == 0:
         return v.copy()
     return v * (pivot.conjugate() / abs(pivot))
-
-
-def complement_event(gobs: GeneralizedObservable, event) -> frozenset:
-    """Outcomes of the observable not contained in the event."""
-    return frozenset(float(v) for v in gobs.outcomes[~split_event(gobs, event)])
 
 
 def post_measurement_state_yes(gobs: GeneralizedObservable, psi: PureState,
@@ -118,7 +120,7 @@ def _branch_states(psi: PureState, ops: np.ndarray,
 def post_measurement_state_no(gobs: GeneralizedObservable, psi: PureState,
                               event) -> PureState:
     """State after the measured value was observed to fall outside the event:
-    :func:`post_measurement_state_yes` of its :func:`complement_event`, resolved once."""
+    the yes-branch update on the outcomes not in it, resolved once."""
     row = ~split_event(gobs, event)
     return _branch_state(psi, _effects(gobs, detection_probability(gobs, psi), row[None])[0])
 
@@ -246,11 +248,6 @@ class MeasurementOutcomeRecord(NamedTuple):
     probability: float
 
 
-# verify's random POV partitions and event subsets; the verify record names the seed
-PARTITION_TRIALS = 40
-VERIFY_SEED = 0
-
-
 class Check(NamedTuple):
     """One named invariant check: its deviation, to compare with a tolerance,
     and the cause, ``"ExcType: message"``, of an exception that kept it from
@@ -330,9 +327,7 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         return _overall(pd, weights, row)
 
     def pov_axioms():
-        report = verify_pov_axioms(gobs, psi, partition_trials=PARTITION_TRIALS,
-                                   seed=VERIFY_SEED)
-        return report.as_dict().values()
+        return verify_pov_axioms(gobs, psi).as_dict().values()
 
     def factorization() -> float:
         rows, pd, _ = events()

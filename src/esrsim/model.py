@@ -40,8 +40,19 @@ from .errors import (
     ProbabilityRangeError,
 )
 
-# Unit-norm gate of a state's amplitudes, and the detection operator's spectral margin.
-NORM_TOL = 1e-10
+__all__ = ["ConstantDetection", "DensityOperator", "DetectionModel", "Effect",
+           "ExpectationDetection", "GeneralizedObservable", "PovAxiomReport", "PureState",
+           "QuantumObservable", "as_event", "conditional_probability",
+           "default_no_registration_outcome", "detection_probability", "effect",
+           "overall_probability", "overall_probability_density", "pv_projector", "split_event",
+           "to_density", "verify_pov_axioms"]
+
+# Unit-norm gate of a state's amplitudes. A norm off by delta moves a sum of
+# probabilities by up to 2 delta, so twice this stays below the check tolerance
+# (cli.DEFAULT_TOL), with room for roundoff.
+NORM_TOL = 4e-11
+# Margin of an expectation-detection operator's spectrum around [0, 1].
+DETECTION_SPECTRUM_TOL = 1e-10
 # Tolerated numerical overshoot before a computed probability is an error.
 PROBABILITY_TOL = 1e-9
 # Construction-time gate for effects, density operators and the eigenvectors of
@@ -237,7 +248,8 @@ class ExpectationDetection:
 
     def __post_init__(self):
         b = linalg.require_hermitian(linalg.as_matrix(self.operator))
-        object.__setattr__(self, "operator", _require_unit_spectrum(b, NORM_TOL, "operator"))
+        b = _require_unit_spectrum(b, DETECTION_SPECTRUM_TOL, "operator")
+        object.__setattr__(self, "operator", b)
 
     def probability(self, psi: PureState) -> float:
         if psi.dim != self.operator.shape[0]:
@@ -550,8 +562,14 @@ def _event_subsets(n: int, rng: np.random.Generator, limit: int) -> np.ndarray:
     return rng.integers(0, 2, size=(limit, n)).astype(bool)
 
 
+# verify's random POV partitions and event subsets; the verify record names the seed
+PARTITION_TRIALS = 40
+VERIFY_SEED = 0
+
+
 def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
-                      partition_trials: int = 50, seed: int = 0) -> PovAxiomReport:
+                      partition_trials: int = PARTITION_TRIALS,
+                      seed: int = VERIFY_SEED) -> PovAxiomReport:
     """Measure how well the state's effect family satisfies the POV axioms.
 
     Checks normalization on the full outcome set, positivity and the upper

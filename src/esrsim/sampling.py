@@ -64,6 +64,9 @@ from .model import (
     detection_probability,
 )
 
+__all__ = ["RngSpec", "RunReport", "born_probabilities", "run_experiment", "sample_measurement",
+           "sample_sequence"]
+
 # Trials per block, the unit ``block_generator`` positions at. Blocks and tasks
 # only schedule work; no report depends on their sizes.
 BLOCK_SIZE = 4096

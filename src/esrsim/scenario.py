@@ -65,6 +65,9 @@ from .model import (
     split_event,
 )
 
+__all__ = ["BuiltScenario", "Scenario", "build_scenario", "load_scenario", "parse_scenario",
+           "scenario_digest", "serialize_scenario"]
+
 HEADER = "esrsim scenario v1"
 MODES = ("verify", "sample", "evolve")
 

@@ -1,6 +1,7 @@
 """Shared builders for randomized test scenarios, a record comparator, the
 linear-algebra oracles of the kernel tests, the per-value reference forms
-of the ``verify`` checks, and the value matcher of the event-resolver tests."""
+of the ``verify`` checks, the value matcher of the event-resolver tests, and
+the event complement that is the oracle of the no-branch update."""
 
 from __future__ import annotations
 
@@ -142,6 +143,11 @@ def _nearest_index(sorted_values: np.ndarray, value: float) -> int | None:
     best = min(dist, key=dist.get)  # the lower neighbour on a tie
     window = max(_match_atol(value), linalg.default_cluster_tol(sorted_values))
     return best if dist[best] <= window else None
+
+
+def complement_event(gobs: GeneralizedObservable, event) -> frozenset:
+    """Outcomes of the observable not contained in the event."""
+    return frozenset(float(v) for v in gobs.outcomes[~split_event(gobs, event)])
 
 
 def reference_projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from esrsim import (
     ApparatusModel,
     CompoundState,
     ConstantDetection,
+    DimensionMismatchError,
     ExpectationDetection,
     GeneralizedObservable,
     PureState,
@@ -231,6 +232,10 @@ class TestValidation:
     def test_compound_state_rejects_non_finite_amplitudes(self):
         with pytest.raises(ValueError, match="finite"):
             CompoundState(np.array([np.nan, 0.0]), 1, 2)
+
+    def test_compound_state_rejects_a_wrong_amplitude_count(self):
+        with pytest.raises(DimensionMismatchError, match=r"amplitude count 3 != 2 \* 2"):
+            CompoundState(np.zeros(3), 2, 2)
 
     @pytest.mark.parametrize("theta, phi", [(np.nan, 0.0), (0.0, np.inf)])
     def test_apparatus_rejects_non_finite_phases(self, theta, phi):

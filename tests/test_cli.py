@@ -103,6 +103,28 @@ INVALID_SCENARIOS = [
      "observable"),
 ]
 
+# (id, scenario text, start of the one-line diagnostic after "esrsim: ")
+BOUNDARY_DIAGNOSTICS = [
+    ("p-not-a-number", GOOD.replace("p: 0.8", "p: abc"),
+     "line 10: p: expected a number, got 'abc'"),
+    ("state-without-entries", GOOD.replace("state: 0.7071067811865476,0 0.7071067811865476,0",
+                                            "state:"),
+     "line 3: state: expected at least one re,im entry"),
+    ("section-with-inline-value", GOOD.replace("detection:\n", "detection: constant\n"),
+     "line 8: detection: a section takes no inline value"),
+    ("vector-missing", SPECTRAL.replace("  vector: 0,0 1,0\n", ""),
+     "line 5: observable needs exactly one vector per eigenvalue"),
+    ("detection-without-kind", GOOD.replace("  kind: constant\n", ""),
+     "line 8: detection needs a kind"),
+    ("eigenvectors-not-orthonormal", SPECTRAL.replace("vector: 0,0 1,0", "vector: 3e-6,0 1,0"),
+     "observable: eigenvectors are not orthonormal (defect 4.243e-06)"),
+    # a norm off by 9e-11 would move total-probability and factorization by
+    # 2 p_d 9e-11 = 1.44e-10, past the check tolerance
+    ("state-norm-off", GOOD.replace("0.7071067811865476,0 0.7071067811865476,0",
+                                    "0.600000000054,0 0.800000000072,0"),
+     "state: state norm is 1.00000000009, expected 1"),
+]
+
 DEGENERATE = """\
 esrsim scenario v1
 dimension: 3
@@ -136,6 +158,17 @@ class TestVerify:
         path = tmp_path / "projective.esr"
         path.write_text(GOOD.replace("p: 0.8", "p: 1.0"))
         assert main(["verify", str(path)]) == 0
+
+    @pytest.mark.parametrize("state", ["0.6000000000233999,0 0.8000000000312,0",
+                                       "0.5999999999765999,0 0.7999999999688,0"])
+    def test_state_norm_just_inside_the_gate_passes(self, tmp_path, capsys, state):
+        # norm 1 +- 3.9e-11: total-probability reads about 7.8e-11 at p_d = 1
+        path = tmp_path / "norm.esr"
+        path.write_text(GOOD.replace("0.7071067811865476,0 0.7071067811865476,0", state)
+                        .replace("p: 0.8", "p: 1"))
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" pass\n") == 15 and "all 15 checks within tolerance 1e-10" in out
 
     def test_corrupted_projectors_fail_named_checks(self, tmp_path, capsys):
         path = tmp_path / "corrupted.esr"
@@ -389,3 +422,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert re.match(rf"esrsim: (line \d+: )?{re.escape(field)}: ", err)
+
+    @pytest.mark.parametrize("verb", ["verify", "sample", "evolve"])
+    @pytest.mark.parametrize("text, diagnostic", [case[1:] for case in BOUNDARY_DIAGNOSTICS],
+                             ids=[case[0] for case in BOUNDARY_DIAGNOSTICS])
+    def test_boundary_diagnostics_name_their_cause(self, tmp_path, capsys, verb, text,
+                                                   diagnostic):
+        path = tmp_path / "invalid.esr"
+        path.write_text(text)
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"esrsim: {diagnostic}")

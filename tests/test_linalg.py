@@ -119,6 +119,10 @@ class TestEigendecompose:
         with pytest.raises(NotSquareError):
             hermitian_eigendecompose(np.zeros((2, 3)))
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="expected a 2-D array, got ndim=1"):
+            hermitian_eigendecompose(np.ones(2))
+
 
 class TestPartialTrace:
     def test_product_rule(self):

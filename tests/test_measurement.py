@@ -18,7 +18,6 @@ from esrsim import (
     MeasurementOperatorFamily,
     PureState,
     ZeroProbabilityBranchError,
-    complement_event,
     detection_probability,
     effect,
     fix_phase,
@@ -43,6 +42,7 @@ from esrsim.measurement import (
     verification_checks,
 )
 from helpers import (
+    complement_event,
     random_event,
     random_generalized,
     random_state,
@@ -104,6 +104,17 @@ class TestYesBranch:
         psi = PureState(np.array([0.0, 1.0]))  # orthogonal to the +1 eigenspace
         with pytest.raises(ZeroProbabilityBranchError):
             post_measurement_state_yes(gobs, psi, (1.0,))
+
+    def test_zero_probability_branch_density_form(self):
+        gobs, _ = sigma_z_scenario(0.8, a0=0.0)
+        psi = PureState(np.array([0.0, 1.0]))
+        with pytest.raises(ZeroProbabilityBranchError, match="conditioning event has zero probability"):
+            post_measurement_density(gobs, psi, (1.0,))
+
+    def test_fix_phase_of_zero_vector_is_a_zero_copy(self):
+        zero = np.zeros(3, dtype=complex)
+        fixed = fix_phase(zero)
+        assert fixed is not zero and fixed.tolist() == [0j, 0j, 0j]
 
 
 class TestNoBranch:

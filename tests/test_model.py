@@ -27,7 +27,6 @@ from esrsim import (
     PureState,
     QuantumObservable,
     RngSpec,
-    complement_event,
     conditional_probability,
     detection_probability,
     effect,
@@ -48,6 +47,7 @@ from esrsim.model import (
 )
 from helpers import (
     _nearest_index,
+    complement_event,
     random_event,
     random_generalized,
     random_observable,
@@ -66,6 +66,22 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
             PureState(np.array([1.0, 1.0]))
+
+    def test_rejects_empty_amplitudes(self):
+        with pytest.raises(ValueError, match="amplitudes must form a nonempty 1-D sequence"):
+            PureState(np.array([]))
+
+    @pytest.mark.parametrize("scale, accepted", [(1 + 0.9e-10, False), (1 - 0.9e-10, False),
+                                                 (1 + 3.9e-11, True), (1 - 3.9e-11, True)])
+    def test_norm_decides_at_tolerance(self, scale, accepted):
+        # a norm off by delta moves verify's probability sums by up to 2 delta,
+        # so the gate refuses a norm that the check tolerance would fail
+        amplitudes = np.array([0.6, 0.8]) * scale
+        if accepted:
+            PureState(amplitudes)
+        else:
+            with pytest.raises(NotNormalizedError, match="state norm is"):
+                PureState(amplitudes)
 
     def test_amplitudes_frozen(self):
         psi = PureState(np.array([1.0, 0.0]))
@@ -249,6 +265,10 @@ class TestDetectionProbability:
     def test_expectation_spectrum_validation(self):
         with pytest.raises(ValueError):
             ExpectationDetection(np.diag([0.5, 1.2]))
+
+    def test_expectation_rejects_a_state_of_another_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="state dim 3 != detection operator dim 2"):
+            ExpectationDetection(np.diag([0.2, 0.6])).probability(PureState(np.eye(3)[0]))
 
     @pytest.mark.parametrize("edge, accepted", [(-2e-10, False), (-0.5e-10, True),
                                                 (1.0 + 2e-10, False), (1.0 + 0.5e-10, True)])

@@ -1,19 +1,21 @@
-"""Package surface: what ``from esrsim import *`` exports, that the library
-itself uses each export and each public member of an exported class, and
-that README's quick start runs."""
+"""Package surface: what ``from esrsim import *`` exports, that each export is
+declared once, in the module that defines it, that the library itself uses
+each export and each public member of an exported class, and that README's
+quick start runs."""
 
 import ast
 import dataclasses
 import pathlib
 import re
 import types
+from collections import Counter
 
 import esrsim
 
 # Exports the paper defines and the library keeps public although no other
 # library code refers to them.
 PAPER_LEVEL = ("compound_density", "overall_probability_density", "post_measurement_density",
-               "post_measurement_state_no", "pv_projector")
+               "post_measurement_state_no", "post_measurement_state_yes", "pv_projector")
 # Public members of exported classes that the demos call and no library code does.
 DEMO_LEVEL = ("DensityOperator.purity", "GeneralizedObservable.from_matrix")
 # Exported classes: a read ``Cls.member`` of one, or a docstring reference to
@@ -54,6 +56,35 @@ def test_star_import_exports_no_modules():
     exported = {k: v for k, v in namespace.items() if k != "__builtins__"}
     assert set(exported) == set(esrsim.__all__)
     assert [k for k, v in exported.items() if isinstance(v, types.ModuleType)] == []
+
+
+def declared_and_defined(path: pathlib.Path) -> tuple[list[str], set[str]]:
+    """The names a module's ``__all__`` lists, and the names it defines at its
+    top level by a ``def``, a ``class`` or an assignment; an import defines none."""
+    exported, defined = [], set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {target.id for target in targets if isinstance(target, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(stmt.value)
+            defined |= names
+    return exported, defined
+
+
+def test_each_export_is_declared_once_where_it_is_defined():
+    # adding or dropping an export is one edit to the __all__ of its module
+    package = pathlib.Path(esrsim.__file__).parent
+    modules = {path.stem: declared_and_defined(path) for path in package.glob("*.py")
+               if path.name != "__init__.py"}
+    declarations = Counter(name for exported, _ in modules.values() for name in exported)
+    assert sorted(name for name in esrsim.__all__ if declarations[name] != 1) == []
+    for module, (exported, defined) in modules.items():
+        assert sorted(set(exported) - defined) == [], module
+        for name in exported:
+            assert getattr(esrsim, name) is getattr(getattr(esrsim, module), name)
 
 
 def library_references() -> set[str]:

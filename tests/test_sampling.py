@@ -23,6 +23,7 @@ from esrsim import (
     PureState,
     QuantumObservable,
     RngSpec,
+    RunReport,
     born_probabilities,
     overall_probability,
     run_experiment,
@@ -1087,6 +1088,10 @@ class TestRunExperiment:
         assert int(report.counts.sum()) == report.trials
         assert abs(report.frequencies.sum() - 1.0) < 1e-12
         assert report.rng == "philox4x64-seq:seed=4:stream=0"
+
+    def test_report_counts_must_sum_to_trials(self):
+        with pytest.raises(ValueError, match="per-outcome counts must sum to the trial count"):
+            RunReport(np.array([0.0, 1.0]), np.array([3, 4]), np.array([0.5, 0.5]), 8, "philox")
 
     def test_degenerate_observable_sampling(self):
         rng = np.random.default_rng(181)

@@ -29,6 +29,7 @@ def ladder() -> dict[str, bool]:
     zero = measurement.ZERO_BRANCH_TOL
     return {
         "BUILD_GATE_TOL > PROBABILITY_TOL > DEFAULT_TOL": gate > clamp > check,
+        "2 * NORM_TOL < DEFAULT_TOL": 2 * model.NORM_TOL < check,
         "(eps / DEFAULT_TOL)**2 < BRANCH_FLOOR": (EPS / check) ** 2 < branch,
         "BRANCH_FLOOR >= PROBABILITY_TOL": branch >= clamp,
         "ZERO_BRANCH_TOL <= BRANCH_FLOOR": zero <= branch,
