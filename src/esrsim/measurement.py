@@ -13,11 +13,11 @@ amplitude real and nonnegative) so they can be compared entrywise.
 
 The checks that ``verify`` and ``evolve`` report live here too: each is a
 :class:`Check` value, every check runs through one guard, and
-:func:`failed_checks` is the one verdict rule. The dense event checks run
-over small stacks of events (:func:`_stacks`), and both update forms of a
-stack pass the one density gate of ``model`` together; each event gets the
-bits, and a failing one the error, that it would get alone. ``verify``'s
-POV-axiom pass runs on one extra thread; no record depends on it.
+:func:`failed_checks` is the one verdict rule. Each private kernel takes a
+stack, as in ``model``: the event checks walk ``model._stacks`` of events, the
+outcome checks take one stack of outcomes, and both update forms of a stack pass
+one density gate together; each item gets the bits, and a failing one the error,
+it gets alone. The POV-axiom pass runs on one extra thread; no record shows it.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .model import (
     _effects,
     _event_subsets,
     _overall,
+    _stacks,
     _trace_forms,
     clamp_probability,
     detection_probability,
@@ -69,13 +70,6 @@ BRANCH_FLOOR = 1e-9
 MIXTURE_FLOOR = 1e-12
 
 
-def _stacks(items: np.ndarray, dim: int):
-    """Consecutive slices of ``items`` (event rows or matrices), sized so a
-    stack of d x d complex matrices, one per item, takes at most 128 KiB."""
-    size = max(1, 2 ** 17 // (16 * dim * dim))
-    return (items[start:start + size] for start in range(0, len(items), size))
-
-
 def fix_phase(amplitudes: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the largest-magnitude amplitude is real >= 0."""
     v = np.asarray(amplitudes, dtype=complex)
@@ -93,19 +87,14 @@ def post_measurement_state_yes(gobs: GeneralizedObservable, psi: PureState,
     no-registration outcome alone leaves the state unchanged; conditioning on
     detected outcomes alone is the Lüders update.
     """
-    return _branch_state(psi, _effect_operator(gobs, psi, event))
-
-
-def _branch_state(psi: PureState, op: np.ndarray, branch: str = "conditioning event") -> PureState:
-    """``op psi`` normalized, with its phase fixed; ``branch`` names it in the error."""
-    return _branch_states(psi, op[None], branch)[0]
+    return _branch_states(psi, _effect_operator(gobs, psi, event)[None])[0]
 
 
 def _branch_states(psi: PureState, ops: np.ndarray,
                    branch: str = "conditioning event") -> list[PureState]:
-    """:func:`_branch_state` of each operator of a ``(n, d, d)`` stack, in order.
-    A branch whose norm is not finite raises the ValueError ``PureState`` raises
-    for such amplitudes, before any division could warn."""
+    """``op psi`` normalized, with its phase fixed, for each ``op`` of a ``(n, d, d)``
+    stack, in order; ``branch`` names a zero-probability branch. A norm that is not
+    finite raises the ValueError ``PureState`` raises, before any division could warn."""
     states = []
     for v in ops @ psi.amplitudes:
         norm = float(np.linalg.norm(v))
@@ -122,7 +111,7 @@ def post_measurement_state_no(gobs: GeneralizedObservable, psi: PureState,
     """State after the measured value was observed to fall outside the event:
     the yes-branch update on the outcomes not in it, resolved once."""
     row = ~split_event(gobs, event)
-    return _branch_state(psi, _effects(gobs, detection_probability(gobs, psi), row[None])[0])
+    return _branch_states(psi, _effects(gobs, detection_probability(gobs, psi), row[None]))[0]
 
 
 def post_measurement_density(gobs: GeneralizedObservable, psi: PureState,
@@ -206,8 +195,8 @@ def outcome_probability(family: MeasurementOperatorFamily, k: int) -> float:
     return _outcome_probabilities(family, [k])[0]
 
 
-def _outcome_probabilities(family: MeasurementOperatorFamily, ks: list[int]) -> list[float]:
-    """:func:`outcome_probability` of each index of ``ks``, in order."""
+def _outcome_probabilities(family: MeasurementOperatorFamily, ks: list[int] | slice) -> list[float]:
+    """:func:`outcome_probability` of each outcome the indices or slice ``ks`` select."""
     return [clamp_probability(float(np.vdot(v, v).real))
             for v in family.operators[ks] @ family.psi.amplitudes]
 
@@ -219,7 +208,7 @@ def state_after_outcome(family: MeasurementOperatorFamily, k: int) -> PureState:
     detected outcomes return the Lüders state of the matching projector.
     """
     _check_index(family, k)
-    return _branch_state(family.psi, family.operators[k], f"outcome index {k}")
+    return _branch_states(family.psi, family.operators[k:k + 1], f"outcome index {k}")[0]
 
 
 def nonselective_state(family: MeasurementOperatorFamily) -> DensityOperator:
@@ -320,6 +309,9 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         return rows, detection_probability(gobs, psi), _born_weights(gobs, psi)
 
     operators = cache(lambda: measurement_operators(gobs, psi))
+    # every outcome's probability in one product; live outcomes' Lüders states in another
+    probabilities = cache(lambda: _outcome_probabilities(operators(), slice(None)))
+    lueders = lambda ks: _branch_states(psi, operators().operators[ks], "outcome")
     singletons = np.eye(gobs.outcomes.size, dtype=bool)
 
     def overall(row) -> float:
@@ -331,8 +323,9 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
 
     def factorization() -> float:
         rows, pd, _ = events()
-        return max(abs(overall(row) - pd * _conditional(gobs, psi, row[1:]))
-                   for row in rows[~rows[:, 0]])
+        return max(abs(overall(row) - pd * conditional)
+                   for block in _stacks(rows[~rows[:, 0]], gobs.dim)
+                   for row, conditional in zip(block, _conditional(gobs, psi, block[:, 1:])))
 
     def form_agreement() -> float:
         rows, pd, _ = events()
@@ -371,29 +364,23 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         return worst
 
     def singleton_consistency() -> float:
-        family = operators()
-        return max(abs(outcome_probability(family, k) - overall(row))
-                   for k, row in enumerate(singletons))
+        return max(abs(p - overall(row)) for p, row in zip(probabilities(), singletons))
 
     def nonselective_forms() -> float:
-        family = operators()
-        mixture = nonselective_state(family).matrix
+        mixture = nonselective_state(operators()).matrix
         weighted = np.zeros_like(mixture)
-        for k in range(len(family)):
-            p = outcome_probability(family, k)
-            if p > MIXTURE_FLOOR:
-                weighted += p * to_density(state_after_outcome(family, k)).matrix
+        live = [k for k, p in enumerate(probabilities()) if p > MIXTURE_FLOOR]
+        for k, state in zip(live, lueders(live)):
+            weighted += probabilities()[k] * to_density(state).matrix
         return linalg.frobenius(mixture - weighted)
 
     def repeatability() -> float:
-        family = operators()
+        detected = range(1, len(probabilities()))
+        live = [n for n in detected if not probabilities()[n] < BRANCH_FLOOR]
         worst = 0.0
-        for n in range(1, len(family)):
-            if outcome_probability(family, n) < BRANCH_FLOOR:
-                continue
-            post_family = measurement_operators(gobs, state_after_outcome(family, n))
-            others = [m for m in range(1, len(family)) if m != n]
-            for p in _outcome_probabilities(post_family, others):
+        for n, state in zip(live, lueders(live)):
+            others = [m for m in detected if m != n]
+            for p in _outcome_probabilities(measurement_operators(gobs, state), others):
                 worst = max(worst, p)
         return worst
 

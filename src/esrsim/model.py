@@ -8,13 +8,13 @@ probability of being detected at all.
 That probability is event-independent, which makes the construction consistent.
 
 Outcome events are finite sets of outcome values (the finite-dimensional
-stand-in for Borel sets). :func:`split_event` resolves each into the form every
-kernel takes, a boolean row over ``gobs.outcomes`` (a0 first), and one formula
-turns rows into effects: positive operators between 0 and the identity whose
-expectation in the state is the event's overall probability. That probability
-needs only ``p_d`` and the row's Born weights ``<psi|P_k|psi>``; dense effects
-serve :func:`effect`, the state updates and :func:`verify_pov_axioms`, which
-eigensolves its positivity events in stacks of at most 1 MiB. The gates of
+stand-in for Borel sets). :func:`split_event` resolves each into a boolean row
+over ``gobs.outcomes`` (a0 first), and one formula turns rows into effects:
+positive operators between 0 and the identity whose expectation in the state is
+the event's overall probability, from ``p_d`` and the Born weights alone. Every
+private kernel takes a stack of rows, masks or matrices, a single item being a
+stack of one, and :func:`_stacks` is the one rule that cuts a list into stacks
+(128 KiB of matrices; 1 MiB for the positivity eigensolves). The gates of
 :class:`DensityOperator` and :class:`Effect` test positivity by a shifted
 Cholesky factorization. For each state the effects form a commutative POV
 measure; with detection certain it is the projection-valued one.
@@ -378,6 +378,13 @@ def _match_values(observable: QuantumObservable, values, a0: float | None) -> np
     return row
 
 
+def _stacks(items: np.ndarray, dim: int, size: int = 2 ** 17):
+    """Consecutive slices of ``items`` (event rows, masks or matrices), sized so a stack
+    of d x d complex matrices, one per item, takes at most ``size`` bytes."""
+    count = max(1, size // (16 * dim * dim))
+    return (items[start:start + count] for start in range(0, len(items), count))
+
+
 def _projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
     """``sum_{k in mask} P_k`` for each boolean row of ``masks``, as ``(m, d, d)``: one
     ``sum(axis=0)`` of the row's gathered projectors, which adds them entry by entry
@@ -439,13 +446,13 @@ def conditional_probability(gobs: GeneralizedObservable, psi: PureState, event) 
     if row[0]:
         raise EventContainsNoRegistrationError(
             "conditional probabilities are defined for detected outcomes only")
-    return _conditional(gobs, psi, row[1:])
+    return _conditional(gobs, psi, row[None, 1:])[0]
 
 
-def _conditional(gobs: GeneralizedObservable, psi: PureState, mask: np.ndarray) -> float:
-    """``<psi|P(mask)|psi>`` with the dense projector sum."""
-    p = _projector_sums(gobs.base, mask[None])[0]
-    return clamp_probability(float(np.vdot(psi.amplitudes, p @ psi.amplitudes).real))
+def _conditional(gobs: GeneralizedObservable, psi: PureState, masks: np.ndarray) -> list[float]:
+    """``<psi|P(mask)|psi>``, by the dense projector sum, for each boolean row of ``masks``."""
+    return [clamp_probability(float(np.vdot(psi.amplitudes, pv).real))
+            for pv in _projector_sums(gobs.base, masks) @ psi.amplitudes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,13 +477,9 @@ def _effects(gobs: GeneralizedObservable, pd: float, rows: np.ndarray) -> np.nda
     return out
 
 
-def _effect(gobs: GeneralizedObservable, pd: float, row: np.ndarray) -> np.ndarray:
-    return _effects(gobs, pd, row[None])[0]
-
-
 def _effect_operator(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
     """Raw effect matrix, bypassing the Effect construction gate."""
-    return _effect(gobs, detection_probability(gobs, psi), split_event(gobs, event))
+    return _effects(gobs, detection_probability(gobs, psi), split_event(gobs, event)[None])[0]
 
 
 def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
@@ -581,28 +584,25 @@ def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
     pd = detection_probability(gobs, psi)
     n = gobs.outcomes.size
     rng = np.random.default_rng(seed)
-    full = _effect(gobs, pd, np.ones(n, dtype=bool))
+    full = _effects(gobs, pd, np.ones((1, n), dtype=bool))[0]
     normalization = linalg.frobenius(full - np.eye(gobs.dim))
 
     rows = _event_subsets(n, rng, limit=1024)
-    chunk = max(1, 2 ** 20 // (16 * gobs.dim ** 2))  # at most 1 MiB of effects per eigvalsh
     positivity = 0.0
-    for start in range(0, len(rows), chunk):
-        eigs = np.linalg.eigvalsh(_effects(gobs, pd, rows[start:start + chunk]))
+    for block in _stacks(rows, gobs.dim, 2 ** 20):
+        eigs = np.linalg.eigvalsh(_effects(gobs, pd, block))
         positivity = max(positivity, float(-eigs[:, 0].min()), float(eigs[:, -1].max()) - 1.0, 0.0)
 
-    additivity = 0.0
-    commutativity = 0.0
+    additivity = commutativity = 0.0
     for _ in range(partition_trials):
+        # one stack: a partition's groups, a disjoint pair's union and parts, a random pair
         labels = rng.integers(0, rng.integers(1, n + 1), size=n)
-        total = sum(_effects(gobs, pd, labels == np.unique(labels)[:, None]))
-        additivity = max(additivity, linalg.frobenius(total - full))
-        # disjoint pair whose union need not cover the outcome set
         split = rng.integers(0, 3, size=n)
-        union, x, y = _effects(gobs, pd, np.array([split < 2, split == 0, split == 1]))
-        additivity = max(additivity, linalg.frobenius(union - x - y))
-        pair = [rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)]
-        tx, ty = _effects(gobs, pd, np.array(pair, dtype=bool))
+        pair = np.array([rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)], dtype=bool)
+        *parts, union, x, y, tx, ty = _effects(gobs, pd, np.concatenate(
+            (labels == np.unique(labels)[:, None], [split < 2, split == 0, split == 1], pair)))
+        additivity = max(additivity, linalg.frobenius(sum(parts) - full),
+                         linalg.frobenius(union - x - y))
         commutativity = max(commutativity, linalg.frobenius(tx @ ty - ty @ tx))
 
     return PovAxiomReport(normalization, positivity, additivity, commutativity,

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementOutcomeRecord, _branch_state
+from .measurement import MeasurementOutcomeRecord, _branch_states
 from .model import (
     GeneralizedObservable,
     PureState,
@@ -238,7 +238,7 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
             if entry is not None:
                 state, pd, born, cum = entry
             else:
-                state = _branch_state(pre, gobs.base.projectors[k])
+                state = _branch_states(pre, gobs.base.projectors[k:k + 1])[0]
                 if step < length:
                     pd, born, cum = _weights(gobs, state)
         else:

@@ -3,37 +3,40 @@
 Grammar (version header ``esrsim scenario v1``)::
 
     esrsim scenario v1
-    # comment lines and blank lines are ignored
+    # a comment takes a line of its own; comments and blank lines are ignored
     dimension: 2
     state: 0.7071067811865476,0 0.7071067811865476,0
-    a0: 0                      # optional; default is min(eigenvalue) - 1
-    observable:                # dense form: one `row:` per matrix row
+    a0: 0
+    observable:
       row: 1,0 0,0
       row: 0,0 -1,0
     detection:
-      kind: constant           # `constant` needs `p:`; `expectation` needs `row:` lines
+      # `constant` needs `p:`; `expectation` needs `row:` lines
+      kind: constant
       p: 0.8
-    apparatus:                 # optional pointer-coupling phases (radians)
+    apparatus:
       theta: 0.0
       phi: 0.0
-    experiment:                # optional
-      mode: sample             # verify | sample | evolve
+    experiment:
+      mode: sample
       trials: 100000
       seed: 42
       stream: 0
-      event: 1                 # whitespace-separated outcome values; the token
-      event: a0 1              # `a0` names the no-registration outcome
+      # whitespace-separated outcome values; the token `a0` names no registration
+      event: 1
+      event: a0 1
 
-Files are UTF-8. Every line is ``key: value``; section contents are indented
-by exactly two spaces. Complex numbers are ``re,im`` pairs. The observable may
-instead be given in spectral form as alternating ``eigenvalue:`` and
-``vector:`` entries (one unit eigenvector per eigenvalue; the vectors must be
-orthonormal, to within ``model.BUILD_GATE_TOL``, and span the space). Only
-``row``, ``eigenvalue``, ``vector`` and ``event`` may repeat; any other key or
-section given twice is rejected at the line of the repeat, as is an unknown
-key. Each value is parsed at its own line, so of several bad lines the first is
-reported; the rules that tie lines together (required keys, one observable
-form, the detection kind) come after.
+Files are UTF-8, lines are ``key: value``, section contents are indented by
+exactly two spaces, and complex numbers are ``re,im`` pairs. ``a0`` (default:
+the least eigenvalue minus 1), ``apparatus`` (pointer-coupling phases, in
+radians) and ``experiment`` (``mode`` one of verify, sample, evolve) are
+optional. The observable is dense, one ``row:`` per matrix row, or spectral,
+alternating ``eigenvalue:`` and ``vector:`` entries (unit eigenvectors,
+orthonormal to ``model.BUILD_GATE_TOL``, spanning the space). Only ``row``,
+``eigenvalue``, ``vector`` and ``event`` repeat; a second of any other key or
+section, or an unknown key, is rejected at its line. Each value is parsed at
+its own line, so the first bad line is reported; the rules that tie lines
+together (required keys, one observable form, the detection kind) come after.
 
 Parsing and the canonical serializer round-trip: ``parse(serialize(s)) == s``.
 """

@@ -19,12 +19,14 @@ from esrsim import (
     conditional_probability,
     detection_probability,
     measurement_operators,
+    nonselective_state,
     outcome_probability,
     overall_probability,
     overall_probability_density,
     post_measurement_density,
     post_measurement_state_yes,
     split_event,
+    state_after_outcome,
     to_density,
 )
 from esrsim import linalg
@@ -311,6 +313,22 @@ def reference_event_checks(gobs: GeneralizedObservable, psi: PureState,
     family = measurement_operators(gobs, psi)
     checks["singleton-consistency"] = max(
         abs(outcome_probability(family, k) - p) for k, p in enumerate(singles))
+    # one outcome at a time: its probability, then its Lüders state
+    weighted = np.zeros((gobs.dim, gobs.dim), dtype=complex)
+    for k in range(len(family)):
+        p = outcome_probability(family, k)
+        if p > 1e-12:
+            weighted += p * to_density(state_after_outcome(family, k)).matrix
+    checks["nonselective-forms"] = float(np.linalg.norm(nonselective_state(family).matrix - weighted))
+    worst = 0.0
+    for n in range(1, len(family)):
+        if outcome_probability(family, n) < 1e-9:
+            continue
+        post_family = measurement_operators(gobs, state_after_outcome(family, n))
+        for m in range(1, len(family)):
+            if m != n:
+                worst = max(worst, outcome_probability(post_family, m))
+    checks["repeatability"] = worst
     return checks
 
 
@@ -318,10 +336,20 @@ def verify_cases(kind: str) -> list[tuple[GeneralizedObservable, PureState]]:
     """(gobs, psi) pairs on which verify's checks are compared with the reference
     forms: ``stream`` (d <= 8, every subset enumerated up to 1024, random ones past
     256), ``d32`` (33 outcomes, random subsets over several positivity stacks),
-    ``d32-degenerate``, ``d48`` (a last positivity stack that is not full) and
-    ``shifted`` (d = 20, projectors moved off the positive cone)."""
+    ``d32-degenerate``, ``d48`` (a last positivity stack that is not full),
+    ``shifted`` (d = 20, projectors moved off the positive cone) and ``unlikely``
+    (d = 8, outcomes on either side of each branch floor)."""
     if kind == "stream":
         return [(gobs, psi) for _, gobs, psi in scenario_stream(seed=2311, count=8)]
+    if kind == "unlikely":
+        # the state's amplitudes on the eigenvectors: outcome 5's probability lies
+        # between MIXTURE_FLOOR and BRANCH_FLOOR, outcome 6's below both, and
+        # outcomes 7 and 8 have probabilities of roundoff, no branch to normalize
+        u = random_unitary(np.random.default_rng(8), 8)
+        gobs = GeneralizedObservable.from_matrix(u @ np.diag(np.arange(8.0)) @ u.conj().T,
+                                                 ConstantDetection(0.7))
+        c = np.array([0.6, 0.5, 0.4, 0.3, 1e-5, 1e-7, 0.0, 0.0])
+        return [(gobs, PureState(u @ (c / np.linalg.norm(c))))]
     rng = np.random.default_rng({"d32": 32, "d32-degenerate": 33, "d48": 48, "shifted": 20}[kind])
     dim = {"d48": 48, "shifted": 20}.get(kind, 32)
     gobs = random_generalized(rng, dim, degenerate=kind == "d32-degenerate")

@@ -425,7 +425,7 @@ class TestRepeatability:
         assert abs(abs(np.vdot(post.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["stream", "d32", "d32-degenerate"])
+@pytest.mark.parametrize("kind", ["stream", "d32", "d32-degenerate", "unlikely"])
 def test_event_checks_match_reference(kind):
     """verify's event checks, with each event resolved once, give the bits of
     the per-value reference forms (the other cases of ``verify_cases`` are
@@ -448,7 +448,7 @@ def _per_event_update_cause(gobs, psi) -> str | None:
             continue
         t = measurement._effects(gobs, pd, row[None])[0]
         try:
-            to_density(measurement._branch_state(psi, t))
+            to_density(measurement._branch_states(psi, t[None])[0])
             DensityOperator(measurement._branch_density(psi, t[None])[0])
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"

@@ -585,7 +585,7 @@ class TestResolvedEvents:
             rows = rng.integers(0, 2, size=(5, gobs.outcomes.size)).astype(bool)
             stacked = model._effects(gobs, pd, rows)
             for row, op in zip(rows, stacked):
-                assert np.array_equal(op, model._effect(gobs, pd, row))
+                assert np.array_equal(op, model._effects(gobs, pd, row[None])[0])
 
     # d32 is compared through verify's checks in test_cli
     @pytest.mark.parametrize("kind", ["stream", "d32-degenerate", "d48", "shifted"])

@@ -1,21 +1,24 @@
 """Package surface: what ``from esrsim import *`` exports, that each export is
 declared once, in the module that defines it, that the library itself uses
-each export and each public member of an exported class, and that README's
-quick start runs."""
+each export and each public member of an exported class, that README's
+quick start runs, and that its scenario example is a scenario file."""
 
 import ast
 import dataclasses
 import pathlib
 import re
+import textwrap
 import types
 from collections import Counter
 
 import esrsim
+from esrsim.scenario import build_scenario, parse_scenario
 
 # Exports the paper defines and the library keeps public although no other
 # library code refers to them.
 PAPER_LEVEL = ("compound_density", "overall_probability_density", "post_measurement_density",
-               "post_measurement_state_no", "post_measurement_state_yes", "pv_projector")
+               "post_measurement_state_no", "post_measurement_state_yes", "pv_projector",
+               "state_after_outcome")
 # Public members of exported classes that the demos call and no library code does.
 DEMO_LEVEL = ("DensityOperator.purity", "GeneralizedObservable.from_matrix")
 # Exported classes: a read ``Cls.member`` of one, or a docstring reference to
@@ -109,6 +112,17 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_scenario_example_builds():
+    # README's example under "Scenario format", and the grammar of the scenario
+    # module's docstring, parse and build as written
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^## Scenario format\n.*?^```\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    grammar = esrsim.scenario.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    for text in (blocks[0], textwrap.dedent(grammar)):
+        build_scenario(parse_scenario(text))
 
 
 def test_every_public_member_is_used_by_the_library():
