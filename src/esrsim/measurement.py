@@ -14,10 +14,10 @@ amplitude real and nonnegative) so they can be compared entrywise.
 The checks that ``verify`` and ``evolve`` report live here too: each is a
 :class:`Check` value, every check runs through one guard, and
 :func:`failed_checks` is the one verdict rule. Each private kernel takes a
-stack, as in ``model``: the event checks walk ``model._stacks`` of events, the
-outcome checks take one stack of outcomes, and both update forms of a stack pass
-one density gate together; each item gets the bits, and a failing one the error,
-it gets alone. The POV-axiom pass runs on one extra thread; no record shows it.
+stack, as in ``model``: event checks walk ``model._stacks`` of events, an
+outcome kernel takes a state and a stack of operators (repeatability builds no
+family), and a stack's two update forms pass one density gate, each item with
+the bits and error it gets alone. One extra thread runs the POV-axiom pass.
 """
 
 from __future__ import annotations
@@ -192,13 +192,13 @@ def _check_index(family: MeasurementOperatorFamily, k: int) -> None:
 def outcome_probability(family: MeasurementOperatorFamily, k: int) -> float:
     """Overall probability of the k-th outcome (index 0 is no registration)."""
     _check_index(family, k)
-    return _outcome_probabilities(family, [k])[0]
+    return _outcome_probabilities(family.psi, family.operators[k:k + 1])[0]
 
 
-def _outcome_probabilities(family: MeasurementOperatorFamily, ks: list[int] | slice) -> list[float]:
-    """:func:`outcome_probability` of each outcome the indices or slice ``ks`` select."""
-    return [clamp_probability(float(np.vdot(v, v).real))
-            for v in family.operators[ks] @ family.psi.amplitudes]
+def _outcome_probabilities(psi: PureState, ops: np.ndarray) -> list[float]:
+    """``|op psi|^2``, clamped, for each measurement operator ``op`` of a ``(n, d, d)``
+    stack, in order; :func:`outcome_probability` passes one row of a family."""
+    return [clamp_probability(float(np.vdot(v, v).real)) for v in ops @ psi.amplitudes]
 
 
 def state_after_outcome(family: MeasurementOperatorFamily, k: int) -> PureState:
@@ -310,7 +310,7 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
 
     operators = cache(lambda: measurement_operators(gobs, psi))
     # every outcome's probability in one product; live outcomes' Lüders states in another
-    probabilities = cache(lambda: _outcome_probabilities(operators(), slice(None)))
+    probabilities = cache(lambda: _outcome_probabilities(psi, operators().operators))
     lueders = lambda ks: _branch_states(psi, operators().operators[ks], "outcome")
     singletons = np.eye(gobs.outcomes.size, dtype=bool)
 
@@ -375,13 +375,13 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         return linalg.frobenius(mixture - weighted)
 
     def repeatability() -> float:
-        detected = range(1, len(probabilities()))
-        live = [n for n in detected if not probabilities()[n] < BRANCH_FLOOR]
+        # outcome m of the family at the Lüders state phi of n: sqrt(p_d(phi)) P_m
+        live = [n for n, p in enumerate(probabilities()) if n and not p < BRANCH_FLOOR]
         worst = 0.0
         for n, state in zip(live, lueders(live)):
-            others = [m for m in detected if m != n]
-            for p in _outcome_probabilities(measurement_operators(gobs, state), others):
-                worst = max(worst, p)
+            ops = np.delete(gobs.base.projectors, n - 1, axis=0)
+            ops *= np.sqrt(detection_probability(gobs, state))
+            worst = max([worst, *_outcome_probabilities(state, ops)])
         return worst
 
     with ThreadPoolExecutor(max_workers=1) as pool:

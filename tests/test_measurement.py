@@ -437,6 +437,23 @@ def test_event_checks_match_reference(kind):
         assert {c.name: c.deviation for c in checks if c.name in reference} == reference
 
 
+def test_verify_builds_two_families_at_the_prepared_state(monkeypatch):
+    """verify builds two measurement-operator families, both at the prepared
+    state: one for its outcome checks and one for the coupling's target.
+    Repeatability reads each Lüders state's outcomes off the projectors."""
+    (gobs, psi), = verify_cases("unlikely")
+    build, states = measurement.measurement_operators, []
+
+    def counted(gobs, state):
+        states.append(state)
+        return build(gobs, state)
+
+    monkeypatch.setattr(measurement, "measurement_operators", counted)
+    checks = verification_checks(gobs, psi, ApparatusModel())
+    assert [check for check in checks if check.cause] == []
+    assert [state is psi for state in states] == [True, True]
+
+
 def _per_event_update_cause(gobs, psi) -> str | None:
     """The cause update-form-agreement names when its events are checked one
     at a time in order, each with its vector form before its density form."""
