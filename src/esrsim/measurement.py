@@ -13,11 +13,12 @@ amplitude real and nonnegative) so they can be compared entrywise.
 
 The checks that ``verify`` and ``evolve`` report live here too: each is a
 :class:`Check` value, every check runs through one guard, and
-:func:`failed_checks` is the one verdict rule. Each private kernel takes a
-stack, as in ``model``: event checks walk ``model._stacks`` of events, an
-outcome kernel takes a state and a stack of operators (repeatability builds no
-family), and a stack's two update forms pass one density gate, each item with
-the bits and error it gets alone. One extra thread runs the POV-axiom pass.
+:func:`failed_checks` is the one verdict rule. As in ``model``, each private
+kernel takes a stack and returns unclamped values, which the checks read: event
+checks walk ``model._stacks`` of events, an outcome kernel takes a state and a
+stack of operators (repeatability builds no family), and a stack's two update
+forms pass one density gate, each item with the bits and error it gets alone.
+One extra thread runs the POV-axiom pass.
 """
 
 from __future__ import annotations
@@ -192,13 +193,13 @@ def _check_index(family: MeasurementOperatorFamily, k: int) -> None:
 def outcome_probability(family: MeasurementOperatorFamily, k: int) -> float:
     """Overall probability of the k-th outcome (index 0 is no registration)."""
     _check_index(family, k)
-    return _outcome_probabilities(family.psi, family.operators[k:k + 1])[0]
+    return clamp_probability(_outcome_probabilities(family.psi, family.operators[k:k + 1])[0])
 
 
 def _outcome_probabilities(psi: PureState, ops: np.ndarray) -> list[float]:
-    """``|op psi|^2``, clamped, for each measurement operator ``op`` of a ``(n, d, d)``
-    stack, in order; :func:`outcome_probability` passes one row of a family."""
-    return [clamp_probability(float(np.vdot(v, v).real)) for v in ops @ psi.amplitudes]
+    """``|op psi|^2``, unclamped, for each measurement operator ``op`` of a ``(n, d, d)``
+    stack, in order; :func:`outcome_probability` clamps one row of a family."""
+    return [float(np.vdot(v, v).real) for v in ops @ psi.amplitudes]
 
 
 def state_after_outcome(family: MeasurementOperatorFamily, k: int) -> PureState:
@@ -304,43 +305,41 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
     # raises is not cached, so each check reading it reports its exception.
     @cache
     def events() -> tuple:
-        # each event is a boolean row over the outcomes, a0 first, resolved once
+        # rows over the outcomes (a0 first), their overall probabilities and each outcome's
         rows = _event_subsets(gobs.outcomes.size, np.random.default_rng(VERIFY_SEED), limit=256)
-        return rows, detection_probability(gobs, psi), _born_weights(gobs, psi)
+        pd, weights = detection_probability(gobs, psi), _born_weights(gobs, psi)
+        overall = np.array(_overall(pd, weights, rows))
+        return rows, pd, overall, _overall(pd, weights, np.eye(rows.shape[1], dtype=bool))
 
     operators = cache(lambda: measurement_operators(gobs, psi))
     # every outcome's probability in one product; live outcomes' Lüders states in another
     probabilities = cache(lambda: _outcome_probabilities(psi, operators().operators))
     lueders = lambda ks: _branch_states(psi, operators().operators[ks], "outcome")
-    singletons = np.eye(gobs.outcomes.size, dtype=bool)
-
-    def overall(row) -> float:
-        _, pd, weights = events()
-        return _overall(pd, weights, row)
 
     def pov_axioms():
         return verify_pov_axioms(gobs, psi).as_dict().values()
 
     def factorization() -> float:
-        rows, pd, _ = events()
-        return max(abs(overall(row) - pd * conditional)
-                   for block in _stacks(rows[~rows[:, 0]], gobs.dim)
-                   for row, conditional in zip(block, _conditional(gobs, psi, block[:, 1:])))
+        rows, pd, overall, _ = events()
+        detected = ~rows[:, 0]
+        conditionals = (c for block in _stacks(rows[detected, 1:], gobs.dim)
+                        for c in _conditional(gobs, psi, block))
+        return max(abs(p - pd * c) for p, c in zip(overall[detected], conditionals))
 
     def form_agreement() -> float:
-        rows, pd, _ = events()
-        return max(abs(overall(row) - clamp_probability(trace))
-                   for block in _stacks(rows, gobs.dim)
-                   for row, trace in zip(block, _trace_forms(psi, _effects(gobs, pd, block))))
+        rows, pd, overall, _ = events()
+        traces = (t for block in _stacks(rows, gobs.dim)
+                  for t in _trace_forms(psi, _effects(gobs, pd, block)))
+        return max(abs(p - t) for p, t in zip(overall, traces))
 
     def total_probability() -> float:
-        return abs(sum(map(overall, singletons)) - 1.0)
+        *_, singles = events()
+        return abs(sum(singles) - 1.0)
 
-    def update_forms(block) -> list[float]:
-        # per nonempty event that can occur (a NaN probability counts as one
-        # that can): its vector form against its density form
-        _, pd, _ = events()
-        live = block[[bool(row.any()) and not overall(row) < BRANCH_FLOOR for row in block]]
+    def update_forms(block, overall) -> list[float]:
+        # per nonempty event that can occur (a NaN probability can): vector vs density form
+        _, pd, _, _ = events()
+        live = block[block.any(axis=1) & ~(overall < BRANCH_FLOOR)]
         if not len(live):
             return []
         ts = _effects(gobs, pd, live)
@@ -350,21 +349,22 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         return [linalg.frobenius(a - b) for a, b in zip(vector_forms, density_forms)]
 
     def update_form_agreement() -> float:
-        rows, _, _ = events()
+        rows, _, overall, _ = events()
         worst = 0.0
-        for block in _stacks(rows, gobs.dim):
+        for block, probs in zip(_stacks(rows, gobs.dim), _stacks(overall, gobs.dim)):
             try:
-                deviations = update_forms(block)
+                deviations = update_forms(block, probs)
             except Exception:
-                # one event at a time, so the first event that fails, in its
-                # first failing step, names the cause
-                deviations = [x for i in range(len(block)) for x in update_forms(block[i:i + 1])]
+                # event by event: the first that fails, in its first failing step, names the cause
+                deviations = [x for i in range(len(block))
+                              for x in update_forms(block[i:i + 1], probs[i:i + 1])]
             for x in deviations:
                 worst = max(worst, x)
         return worst
 
     def singleton_consistency() -> float:
-        return max(abs(p - overall(row)) for p, row in zip(probabilities(), singletons))
+        *_, singles = events()
+        return max(abs(p - q) for p, q in zip(probabilities(), singles))
 
     def nonselective_forms() -> float:
         mixture = nonselective_state(operators()).matrix

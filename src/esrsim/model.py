@@ -13,8 +13,9 @@ over ``gobs.outcomes`` (a0 first), and one formula turns rows into effects:
 positive operators between 0 and the identity whose expectation in the state is
 the event's overall probability, from ``p_d`` and the Born weights alone. Every
 private kernel takes a stack of rows, masks or matrices, a single item being a
-stack of one, and :func:`_stacks` is the one rule that cuts a list into stacks
-(128 KiB of matrices; 1 MiB for the positivity eigensolves). The gates of
+stack of one, and returns unclamped values, which only the public functions
+clamp. :func:`_stacks` is the one rule that cuts a list into stacks (128 KiB of
+matrices; 1 MiB for the positivity eigensolves). The gates of
 :class:`DensityOperator` and :class:`Effect` test positivity by a shifted
 Cholesky factorization. For each state the effects form a commutative POV
 measure; with detection certain it is the projection-valued one.
@@ -446,12 +447,12 @@ def conditional_probability(gobs: GeneralizedObservable, psi: PureState, event) 
     if row[0]:
         raise EventContainsNoRegistrationError(
             "conditional probabilities are defined for detected outcomes only")
-    return _conditional(gobs, psi, row[None, 1:])[0]
+    return clamp_probability(_conditional(gobs, psi, row[None, 1:])[0])
 
 
 def _conditional(gobs: GeneralizedObservable, psi: PureState, masks: np.ndarray) -> list[float]:
     """``<psi|P(mask)|psi>``, by the dense projector sum, for each boolean row of ``masks``."""
-    return [clamp_probability(float(np.vdot(psi.amplitudes, pv).real))
+    return [float(np.vdot(psi.amplitudes, pv).real)
             for pv in _projector_sums(gobs.base, masks) @ psi.amplitudes]
 
 
@@ -509,16 +510,16 @@ def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> f
     return overall_probabilities(gobs, psi, split_event(gobs, event)[None])[0]
 
 
-def overall_probabilities(gobs: GeneralizedObservable, psi: PureState,
-                          rows) -> list[float]:
+def overall_probabilities(gobs: GeneralizedObservable, psi: PureState, rows) -> list[float]:
     """:func:`overall_probability` of each resolved event: a boolean row over
     ``gobs.outcomes`` (a0 first), as :func:`split_event` returns."""
     pd, weights = detection_probability(gobs, psi), _born_weights(gobs, psi)
-    return [_overall(pd, weights, row) for row in rows]
+    return [clamp_probability(p) for p in _overall(pd, weights, rows)]
 
 
-def _overall(pd: float, weights: np.ndarray, row: np.ndarray) -> float:
-    return clamp_probability(pd * float(weights[row[1:]].sum()) + (1.0 - pd) * bool(row[0]))
+def _overall(pd: float, weights: np.ndarray, rows: np.ndarray) -> list[float]:
+    """``pd * sum_{k in row} w_k + (1 - pd) * [a0 in row]`` for each resolved event of ``rows``."""
+    return [pd * float(weights[row[1:]].sum()) + (1.0 - pd) * bool(row[0]) for row in rows]
 
 
 def overall_probability_density(gobs: GeneralizedObservable, psi: PureState, event) -> float:
@@ -528,8 +529,7 @@ def overall_probability_density(gobs: GeneralizedObservable, psi: PureState, eve
 
 
 def _trace_forms(psi: PureState, ts: np.ndarray) -> list[float]:
-    """``Tr[W t]``, unclamped, for the density ``W`` of ``psi`` and each effect
-    ``t`` of a ``(n, d, d)`` stack."""
+    """``Tr[W t]`` for the density ``W`` of ``psi`` and each effect ``t`` of a stack."""
     return np.trace(to_density(psi).matrix @ ts, axis1=1, axis2=2).real.tolist()
 
 

@@ -16,20 +16,17 @@ from esrsim import (
     PovAxiomReport,
     PureState,
     QuantumObservable,
-    conditional_probability,
     detection_probability,
     measurement_operators,
     nonselective_state,
     outcome_probability,
-    overall_probability,
-    overall_probability_density,
     post_measurement_density,
     post_measurement_state_yes,
     split_event,
     state_after_outcome,
     to_density,
 )
-from esrsim import linalg
+from esrsim import linalg, model
 from esrsim.model import _match_atol
 
 
@@ -293,18 +290,26 @@ def reference_event_checks(gobs: GeneralizedObservable, psi: PureState,
     report = reference_pov_axioms(gobs, psi, partition_trials, seed)
     checks = {"pov-" + name: value for name, value in report.as_dict().items()}
     subsets = reference_event_subsets(gobs.outcomes, np.random.default_rng(seed), limit=256)
-    pd = detection_probability(gobs, psi)
-    checks["factorization"] = max(
-        abs(overall_probability(gobs, psi, s) - pd * conditional_probability(gobs, psi, s))
-        for s in subsets if not split_event(gobs, s)[0])
-    checks["probability-form-agreement"] = max(
-        abs(overall_probability(gobs, psi, s) - overall_probability_density(gobs, psi, s))
-        for s in subsets)
-    singles = [overall_probability(gobs, psi, (v,)) for v in gobs.outcomes]
+    pd, weights = detection_probability(gobs, psi), model._born_weights(gobs, psi)
+
+    # each value raw, as the checks read them: through stacks of one, unclamped
+    def overall(s) -> float:
+        return model._overall(pd, weights, split_event(gobs, s)[None])[0]
+
+    def conditional(s) -> float:
+        return model._conditional(gobs, psi, split_event(gobs, s)[None, 1:])[0]
+
+    def trace_form(s) -> float:
+        return model._trace_forms(psi, reference_effect(gobs, psi, s)[None])[0]
+
+    checks["factorization"] = max(abs(overall(s) - pd * conditional(s))
+                                  for s in subsets if not split_event(gobs, s)[0])
+    checks["probability-form-agreement"] = max(abs(overall(s) - trace_form(s)) for s in subsets)
+    singles = [overall((v,)) for v in gobs.outcomes]
     checks["total-probability"] = abs(sum(singles) - 1.0)
     worst = 0.0
     for s in subsets:
-        if not s or overall_probability(gobs, psi, s) < 1e-9:
+        if not s or overall(s) < 1e-9:
             continue
         vector_form = to_density(post_measurement_state_yes(gobs, psi, s)).matrix
         density_form = post_measurement_density(gobs, psi, s).matrix

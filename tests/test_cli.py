@@ -324,7 +324,7 @@ class TestEvolve:
         assert {name: verify["checks"][name] for name in coupling} == evolve["checks"]
         assert evolve["checks"]["coupling-norm"] == pytest.approx(1.296e-7, rel=1e-6)
         assert evolve["checks"]["apparatus-consistency"] <= 1e-15
-        assert "errors" not in evolve and not set(verify["errors"]) & set(coupling)
+        assert "errors" not in evolve and "errors" not in verify
         assert verify["passed"] is evolve["passed"] is False
         assert re.search(r"^coupling-norm +1\.296e-07  FAIL$", captured.out, re.M)
         assert re.search(r"^coupling norm defect: +1\.296e-07$", captured.out, re.M)

@@ -4,7 +4,9 @@ The yes-branch special cases are checked against brute-force oracles that
 assemble the effect from its defining formula and renormalize by hand.
 """
 
+import ast
 import math
+import pathlib
 import threading
 import warnings
 
@@ -33,6 +35,7 @@ from esrsim import (
     to_density,
 )
 from esrsim import measurement
+from esrsim.cli import DEFAULT_TOL
 from esrsim.measurement import (
     PARTITION_TRIALS,
     VERIFY_SEED,
@@ -41,6 +44,7 @@ from esrsim.measurement import (
     failed_checks,
     verification_checks,
 )
+from esrsim.scenario import build_scenario, parse_scenario
 from helpers import (
     complement_event,
     random_event,
@@ -452,6 +456,68 @@ def test_verify_builds_two_families_at_the_prepared_state(monkeypatch):
     checks = verification_checks(gobs, psi, ApparatusModel())
     assert [check for check in checks if check.cause] == []
     assert [state is psi for state in states] == [True, True]
+
+
+# eigenvectors (1, 0) and (delta, 1): orthonormal only to about delta, which
+# the build gate admits up to BUILD_GATE_TOL
+SKEWED_QUBIT = """\
+esrsim scenario v1
+dimension: 2
+state: 0.6,0 0.8,0
+observable:
+  eigenvalue: 1
+  vector: 1,0 0,0
+  eigenvalue: -1
+  vector: {delta!r},0 1,0
+detection:
+  kind: constant
+  p: 0.9
+"""
+
+
+@pytest.mark.parametrize("delta", [3e-9, 1e-7, 3e-7])
+def test_skewed_model_checks_report_sizes(delta):
+    """On an admitted model whose overall probabilities pass the clamp, every
+    check reports a finite size: the three that compare probability forms agree
+    to roundoff, and total-probability reads the skew."""
+    built = build_scenario(parse_scenario(SKEWED_QUBIT.format(delta=delta)))
+    checks = {c.name: c for c in verification_checks(built.gobs, built.psi, built.apparatus)}
+    assert len(checks) == 15
+    assert [c for c in checks.values() if c.cause or not math.isfinite(c.deviation)] == []
+    for name in ("factorization", "probability-form-agreement", "update-form-agreement"):
+        assert checks[name].deviation <= DEFAULT_TOL
+    assert checks["total-probability"].deviation > DEFAULT_TOL
+
+
+def test_verify_evaluates_overall_probabilities_in_two_stacks(monkeypatch):
+    """verify reads every overall probability from two kernel calls: one over
+    its random events and one over the single outcomes."""
+    (gobs, psi), = verify_cases("unlikely")
+    overall, sizes = measurement._overall, []
+
+    def counted(pd, weights, rows):
+        sizes.append(len(rows))
+        return overall(pd, weights, rows)
+
+    monkeypatch.setattr(measurement, "_overall", counted)
+    checks = verification_checks(gobs, psi, ApparatusModel())
+    assert [check for check in checks if check.cause] == []
+    assert sizes == [256, gobs.outcomes.size] == [256, 9]
+
+
+def test_only_the_public_probabilities_clamp():
+    """Private kernels return raw values, so the checks read the sizes of their
+    deviations; only the public functions that return a probability clamp."""
+    callers = set()
+    for path in pathlib.Path(measurement.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "clamp_probability"):
+                    callers.add(getattr(top, "name", "<module>"))
+    assert not any(name.startswith("_") for name in callers)
+    assert callers == {"conditional_probability", "overall_probabilities",
+                       "overall_probability_density", "outcome_probability"}
 
 
 def _per_event_update_cause(gobs, psi) -> str | None:
