@@ -6,8 +6,10 @@ Verbs:
 * ``sample <file>``  — Monte Carlo frequencies vs predicted probabilities.
 * ``evolve <file>``  — apparatus coupling and partial-trace consistency.
 
-``verify`` and ``evolve`` report the library's checks
-(``measurement.verification_checks`` and ``measurement.coupling_checks``)
+:func:`main` loads the scenario once and builds the record base every verb
+shares (tool, version, mode and scenario digest). ``verify`` and ``evolve``
+print the library's checks (``measurement.verification_checks`` and
+``measurement.coupling_checks``) in one check table and one verdict line,
 under one rule, ``measurement.failed_checks``: a check fails unless its
 deviation is at most ``--tol``, and a check that could not run fails with
 its cause printed and recorded under ``errors``.
@@ -30,9 +32,9 @@ from pathlib import Path
 from . import __version__
 from .errors import EsrError
 from .measurement import coupling_checks, failed_checks, verification_checks
-from .model import VERIFY_SEED, overall_probabilities
+from .model import VERIFY_RNG, overall_probabilities
 from .sampling import RngSpec, run_experiment
-from .scenario import BuiltScenario, load_scenario
+from .scenario import load_scenario
 
 OUT_DIR_ENV = "ESRSIM_OUT_DIR"
 DEFAULT_RECORD_NAME = "esrsim-records.jsonl"
@@ -79,27 +81,21 @@ def _write_record(path: Path | None, record: dict) -> None:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _base_record(mode: str, built: BuiltScenario) -> dict:
-    return {
-        "tool": "esrsim",
-        "version": __version__,
-        "mode": mode,
-        "scenario_sha256": built.digest,
-    }
-
-
 def _event_label(gobs, row) -> str:
     names = ["a0" if v == gobs.a0 else repr(v) for v in sorted(gobs.outcomes[row].tolist())]
     return "{" + ", ".join(names) + "}"
 
 
-def _cause(check) -> str:
-    return f"  {check.cause}" if check.cause else ""
-
-
-def _write_checks(args, record: dict, checks, failed) -> None:
-    """Add the checks and their verdict to ``record`` and write it: a check that
-    could not run records None and its cause under ``errors``."""
+def _report_checks(args, record: dict, checks) -> int:
+    """Print the check table, write ``record`` with the checks and their verdict,
+    print the verdict line and return the exit code. A check that could not run
+    prints and records its cause (under ``errors``) and records None."""
+    failed = failed_checks(checks, args.tol)
+    print(f"{'check':<28} {'deviation':>12}  status")
+    for check in checks:
+        status = "FAIL" if check.name in failed else "pass"
+        cause = f"  {check.cause}" if check.cause else ""
+        print(f"{check.name:<28} {check.deviation:>12.3e}  {status}{cause}")
     record["tolerance"] = args.tol
     record["checks"] = {c.name: (c.deviation if math.isfinite(c.deviation) else None)
                         for c in checks}
@@ -108,25 +104,6 @@ def _write_checks(args, record: dict, checks, failed) -> None:
         record["errors"] = errors
     record["passed"] = not failed
     _write_record(_record_path(args.out), record)
-
-
-def _complex_row(values) -> str:
-    return "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in values)
-
-
-def cmd_verify(args) -> int:
-    _, built = load_scenario(args.scenario)
-    checks = verification_checks(built.gobs, built.psi, built.apparatus)
-    failed = failed_checks(checks, args.tol)
-    print(f"scenario {built.digest[:12]}  dim={built.gobs.dim}  "
-          f"outcomes={built.gobs.outcomes.size}")
-    print(f"{'check':<28} {'deviation':>12}  status")
-    for check in checks:
-        status = "FAIL" if check.name in failed else "pass"
-        print(f"{check.name:<28} {check.deviation:>12.3e}  {status}{_cause(check)}")
-    record = _base_record("verify", built)
-    record["rng"] = f"pcg64:seed={VERIFY_SEED}"  # drives the random event partitions
-    _write_checks(args, record, checks, failed)
     if failed:
         print(f"{len(failed)} check(s) failed at tolerance {args.tol:g}: "
               + ", ".join(sorted(failed)))
@@ -135,8 +112,19 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    _, built = load_scenario(args.scenario)
+def _complex_row(values) -> str:
+    return "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in values)
+
+
+def cmd_verify(args, built, record: dict) -> int:
+    checks = verification_checks(built.gobs, built.psi, built.apparatus)
+    print(f"scenario {built.digest[:12]}  dim={built.gobs.dim}  "
+          f"outcomes={built.gobs.outcomes.size}")
+    record["rng"] = VERIFY_RNG  # drives the random event partitions
+    return _report_checks(args, record, checks)
+
+
+def cmd_sample(args, built, record: dict) -> int:
     exp = built.experiment
     trials = args.trials if args.trials is not None else exp.trials
     seed = args.seed if args.seed is not None else exp.seed
@@ -161,7 +149,6 @@ def cmd_sample(args) -> int:
         for label, p in event_probs.items():
             print(f"  {label}: {p:.12f}")
 
-    record = _base_record("sample", built)
     record["report"] = report.to_dict()
     record["event_probabilities"] = event_probs
     record["sigma_limit"] = args.sigma
@@ -173,15 +160,11 @@ def cmd_sample(args) -> int:
     return 0 if passed else 1
 
 
-def cmd_evolve(args) -> int:
-    _, built = load_scenario(args.scenario)
+def cmd_evolve(args, built, record: dict) -> int:
     compound, reduced, checks = coupling_checks(built.gobs, built.psi, built.apparatus)
-    failed = failed_checks(checks, args.tol)
-
     pointer = compound.dim_pointer if compound else "?"
     print(f"scenario {built.digest[:12]}  pointer dim={pointer}  "
           f"theta={built.apparatus.theta:g} phi={built.apparatus.phi:g}")
-    record = _base_record("evolve", built)
     record["rng"] = None  # fully deterministic mode
     record["compound_amplitudes"] = record["reduced_state"] = None
     if compound:
@@ -194,12 +177,7 @@ def cmd_evolve(args) -> int:
         for row in reduced.matrix:
             print(f"  {_complex_row(row)}")
         record["reduced_state"] = [[[z.real, z.imag] for z in row] for row in reduced.matrix]
-    for label, check in zip(("coupling norm defect:       ", "reduced-vs-mixture deviation:"),
-                            checks):
-        print(f"{label} {check.deviation:.3e}{_cause(check)}")
-    _write_checks(args, record, checks, failed)
-    print(f"status: {'FAIL' if failed else 'pass'} (tolerance {args.tol:g})")
-    return 1 if failed else 0
+    return _report_checks(args, record, checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,10 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _, built = load_scenario(args.scenario)
+        record = {"tool": "esrsim", "version": __version__, "mode": args.command,
+                  "scenario_sha256": built.digest}
+        return args.handler(args, built, record)
     except (EsrError, OSError) as exc:
         print(f"esrsim: {exc}", file=sys.stderr)
         return 2

@@ -336,13 +336,10 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         *_, singles = events()
         return abs(sum(singles) - 1.0)
 
-    def update_forms(block, overall) -> list[float]:
-        # per nonempty event that can occur (a NaN probability can): vector vs density form
+    def update_forms(block) -> list[float]:
+        # per event of the stack: vector vs density form of its update
         _, pd, _, _ = events()
-        live = block[block.any(axis=1) & ~(overall < BRANCH_FLOOR)]
-        if not len(live):
-            return []
-        ts = _effects(gobs, pd, live)
+        ts = _effects(gobs, pd, block)
         amplitudes = np.array([state.amplitudes for state in _branch_states(psi, ts)])
         vector_forms = _density_gate(amplitudes[:, :, None] * amplitudes[:, None, :].conj())
         density_forms = _density_gate(_branch_density(psi, ts))
@@ -350,14 +347,15 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
 
     def update_form_agreement() -> float:
         rows, _, overall, _ = events()
+        # the nonempty events that can occur (a NaN probability can)
+        live = rows[rows.any(axis=1) & ~(overall < BRANCH_FLOOR)]
         worst = 0.0
-        for block, probs in zip(_stacks(rows, gobs.dim), _stacks(overall, gobs.dim)):
+        for block in _stacks(live, gobs.dim):
             try:
-                deviations = update_forms(block, probs)
+                deviations = update_forms(block)
             except Exception:
                 # event by event: the first that fails, in its first failing step, names the cause
-                deviations = [x for i in range(len(block))
-                              for x in update_forms(block[i:i + 1], probs[i:i + 1])]
+                deviations = [x for i in range(len(block)) for x in update_forms(block[i:i + 1])]
             for x in deviations:
                 worst = max(worst, x)
         return worst

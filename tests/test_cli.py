@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from esrsim import measurement
+from esrsim import cli, measurement, model
 from esrsim.cli import main
 from helpers import spectral_scenario_text
 
@@ -200,6 +200,12 @@ class TestVerify:
         assert record["passed"] is True
         assert "pov-additivity" in record["checks"]
 
+    def test_record_names_the_verify_generator(self):
+        # the bit generator verify draws its random events from, and its seed
+        generator = np.random.default_rng(model.VERIFY_SEED).bit_generator
+        name, seed = type(generator).__name__.lower(), generator.seed_seq.entropy
+        assert model.VERIFY_RNG == f"{name}:seed={seed}"
+
     def test_failed_check_names_its_cause(self, good_scenario, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise RuntimeError("injected fault")
@@ -300,14 +306,15 @@ class TestEvolve:
     def test_passes_on_good_scenario(self, good_scenario, capsys):
         assert main(["evolve", str(good_scenario)]) == 0
         out = capsys.readouterr().out
-        assert "reduced-vs-mixture deviation" in out
+        assert re.search(r"^apparatus-consistency +\S+  pass$", out, re.M)
 
     def test_degenerate_scenario_passes(self, tmp_path, capsys):
         path = tmp_path / "degenerate.esr"
         path.write_text(DEGENERATE)
         assert main(["evolve", str(path)]) == 0
         captured = capsys.readouterr()
-        assert "pointer dim=3" in captured.out and "status: pass" in captured.out
+        assert "pointer dim=3" in captured.out
+        assert captured.out.endswith("all 2 checks within tolerance 1e-10\n")
         assert captured.err == ""
 
     def test_skewed_projectors_fail_both_verbs_alike(self, tmp_path, capsys):
@@ -326,8 +333,8 @@ class TestEvolve:
         assert evolve["checks"]["apparatus-consistency"] <= 1e-15
         assert "errors" not in evolve and "errors" not in verify
         assert verify["passed"] is evolve["passed"] is False
-        assert re.search(r"^coupling-norm +1\.296e-07  FAIL$", captured.out, re.M)
-        assert re.search(r"^coupling norm defect: +1\.296e-07$", captured.out, re.M)
+        # one row per verb
+        assert len(re.findall(r"^coupling-norm +1\.296e-07  FAIL$", captured.out, re.M)) == 2
 
     def test_coupling_failure_names_its_cause(self, good_scenario, tmp_path, monkeypatch,
                                               capsys):
@@ -339,15 +346,33 @@ class TestEvolve:
         assert main(["evolve", str(good_scenario), "--out", str(record_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        for label in ("coupling norm defect:", "reduced-vs-mixture deviation:"):
-            assert re.search(rf"^{label} +inf  RuntimeError: injected fault$", captured.out, re.M)
-        assert "status: FAIL" in captured.out
-        record = json.loads(record_path.read_text())
         failing = ("coupling-norm", "apparatus-consistency")
+        for name in failing:
+            assert re.search(rf"^{name} +inf  FAIL  RuntimeError: injected fault$",
+                             captured.out, re.M)
+        assert captured.out.endswith("2 check(s) failed at tolerance 1e-10: "
+                                     "apparatus-consistency, coupling-norm\n")
+        record = json.loads(record_path.read_text())
         assert record["errors"] == dict.fromkeys(failing, "RuntimeError: injected fault")
         assert record["checks"] == dict.fromkeys(failing)
         assert record["compound_amplitudes"] is record["reduced_state"] is None
         assert record["passed"] is False
+
+    def test_every_coupling_check_is_printed(self, good_scenario, tmp_path, monkeypatch,
+                                             capsys):
+        # a third coupling check gets its row, fails the verb and is named in the verdict
+        def coupling(*args):
+            compound, reduced, checks = measurement.coupling_checks(*args)
+            return measurement.Coupling(compound, reduced,
+                                        [*checks, measurement.Check("third", 1.0)])
+
+        monkeypatch.setattr(cli, "coupling_checks", coupling)
+        record_path = tmp_path / "records.jsonl"
+        assert main(["evolve", str(good_scenario), "--out", str(record_path)]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^third +1\.000e\+00  FAIL$", out, re.M)
+        assert out.endswith("1 check(s) failed at tolerance 1e-10: third\n")
+        assert json.loads(record_path.read_text())["checks"]["third"] == 1.0
 
 
 class TestErrorPaths:

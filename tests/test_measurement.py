@@ -17,8 +17,10 @@ from esrsim import (
     ApparatusModel,
     ConstantDetection,
     DensityOperator,
+    GeneralizedObservable,
     MeasurementOperatorFamily,
     PureState,
+    QuantumObservable,
     ZeroProbabilityBranchError,
     detection_probability,
     effect,
@@ -487,6 +489,19 @@ def test_skewed_model_checks_report_sizes(delta):
     for name in ("factorization", "probability-form-agreement", "update-form-agreement"):
         assert checks[name].deviation <= DEFAULT_TOL
     assert checks["total-probability"].deviation > DEFAULT_TOL
+
+
+def test_outcome_probability_above_one_reads_its_size():
+    """A projector that overshoots by 1e-8 gives an outcome probability of
+    1 + 1e-8: the outcome checks read it unclamped and report a size, where a
+    clamp would fail them with its range error."""
+    base = QuantumObservable([-1.0, 1.0], [np.diag([0, 1.0]), np.diag([1 + 1e-8, 0])])
+    gobs = GeneralizedObservable(base, -2.0, ConstantDetection(1.0))
+    checks = {c.name: c for c in verification_checks(gobs, PureState([1.0, 0.0]),
+                                                      ApparatusModel())}
+    assert len(checks) == 15
+    assert [c for c in checks.values() if c.cause or not math.isfinite(c.deviation)] == []
+    assert checks["singleton-consistency"].deviation == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_verify_evaluates_overall_probabilities_in_two_stacks(monkeypatch):
