@@ -1,10 +1,11 @@
 """Dense complex-matrix kernel for small Hilbert spaces.
 
-Hermitian eigendecomposition with eigenvalue clustering, spectral projector
-assembly and a shifted-Cholesky positivity test; the Hermiticity and positivity
-tests take one matrix or a ``(n, d, d)`` stack of them. A decomposition is the plain
-pair (distinct eigenvalues, ``(K, d, d)`` projector stack); the type that holds
-and checks it is ``model.QuantumObservable``. The clustering's merge tolerance
+Hermitian eigendecomposition with eigenvalue clustering and a shifted-Cholesky
+positivity test; the Hermiticity and positivity tests take one matrix or a
+``(n, d, d)`` stack of them. A decomposition is the plain pair (distinct
+eigenvalues, one ``(d, r_k)`` orthonormal eigenspace basis per eigenvalue); the
+type that holds and checks it, and derives its projectors, is
+``model.QuantumObservable``. The clustering's merge tolerance
 is derived from the spectrum by :func:`default_cluster_tol`, never passed in.
 Everything works on plain ``numpy.ndarray`` values and is pure: inputs are
 never mutated. Intended for dense operators up to dimension of a few dozen.
@@ -78,14 +79,14 @@ def default_cluster_tol(eigenvalues) -> float:
     return max(CLUSTER_TOL_FACTOR * float(w.max() - w.min()), roundoff)
 
 
-def _cluster(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cluster(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Merge ascending ``values`` closer than :func:`default_cluster_tol` into one
-    eigenvalue (their mean) whose projector spans their eigenvectors, the columns
-    of ``vectors``; returns the distinct eigenvalues and the ``(K, d, d)``
-    projector stack."""
+    eigenvalue (their mean) whose eigenspace basis is their eigenvectors, the
+    columns of ``vectors``; returns the distinct eigenvalues and one ``(d, r_k)``
+    block of columns per eigenvalue."""
     tol = default_cluster_tol(values)
     eigenvalues = []
-    projectors = []
+    bases = []
     start = 0
     for stop in range(1, values.size + 1):
         if stop == values.size or values[stop] - values[stop - 1] > tol:
@@ -93,20 +94,19 @@ def _cluster(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.nd
             if width > tol:
                 raise ValueError(f"eigenvalues closer than the merge tolerance "
                                  f"{tol:.3e} chain over a width of {width:.3e}")
-            block = vectors[:, start:stop]
             eigenvalues.append(float(np.mean(values[start:stop])))
-            projectors.append(block @ block.conj().T)
+            bases.append(vectors[:, start:stop])
             start = stop
-    return np.array(eigenvalues), np.array(projectors)
+    return np.array(eigenvalues), bases
 
 
-def hermitian_eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigendecompose(m) -> tuple[np.ndarray, list[np.ndarray]]:
     """Eigendecompose a Hermitian matrix into its distinct eigenvalues, ascending,
-    and their spectral projectors as one ``(K, d, d)`` array.
+    and one orthonormal ``(d, r_k)`` basis of each eigenspace, eigh's eigenvectors.
 
     Eigenvalues closer than :func:`default_cluster_tol` (``CLUSTER_TOL_FACTOR``
     times the spectral range, at least eigh's roundoff) are merged into one
-    degenerate eigenvalue (their mean) whose projector spans the combined
+    degenerate eigenvalue (their mean) whose basis spans the combined
     eigenspace. Floating point never reproduces exactly equal eigenvalues, so
     merging is how intended degeneracies are recovered.
 

@@ -1,10 +1,11 @@
 """Domain model for detection-conditioned measurements.
 
 A standard observable is its spectral decomposition: ascending distinct
-eigenvalues and one ``(K, d, d)`` stack of orthogonal projectors. A generalized
-observable adds a no-registration outcome ``a0``, reported when the measured
-object escapes detection, and a detection model giving the per-state
-probability of being detected at all.
+eigenvalues and an orthonormal basis of each eigenspace, from which its one
+``(K, d, d)`` stack of orthogonal projectors is derived once, when it is built;
+nothing converts the other way. A generalized observable adds a no-registration
+outcome ``a0``, reported when the measured object escapes detection, and a
+detection model giving the per-state probability of being detected at all.
 That probability is event-independent, which makes the construction consistent.
 
 Outcome events are finite sets of outcome values (the finite-dimensional
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -37,7 +38,6 @@ from .errors import (
     DimensionMismatchError,
     EventContainsNoRegistrationError,
     NotNormalizedError,
-    NotSquareError,
     ProbabilityRangeError,
 )
 
@@ -164,22 +164,24 @@ class DensityOperator:
 @dataclass(frozen=True, eq=False)
 class QuantumObservable:
     """Hermitian operator in spectral form: its distinct eigenvalues in ascending
-    order and their spectral projectors, stored once as one read-only
-    ``(K, d, d)`` array.
+    order and one read-only ``(d, r_k)`` basis of each eigenspace, ``bases``.
 
-    The projectors of a well-formed observable are Hermitian, idempotent and
-    mutually orthogonal, sum to the identity, and ``sum(a_k * P_k)`` recovers
-    the operator. Construction checks structure only: projectors of unequal
-    shapes raise DimensionMismatchError, non-square ones NotSquareError, and
-    non-finite entries, a count other than one per eigenvalue or eigenvalues
-    that are not strictly increasing ValueError. Observables built by
-    :meth:`from_matrix` meet the numerical invariants within the check
-    tolerance (``cli.DEFAULT_TOL``), while hand-built projectors are the
-    caller's responsibility.
+    The spectral projectors ``P_k = B_k B_k†`` are derived from the bases once,
+    at construction, into one read-only ``(K, d, d)`` array that every kernel
+    reads, so each is Hermitian and positive semidefinite up to roundoff.
+    Construction checks structure only: bases of unequal row counts raise
+    DimensionMismatchError, and a basis that is not 2-D, non-finite entries, a
+    count other than one basis per eigenvalue or eigenvalues that are not
+    strictly increasing ValueError. The bases of :meth:`from_matrix` are eigh's
+    eigenvectors, so its projectors are idempotent, mutually orthogonal and sum
+    to the identity within the check tolerance (``cli.DEFAULT_TOL``), and
+    ``sum(a_k * P_k)`` recovers the operator; hand-built bases are the caller's
+    responsibility.
     """
 
     eigenvalues: np.ndarray
-    projectors: np.ndarray
+    bases: tuple[np.ndarray, ...]
+    projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         eigs = np.array(self.eigenvalues, dtype=float)
@@ -189,18 +191,16 @@ class QuantumObservable:
             raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(eigs) <= 0):
             raise ValueError("eigenvalues must be strictly increasing")
-        if len({np.shape(p) for p in self.projectors}) > 1:
-            raise DimensionMismatchError("projectors must share one dimension")
-        projs = np.array(self.projectors, dtype=complex)
-        if len(projs) != eigs.size:
-            raise ValueError("need exactly one projector per eigenvalue")
-        if projs.ndim != 3 or projs.shape[1] != projs.shape[2]:
-            raise NotSquareError(f"projectors of shape {projs.shape[1:]} are not square")
-        if not np.all(np.isfinite(projs)):
-            raise ValueError("matrix entries must be finite")
-        eigs.flags.writeable = False
-        projs.flags.writeable = False
+        bases = tuple(map(linalg.as_matrix, self.bases))
+        if len(bases) != eigs.size:
+            raise ValueError("need exactly one basis per eigenvalue")
+        if len({b.shape[0] for b in bases}) > 1:
+            raise DimensionMismatchError("bases must share one dimension")
+        projs = np.array([b @ b.conj().T for b in bases])
+        for frozen in (eigs, *bases, projs):
+            frozen.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "projectors", projs)
 
     @classmethod
@@ -318,24 +318,23 @@ class GeneralizedObservable:
     @cached_property
     def _eigenstates(self) -> tuple[tuple[PureState, float, tuple[float, ...], tuple[float, ...]]
                                     | None, ...]:
-        """Per projector, its Lüders state and that state's ``sampling._weights``
-        ``(state, pd, born, cum)``; ``None`` for rank > 1.
+        """Per eigenspace, its Lüders state and that state's ``sampling._weights``
+        ``(state, pd, born, cum)``; ``None`` for a basis of more than one column.
 
         For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
-        ``P v != 0`` is ``e`` up to a global phase, so with the phase fixed it
-        is one state, built here from the projector's largest column. The table
-        lives here, not on the base, because ``pd`` depends on the detection model.
+        ``P v != 0`` is ``e / ‖e‖`` up to a global phase, so with the phase fixed
+        it is one state, built here from the basis vector. The table lives here,
+        not on the base, because ``pd`` depends on the detection model.
         """
         from .measurement import fix_phase  # measurement imports this module
         from .sampling import _weights  # sampling imports this module
 
         table = []
-        for p in self.base.projectors:
-            if round(float(np.trace(p).real)) != 1:
+        for b in self.base.bases:
+            if b.shape[1] != 1:
                 table.append(None)
                 continue
-            column = p[:, int(np.argmax(np.abs(np.diagonal(p))))]
-            state = PureState(fix_phase(column / np.linalg.norm(column)))
+            state = PureState(fix_phase(b[:, 0] / np.linalg.norm(b[:, 0])))
             table.append((state, *_weights(self, state)))
         return tuple(table)
 

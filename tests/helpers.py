@@ -125,6 +125,20 @@ def partial_trace_second(m: np.ndarray, dim_first: int, dim_second: int) -> np.n
     return np.einsum("iaja->ij", m.reshape(dim_first, dim_second, dim_first, dim_second))
 
 
+def install_projectors(observable: QuantumObservable, projectors) -> QuantumObservable:
+    """Put the ``(K, d, d)`` stack ``projectors`` in place of the built
+    ``observable``'s own and return the observable. The library cannot build
+    such an observable: it derives each projector from an eigenspace basis as
+    ``B B†``, which is Hermitian and positive semidefinite, with the signs of
+    zero the product gives. Use it only for a corruption that no basis can
+    express."""
+    stack = np.array(projectors, dtype=complex)
+    assert stack.shape == observable.projectors.shape
+    stack.flags.writeable = False
+    object.__setattr__(observable, "projectors", stack)
+    return observable
+
+
 def reconstruct(obs: QuantumObservable) -> np.ndarray:
     """``sum(a_k * P_k)``, the matrix an observable's spectral form stands for."""
     out = np.zeros((obs.dim, obs.dim), dtype=complex)
@@ -362,7 +376,5 @@ def verify_cases(kind: str) -> list[tuple[GeneralizedObservable, PureState]]:
         # every projector lowered by 1e-9 I / K: each nonempty event's effect
         # then has a negative eigenvalue, so positivity is decided below 0
         base = gobs.base
-        shift = 1e-9 / base.eigenvalues.size * np.eye(dim)
-        base = QuantumObservable(base.eigenvalues, base.projectors - shift)
-        gobs = GeneralizedObservable(base, gobs.a0, gobs.detection)
+        install_projectors(base, base.projectors - 1e-9 / base.eigenvalues.size * np.eye(dim))
     return [(gobs, random_state(rng, dim))]

@@ -3,7 +3,8 @@ test, plus the partial-trace oracle that the apparatus tests use.
 
 Oracles are independent of the implementation: the partial trace is checked
 against explicit index loops, and decompositions against the defining
-relations (P m = a P, ``helpers.reconstruct``) and ``helpers.spectral_defects``.
+relations (m B = a B, orthonormal bases, ``helpers.reconstruct``) and
+``helpers.spectral_defects``.
 """
 
 import numpy as np
@@ -43,24 +44,23 @@ def random_complex(rng, shape):
 
 class TestEigendecompose:
     def test_identity(self):
-        eigenvalues, projectors = hermitian_eigendecompose(np.diag([1.0, 1.0]))
+        eigenvalues, (basis,) = hermitian_eigendecompose(np.diag([1.0, 1.0]))
         np.testing.assert_allclose(eigenvalues, [1.0])
-        np.testing.assert_allclose(projectors[0], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(2), atol=1e-12)
 
-    def test_returns_eigenvalues_and_projector_stack(self):
-        eigenvalues, projectors = hermitian_eigendecompose(np.diag([2.0, -1.0, 2.0]))
+    def test_returns_eigenvalues_and_bases(self):
+        eigenvalues, bases = hermitian_eigendecompose(np.diag([2.0, -1.0, 2.0]))
         assert eigenvalues.dtype == float and eigenvalues.shape == (2,)
-        assert projectors.dtype == complex and projectors.shape == (2, 3, 3)
+        assert [(b.dtype, b.shape) for b in bases] == [(complex, (3, 1)), (complex, (3, 2))]
 
     def test_diagonal_sign_pair(self):
         m = np.diag([-1.0, 1.0])
-        eigenvalues, projectors = hermitian_eigendecompose(m)
+        eigenvalues, bases = hermitian_eigendecompose(m)
         np.testing.assert_allclose(eigenvalues, [-1.0, 1.0])
-        # defining relation P m = a P, checked entrywise
-        for a, p in zip(eigenvalues, projectors):
-            np.testing.assert_allclose(p @ m, a * p, atol=1e-12)
-        np.testing.assert_allclose(projectors[0], np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(projectors[1], np.diag([0.0, 1.0]), atol=1e-12)
+        # defining relation m B = a B, checked entrywise
+        for a, b in zip(eigenvalues, bases):
+            np.testing.assert_allclose(m @ b, a * b, atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.hstack(bases)), np.eye(2), atol=1e-12)
 
     def test_pauli_x(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -73,9 +73,8 @@ class TestEigendecompose:
 
     def test_clustering_merges_near_degenerate(self):
         m = np.diag([1.0, 1.0 + 1e-12, 2.0])
-        eigenvalues, projectors = hermitian_eigendecompose(m)
-        assert eigenvalues.size == 2
-        assert abs(np.trace(projectors[0]).real - 2.0) < 1e-12
+        eigenvalues, bases = hermitian_eigendecompose(m)
+        assert eigenvalues.size == 2 and bases[0].shape == (3, 2)
         assert abs(eigenvalues[0] - (1.0 + 5e-13)) < 1e-12
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 35])
@@ -84,9 +83,9 @@ class TestEigendecompose:
         # d = 35): a spectral range that small, times 1e-8, would merge nothing
         # without the roundoff floor of the merge tolerance
         u = random_unitary(np.random.default_rng(dim), dim)
-        eigenvalues, projectors = hermitian_eigendecompose(u @ (3.0 * np.eye(dim)) @ u.conj().T)
+        eigenvalues, (basis,) = hermitian_eigendecompose(u @ (3.0 * np.eye(dim)) @ u.conj().T)
         assert eigenvalues.shape == (1,) and abs(eigenvalues[0] - 3.0) <= 1e-12
-        np.testing.assert_allclose(projectors[0], np.eye(dim), atol=1e-12)
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(dim), atol=1e-12)
 
     @pytest.mark.parametrize("values", [
         # 200 values 6e-9 apart span 1.2e-6, 120 times the 1e-8 tolerance
@@ -103,7 +102,10 @@ class TestEigendecompose:
         rng = np.random.default_rng(100 + dim)
         for _ in range(10):
             m = random_hermitian(rng, dim)
-            obs = QuantumObservable(*hermitian_eigendecompose(m))
+            eigenvalues, bases = hermitian_eigendecompose(m)
+            v = np.hstack(bases)
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
+            obs = QuantumObservable(eigenvalues, bases)
             defects = spectral_defects(obs, source=m)
             assert defects["completeness"] <= 1e-10
             assert defects["idempotency"] <= 1e-10

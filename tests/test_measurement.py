@@ -495,7 +495,7 @@ def test_outcome_probability_above_one_reads_its_size():
     """A projector that overshoots by 1e-8 gives an outcome probability of
     1 + 1e-8: the outcome checks read it unclamped and report a size, where a
     clamp would fail them with its range error."""
-    base = QuantumObservable([-1.0, 1.0], [np.diag([0, 1.0]), np.diag([1 + 1e-8, 0])])
+    base = QuantumObservable([-1.0, 1.0], [[[0.0], [1.0]], [[np.sqrt(1 + 1e-8)], [0.0]]])
     gobs = GeneralizedObservable(base, -2.0, ConstantDetection(1.0))
     checks = {c.name: c for c in verification_checks(gobs, PureState([1.0, 0.0]),
                                                       ApparatusModel())}

@@ -22,16 +22,17 @@ from esrsim import (
     GeneralizedObservable,
     NotHermitianError,
     NotNormalizedError,
-    NotSquareError,
     ProbabilityRangeError,
     PureState,
     QuantumObservable,
     RngSpec,
+    build_scenario,
     conditional_probability,
     detection_probability,
     effect,
     overall_probability,
     overall_probability_density,
+    parse_scenario,
     pv_projector,
     split_event,
     to_density,
@@ -48,6 +49,7 @@ from esrsim.model import (
 from helpers import (
     _nearest_index,
     complement_event,
+    install_projectors,
     random_event,
     random_generalized,
     random_observable,
@@ -58,6 +60,7 @@ from helpers import (
     reference_projector_sums,
     scenario_stream,
     sigma_z_scenario,
+    spectral_scenario_text,
     verify_cases,
 )
 
@@ -159,15 +162,49 @@ class TestStackedDensityGate:
 
 
 class TestQuantumObservable:
-    @pytest.mark.parametrize("projectors, error, message", [
-        ([np.eye(2), np.eye(3)], DimensionMismatchError, "share one dimension"),
-        (np.zeros((2, 2, 3)), NotSquareError, "not square"),
-        ([np.eye(2), np.full((2, 2), np.inf)], ValueError, "finite"),
-        ([np.eye(2)], ValueError, "one projector per eigenvalue"),
+    @pytest.mark.parametrize("bases, error, message", [
+        ([np.eye(2)], ValueError, "one basis per eigenvalue"),
+        ([np.eye(2)[:, :1], np.eye(3)[:, 1:]], DimensionMismatchError, "share one dimension"),
+        ([np.eye(2)[:, :1], np.ones(2)], ValueError, "expected a 2-D array, got ndim=1"),
+        ([np.eye(2)[:, :1], np.ones((2, 1, 1))], ValueError, "expected a 2-D array, got ndim=3"),
+        ([np.eye(2)[:, :1], np.full((2, 1), np.inf)], ValueError, "finite"),
     ])
-    def test_rejects_malformed_projectors(self, projectors, error, message):
+    def test_rejects_malformed_bases(self, bases, error, message):
         with pytest.raises(error, match=message):
-            QuantumObservable(np.array([0.0, 1.0]), projectors)
+            QuantumObservable(np.array([0.0, 1.0]), bases)
+
+    def test_projectors_and_eigenstates_come_from_the_bases(self):
+        """Each projector is ``B B†`` of its basis bit for bit, read-only, and an
+        eigenspace has a table state exactly when its basis is one vector, whose
+        density is the projector normalized: on a stream, d = 32 degenerate,
+        d = 48 and a spectral-form scenario with a threefold eigenvalue."""
+        u = random_unitary(np.random.default_rng(6), 6)
+        text = spectral_scenario_text([0.5, -1.0, 0.5, 2.0, 0.5, 3.0], u)
+        cases = [build_scenario(parse_scenario(text)).gobs]
+        cases += [gobs for _, gobs, _ in scenario_stream(seed=2311, count=8)]
+        cases += [gobs for kind in ("d32-degenerate", "d48") for gobs, _ in verify_cases(kind)]
+        widths = set()
+        for gobs in cases:
+            base = gobs.base
+            assert not base.projectors.flags.writeable
+            assert len(base.bases) == len(base.projectors) == len(gobs._eigenstates)
+            for b, p, entry in zip(base.bases, base.projectors, gobs._eigenstates):
+                assert not b.flags.writeable
+                assert np.array_equal(p.view(np.uint64), (b @ b.conj().T).view(np.uint64))
+                assert (entry is None) == (b.shape[1] > 1)
+                if entry is not None:
+                    v = entry[0].amplitudes
+                    np.testing.assert_allclose(np.outer(v, v.conj()), p / np.trace(p).real,
+                                               rtol=0, atol=1e-15)
+                widths.add(min(b.shape[1], 2))
+        assert cases[0].base.bases[1].shape == (6, 3) and widths == {1, 2}
+
+    def test_eigenstate_of_a_vector_off_unit_norm_is_normalized(self):
+        # the spectral form accepts eigenvectors orthonormal to BUILD_GATE_TOL,
+        # far looser than a state's NORM_TOL
+        text = spectral_scenario_text([-1.0, 1.0], np.diag([1.0 + 4e-7, 1.0]))
+        gobs = build_scenario(parse_scenario(text)).gobs
+        assert gobs._eigenstates[0][0].amplitudes.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("eigenvalues, message", [
         ([1.0, 0.0], "strictly increasing"),
@@ -216,13 +253,14 @@ def test_projector_sums_match_the_loop():
         u = random_unitary(rng, dim)
         cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(0, max(1, dim - 1))),
                                   replace=False))
-        observables = [QuantumObservable(np.arange(len(blocks), dtype=float),
-                                         [b @ b.conj().T for b in blocks])
+        observables = [QuantumObservable(np.arange(len(blocks), dtype=float), blocks)
                        for blocks in (np.split(u, dim, axis=1), np.split(u, cuts, axis=1))]
+        # no basis gives zeros that are all -0.0, so they are installed over a built one
         signed = np.eye(dim)[:, None, :] * np.eye(dim)[:, :, None] + 0j
         parts = signed.view(float)
         parts[parts == 0.0] = -0.0
-        observables.append(QuantumObservable(np.arange(dim, dtype=float), signed))
+        identity = QuantumObservable(np.arange(dim, dtype=float), np.split(np.eye(dim), dim, axis=1))
+        observables.append(install_projectors(identity, signed))
         for obs in observables:
             k = obs.eigenvalues.size
             extra = max(8, 600 // dim)
@@ -608,9 +646,9 @@ class TestResolvedEvents:
         assert np.array_equal(np.concatenate(stacks), everything)
 
 
-def _hand_built(projectors, a0: float = -1.0, p: float = 0.8):
-    """Observable with eigenvalues 0, 1, ... over caller-supplied projectors."""
-    base = QuantumObservable(np.arange(len(projectors), dtype=float), tuple(projectors))
+def _hand_built(bases, a0: float = -1.0, p: float = 0.8):
+    """Observable with eigenvalues 0, 1, ... over caller-supplied eigenspace bases."""
+    base = QuantumObservable(np.arange(len(bases), dtype=float), bases)
     return GeneralizedObservable(base, a0, ConstantDetection(p))
 
 
@@ -628,16 +666,19 @@ class TestEffectGateCertificate:
     the Born weights and reject only probabilities out of range."""
 
     def test_projector_spectrum_above_one_still_rejected(self):
-        gobs = _hand_built([np.diag([1.5, 0.0]), np.diag([0.0, 1.0])])
+        # a basis vector of norm 1.25: its projector is diag(1.5625, 0)
+        gobs = _hand_built([[[1.25], [0.0]], [[0.0], [1.0]]])
         psi = PureState(np.array([1.0, 0.0]))
         with pytest.raises(ValueError) as excinfo:
             effect(gobs, psi, (0.0,))
         assert excinfo.type is ValueError
         with pytest.raises(ProbabilityRangeError):
-            overall_probability(gobs, psi, (0.0,))  # 0.8 * 1.5
+            overall_probability(gobs, psi, (0.0,))  # 0.8 * 1.5625
 
     def test_non_hermitian_projector_still_rejected(self):
-        gobs = _hand_built([np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.0, 1.0])])
+        # no basis gives a non-Hermitian projector, so it is installed over a built one
+        gobs = _hand_built(np.split(np.eye(2), 2, axis=1))
+        install_projectors(gobs.base, [[[1.0, 0.5], [0.0, 0.0]], np.diag([0.0, 1.0])])
         psi = PureState(np.array([1.0, 0.0]))
         with pytest.raises(NotHermitianError):
             effect(gobs, psi, (0.0,))
@@ -658,11 +699,13 @@ class TestEffectGateCertificate:
                 call(gobs, psi, (1.0,))
 
     def test_gate_decides_at_its_tolerance(self):
-        # BUILD_GATE_TOL is 1e-6: 1 + 0.75e-6 passes the gate, 1 + 2e-6 fails it
+        # BUILD_GATE_TOL is 1e-6: basis vectors of norm 1 + 2**-21 and 1 + 2**-20 give
+        # projectors whose entry, their exact square, is 1 + 0.954e-6 (passes the
+        # gate) and 1 + 1.907e-6 (fails it)
         psi = PureState(np.array([1.0, 0.0]))
-        ok = _hand_built([np.diag([1.0 + 0.75e-6, 0.0]), np.diag([0.0, 1.0])], p=1.0)
-        assert effect(ok, psi, (0.0,)).operator[0, 0] == 1.0 + 0.75e-6
-        bad = _hand_built([np.diag([1.0 + 2e-6, 0.0]), np.diag([0.0, 1.0])], p=1.0)
+        ok = _hand_built([[[1.0 + 2.0 ** -21], [0.0]], [[0.0], [1.0]]], p=1.0)
+        assert effect(ok, psi, (0.0,)).operator[0, 0] == 1.0 + 2.0 ** -20 + 2.0 ** -42
+        bad = _hand_built([[[1.0 + 2.0 ** -20], [0.0]], [[0.0], [1.0]]], p=1.0)
         with pytest.raises(ValueError):
             effect(bad, psi, (0.0,))
         for gobs in (ok, bad):
@@ -766,7 +809,7 @@ class TestSplitEvent:
         # neighbours 2**-26 apart, 1.5 merge tolerances: their midpoint 1 + 2**-27 lies
         # in both windows, at one distance from each, and resolves to the lower one
         ties = QuantumObservable(np.array([0.0, 1.0, 1.0 + 2.0 ** -26]),
-                                 [np.diag(row) for row in np.eye(3)])
+                                 np.split(np.eye(3), 3, axis=1))
         cases.append(GeneralizedObservable(ties, a0 - 2.0, ConstantDetection(0.7)))
         assert split_event(cases[-1], (1.0 + 2.0 ** -27,)).tolist() == [False, False, True, False]
         for g in cases:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from esrsim import (
+    QuantumObservable,
     ScenarioParseError,
     ScenarioValidationError,
     build_scenario,
@@ -249,11 +250,11 @@ class TestBuild:
         u = random_unitary(np.random.default_rng(5), 3)
         values = [0.5, 2.0, 0.5 + 1e-12]
         base = build_scenario(parse_scenario(spectral_scenario_text(values, u))).gobs.base
-        assert base.eigenvalues.size == 2
+        assert base.eigenvalues.size == 2 and base.bases[0].shape == (3, 2)
         assert np.trace(base.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
-        eigenvalues, projectors = hermitian_eigendecompose(u @ np.diag(values) @ u.conj().T)
-        np.testing.assert_allclose(base.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
-        for got, want in zip(base.projectors, projectors):
+        reference = QuantumObservable(*hermitian_eigendecompose(u @ np.diag(values) @ u.conj().T))
+        np.testing.assert_allclose(base.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-12)
+        for got, want in zip(base.projectors, reference.projectors):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_ragged_rows_rejected(self):
