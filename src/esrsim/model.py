@@ -25,7 +25,6 @@ measure; with detection certain it is the projection-valued one.
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,10 +42,9 @@ from .errors import (
 
 __all__ = ["ConstantDetection", "DensityOperator", "DetectionModel", "Effect",
            "ExpectationDetection", "GeneralizedObservable", "PovAxiomReport", "PureState",
-           "QuantumObservable", "as_event", "conditional_probability",
-           "default_no_registration_outcome", "detection_probability", "effect",
-           "overall_probability", "overall_probability_density", "pv_projector", "split_event",
-           "to_density", "verify_pov_axioms"]
+           "QuantumObservable", "as_event", "conditional_probability", "detection_probability",
+           "effect", "overall_probability", "overall_probability_density", "pv_projector",
+           "split_event", "to_density", "verify_pov_axioms"]
 
 # Unit-norm gate of a state's amplitudes. A norm off by delta moves a sum of
 # probabilities by up to 2 delta, so twice this stays below the check tolerance
@@ -263,11 +261,6 @@ class ExpectationDetection:
 DetectionModel = Union[ConstantDetection, ExpectationDetection]
 
 
-def default_no_registration_outcome(observable: QuantumObservable) -> float:
-    """Conventional no-registration value: one below the smallest eigenvalue."""
-    return float(observable.eigenvalues[0]) - 1.0
-
-
 @dataclass(frozen=True, eq=False)
 class GeneralizedObservable:
     """Standard observable plus a no-registration outcome and detection model.
@@ -276,12 +269,18 @@ class GeneralizedObservable:
     clear of every eigenvalue by more than the merge tolerance of
     :func:`linalg.default_cluster_tol` plus twice the value-matching window,
     so that no value falls in both a0's window and an eigenvalue's and event
-    membership is unambiguous.
+    membership is unambiguous. ``a0=None`` takes the default: one below the
+    least eigenvalue or, where that would clash, twice the least eigenvalue's
+    clash floor below it.
+
+    ``_sampler`` is a slot for the caches of :mod:`esrsim.sampling`, which
+    alone reads and documents them.
     """
 
     base: QuantumObservable
-    a0: float
+    a0: float | None
     detection: DetectionModel
+    _sampler: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (isinstance(self.detection, ExpectationDetection)
@@ -289,22 +288,25 @@ class GeneralizedObservable:
             raise DimensionMismatchError(
                 f"detection operator dim {self.detection.operator.shape[0]} "
                 f"!= observable dim {self.base.dim}")
-        a0 = float(self.a0)
+
+        def floor(a0: float) -> float:
+            return self.base._merge_tol + 2.0 * _match_atol(a0)
+
+        low = float(self.base.eigenvalues[0])
+        a0 = low - 1.0 if self.a0 is None else float(self.a0)
+        if self.a0 is None and not low - a0 > floor(a0):
+            a0 = low - 2.0 * floor(low)  # floor(a0) is at most (1 + 4e-9) floor(low)
         separation = float(np.min(np.abs(self.base.eigenvalues - a0)))
-        floor = self.base._merge_tol + 2.0 * _match_atol(a0)
-        if not separation > floor:
+        if not separation > floor(a0):
             raise ValueError(
                 f"no-registration outcome {a0!r} clashes with the spectrum "
-                f"(separation {separation:.3e}, required > {floor:.3e})")
+                f"(separation {separation:.3e}, required > {floor(a0):.3e})")
         object.__setattr__(self, "a0", a0)
 
     @classmethod
     def from_matrix(cls, matrix, detection: DetectionModel,
                     a0: float | None = None) -> "GeneralizedObservable":
-        base = QuantumObservable.from_matrix(matrix)
-        if a0 is None:
-            a0 = default_no_registration_outcome(base)
-        return cls(base, a0, detection)
+        return cls(QuantumObservable.from_matrix(matrix), a0, detection)
 
     @property
     def dim(self) -> int:
@@ -314,42 +316,6 @@ class GeneralizedObservable:
     def outcomes(self) -> np.ndarray:
         """All outcome values, the no-registration outcome first."""
         return np.concatenate(([self.a0], self.base.eigenvalues))
-
-    @cached_property
-    def _eigenstates(self) -> tuple[tuple[PureState, float, tuple[float, ...], tuple[float, ...]]
-                                    | None, ...]:
-        """Per eigenspace, its Lüders state and that state's ``sampling._weights``
-        ``(state, pd, born, cum)``; ``None`` for a basis of more than one column.
-
-        For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
-        ``P v != 0`` is ``e / ‖e‖`` up to a global phase, so with the phase fixed
-        it is one state, built here from the basis vector. The table lives here,
-        not on the base, because ``pd`` depends on the detection model.
-        """
-        from .measurement import fix_phase  # measurement imports this module
-        from .sampling import _weights  # sampling imports this module
-
-        table = []
-        for b in self.base.bases:
-            if b.shape[1] != 1:
-                table.append(None)
-                continue
-            state = PureState(fix_phase(b[:, 0] / np.linalg.norm(b[:, 0])))
-            table.append((state, *_weights(self, state)))
-        return tuple(table)
-
-    @cached_property
-    def _weights_memo(self) -> weakref.WeakKeyDictionary:
-        """Per start state of a sampler call, its ``sampling._weights``
-        ``(pd, born, cum)``, filled by ``sampling._start_weights`` on the
-        state's first call.
-
-        The key is the state object (``PureState`` compares by identity), held
-        weakly, so an entry lives only as long as its state. Both the observable
-        and the state are immutable, so an entry never goes stale; threads that
-        race on a new state compute the same weights and one of them is kept.
-        """
-        return weakref.WeakKeyDictionary()
 
 
 def split_event(gobs: GeneralizedObservable, event) -> np.ndarray:

@@ -22,13 +22,10 @@ without changing which uniforms a trial uses.
 Single draws run one loop, ``sample_sequence``; ``sample_measurement`` is a
 sequence of one. The Born weights are ``model._born_weights``, the one stacked
 product of all projectors with the state that overall probabilities use,
-clipped at 0 and normalized. A prepared state is weighed once per observable:
-the start state's weights are kept in ``GeneralizedObservable._weights_memo``,
-keyed weakly by the state object, so measuring one state again and again
-computes them on the first call only. The Lüders state of a rank-1 projector
-does not depend on the pre-state, so a detected draw on one takes its
-post-state and that state's weights from
-``GeneralizedObservable._eigenstates``, built once per observable on the first
+clipped at 0 and normalized. The sampler keeps two caches in each generalized
+observable's ``_sampler`` slot, which only this module reads: the weights of
+each prepared state, computed on its first call (``_start_weights``), and the
+rank-1 Lüders states with their weights (``_eigenstates``), built on the first
 detected draw. Higher ranks apply the Lüders rule per draw, a new state each
 time, and compute its weights only if another draw follows; those are never
 kept. An ``RngSpec`` is served by one generator per thread, reset to counter 0
@@ -49,13 +46,14 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementOutcomeRecord, _branch_states
+from .measurement import MeasurementOutcomeRecord, _branch_states, fix_phase
 from .model import (
     GeneralizedObservable,
     PureState,
@@ -187,13 +185,44 @@ def _weights(gobs: GeneralizedObservable,
 def _start_weights(gobs: GeneralizedObservable,
                    psi: PureState) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """``_weights`` of a prepared state, computed on its first call with ``gobs``
-    and kept in ``gobs._weights_memo``. A state of the wrong dimension raises
-    and is never stored."""
-    memo = gobs._weights_memo
+    and kept in the memo ``gobs._sampler["weights"]``, keyed weakly by the state
+    object (``PureState`` compares by identity): an entry lives as long as its
+    state and, both being immutable, never goes stale. A state of the wrong
+    dimension raises and is never stored; threads that race on a new state
+    compute the same weights, and one of them is kept."""
+    cache = gobs._sampler
+    try:
+        memo = cache["weights"]
+    except KeyError:
+        memo = cache.setdefault("weights", weakref.WeakKeyDictionary())
     entry = memo.get(psi)
     if entry is None:
         entry = memo[psi] = _weights(gobs, psi)
     return entry
+
+
+def _eigenstates(gobs: GeneralizedObservable) -> tuple[
+        tuple[PureState, float, tuple[float, ...], tuple[float, ...]] | None, ...]:
+    """Per eigenspace of ``gobs``, its Lüders state and that state's ``_weights``
+    ``(state, pd, born, cum)``, or ``None`` for a basis of more than one column:
+    the table ``gobs._sampler["eigenstates"]``, built on the first call.
+
+    For ``P = e e†`` the Lüders state ``P v / ‖P v‖`` of any ``v`` with
+    ``P v != 0`` is ``e / ‖e‖`` up to a global phase, so with the phase fixed
+    it is one state, built here from the basis vector. ``pd`` depends on the
+    detection model, so the table is per generalized observable. Threads that
+    race to build it build equal tables, and the first one stored is kept."""
+    table = gobs._sampler.get("eigenstates")
+    if table is None:
+        table = []
+        for b in gobs.base.bases:
+            if b.shape[1] != 1:
+                table.append(None)
+                continue
+            state = PureState(fix_phase(b[:, 0] / np.linalg.norm(b[:, 0])))
+            table.append((state, *_weights(gobs, state)))
+        table = gobs._sampler.setdefault("eigenstates", tuple(table))
+    return table
 
 
 def sample_measurement(gobs: GeneralizedObservable, psi: PureState,
@@ -214,7 +243,7 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     weights are computed on its first call with ``gobs`` and reused by every
     later call on the same state object. An undetected draw leaves the state
     object untouched; a detected one applies the Lüders update, taken with its
-    weights from the observable's eigenstate table when the projector has
+    weights from the sampler's eigenstate table when the projector has
     rank 1. Each record's ``outcome`` and ``probability`` are Python floats
     and its ``detected`` a Python bool. ``length`` must be a Python or numpy
     integer >= 1, else ValueError; a state of the wrong dimension raises
@@ -227,14 +256,16 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
     uniforms = gen.random((length, DRAWS_PER_TRIAL)).tolist()
     records = []
     record, eigenvalues = records.append, gobs.base._eigenvalue_floats
-    state = psi
+    state, table = psi, None
     for step, (u0, u1) in enumerate(uniforms, 1):
         pre, detected = state, u0 < pd
         if detected:
             # the comparisons of np.searchsorted(cum, u1, side="right")
             k = bisect_right(cum, u1)
             outcome, probability = eigenvalues[k], pd * born[k]
-            entry = gobs._eigenstates[k]
+            if table is None:
+                table = _eigenstates(gobs)
+            entry = table[k]
             if entry is not None:
                 state, pd, born, cum = entry
             else:

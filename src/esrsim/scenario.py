@@ -28,9 +28,10 @@ Grammar (version header ``esrsim scenario v1``)::
 
 Files are UTF-8, lines are ``key: value``, section contents are indented by
 exactly two spaces, and complex numbers are ``re,im`` pairs. ``a0`` (default:
-the least eigenvalue minus 1), ``apparatus`` (pointer-coupling phases, in
-radians) and ``experiment`` (``mode`` one of verify, sample, evolve) are
-optional. The observable is dense, one ``row:`` per matrix row, or spectral,
+the least eigenvalue minus 1, or farther below where that would clash),
+``apparatus`` (pointer-coupling phases, in radians) and ``experiment``
+(``mode`` one of verify, sample, evolve) are optional. The observable is
+dense, one ``row:`` per matrix row, or spectral,
 alternating ``eigenvalue:`` and ``vector:`` entries (unit eigenvectors,
 orthonormal to ``model.BUILD_GATE_TOL``, spanning the space). Only ``row``,
 ``eigenvalue``, ``vector`` and ``event`` repeat; a second of any other key or
@@ -64,7 +65,6 @@ from .model import (
     GeneralizedObservable,
     PureState,
     QuantumObservable,
-    default_no_registration_outcome,
     split_event,
 )
 
@@ -406,8 +406,7 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
 
     base = _build_observable(sc)
     detection = _build_detection(sc)
-    a0 = sc.a0 if sc.a0 is not None else default_no_registration_outcome(base)
-    gobs = _build("a0", GeneralizedObservable, base, a0, detection)
+    gobs = _build("a0", GeneralizedObservable, base, sc.a0, detection)
 
     events = np.zeros((len(sc.experiment.events), gobs.outcomes.size), dtype=bool)
     for row, event in zip(events, sc.experiment.events):

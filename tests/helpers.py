@@ -351,6 +351,31 @@ def reference_event_checks(gobs: GeneralizedObservable, psi: PureState,
     return checks
 
 
+def dense_form_gaps(gobs: GeneralizedObservable, psi: PureState, seed: int) -> dict[str, float]:
+    """Over the random events of ``reference_event_checks``, the largest gap
+    between each event kernel ``verify`` reads and a dense form built here:
+    ``model._overall`` against <psi|T|psi> for the effect T of
+    ``reference_effect``, ``model._conditional`` against <psi|sum_k P_k|psi>
+    for the projectors added one by one, and ``model._trace_forms`` against
+    Tr[W T], summed entry by entry over the density W = |psi><psi|."""
+    subsets = reference_event_subsets(gobs.outcomes, np.random.default_rng(seed), limit=256)
+    pd, weights = detection_probability(gobs, psi), model._born_weights(gobs, psi)
+    v = psi.amplitudes
+    w = np.outer(v, v.conj())
+    gaps = {"overall": 0.0, "conditional": 0.0, "trace-form": 0.0}
+    for s in subsets:
+        row = split_event(gobs, s)
+        t = reference_effect(gobs, psi, s)
+        projected = reference_projector_sums(gobs.base, row[None, 1:])[0]
+        pairs = {"overall": (model._overall(pd, weights, row[None])[0], np.vdot(v, t @ v)),
+                 "conditional": (model._conditional(gobs, psi, row[None, 1:])[0],
+                                 np.vdot(v, projected @ v)),
+                 "trace-form": (model._trace_forms(psi, t[None])[0], np.sum(w * t.T))}
+        for name, (kernel, dense) in pairs.items():
+            gaps[name] = max(gaps[name], abs(kernel - float(dense.real)))
+    return gaps
+
+
 def verify_cases(kind: str) -> list[tuple[GeneralizedObservable, PureState]]:
     """(gobs, psi) pairs on which verify's checks are compared with the reference
     forms: ``stream`` (d <= 8, every subset enumerated up to 1024, random ones past

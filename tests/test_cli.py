@@ -428,6 +428,21 @@ class TestErrorPaths:
         assert "a0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["verify", "sample", "evolve"])
+    def test_default_a0_of_a_far_spectrum_is_no_error(self, tmp_path, capsys, verb):
+        # diag(1e9, 2e9) with no a0 line: one below the least eigenvalue would
+        # clash (separation 1, required > 12), so the default steps farther
+        path = tmp_path / "far.esr"
+        path.write_text(GOOD.replace("a0: 0\n", "").replace("  row: 1,0 0,0\n  row: 0,0 -1,0",
+                                                             "  row: 1e9,0 0,0\n  row: 0,0 2e9,0")
+                        .replace("  event: 1\n  event: a0 1\n", "  event: 1e9\n  event: a0 2e9\n"))
+        out = tmp_path / "far.jsonl"
+        assert main([verb, str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if verb == "sample":
+            outcomes = json.loads(out.read_text())["report"]["outcomes"]
+            assert outcomes[0] < 1e9 - 1.0 and outcomes[1:] == [1e9, 2e9]
+
+    @pytest.mark.parametrize("verb", ["verify", "sample", "evolve"])
     def test_invalid_utf8_is_a_parse_error(self, tmp_path, capsys, verb):
         path = tmp_path / "latin1.esr"
         path.write_bytes(b"esrsim scenario v1\ndimension: 2\xff\n")

@@ -49,6 +49,7 @@ from esrsim.measurement import (
 from esrsim.scenario import build_scenario, parse_scenario
 from helpers import (
     complement_event,
+    dense_form_gaps,
     random_event,
     random_generalized,
     random_state,
@@ -431,16 +432,27 @@ class TestRepeatability:
         assert abs(abs(np.vdot(post.amplitudes, psi.amplitudes)) - 1.0) < 1e-12
 
 
+# Gap allowed between an event kernel and its dense form, in units of d·ε: a
+# sum of d products of unit-bounded terms. The worst gap seen on these cases is
+# 0.67 d·ε (the stream's overall probabilities; 0.13 d·ε or less elsewhere).
+DENSE_FORM_GAP = 4
+
+
 @pytest.mark.parametrize("kind", ["stream", "d32", "d32-degenerate", "unlikely"])
 def test_event_checks_match_reference(kind):
     """verify's event checks, with each event resolved once, give the bits of
     the per-value reference forms (the other cases of ``verify_cases`` are
-    compared on ``verify_pov_axioms`` in test_model)."""
+    compared on ``verify_pov_axioms`` in test_model). The reference reads the
+    kernels the checks read, so each kernel's values are also compared, event
+    by event, with a dense form the test builds."""
     for gobs, psi in verify_cases(kind):
         checks = verification_checks(gobs, psi, ApparatusModel())
         reference = reference_event_checks(gobs, psi, PARTITION_TRIALS, VERIFY_SEED)
         assert [check for check in checks if check.cause] == []
         assert {c.name: c.deviation for c in checks if c.name in reference} == reference
+        bound = DENSE_FORM_GAP * gobs.dim * np.finfo(float).eps
+        gaps = dense_form_gaps(gobs, psi, VERIFY_SEED)
+        assert max(gaps.values()) <= bound, gaps
 
 
 def test_verify_builds_two_families_at_the_prepared_state(monkeypatch):

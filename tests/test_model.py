@@ -6,6 +6,7 @@ explicit effect assembly) rather than from the code under test.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from esrsim import (
     to_density,
     verify_pov_axioms,
 )
-from esrsim import model
+from esrsim import linalg, model, sampling
 from esrsim.model import (
     _density_gate,
     _effect_operator,
@@ -187,8 +188,9 @@ class TestQuantumObservable:
         for gobs in cases:
             base = gobs.base
             assert not base.projectors.flags.writeable
-            assert len(base.bases) == len(base.projectors) == len(gobs._eigenstates)
-            for b, p, entry in zip(base.bases, base.projectors, gobs._eigenstates):
+            table = sampling._eigenstates(gobs)
+            assert len(base.bases) == len(base.projectors) == len(table)
+            for b, p, entry in zip(base.bases, base.projectors, table):
                 assert not b.flags.writeable
                 assert np.array_equal(p.view(np.uint64), (b @ b.conj().T).view(np.uint64))
                 assert (entry is None) == (b.shape[1] > 1)
@@ -204,7 +206,7 @@ class TestQuantumObservable:
         # far looser than a state's NORM_TOL
         text = spectral_scenario_text([-1.0, 1.0], np.diag([1.0 + 4e-7, 1.0]))
         gobs = build_scenario(parse_scenario(text)).gobs
-        assert gobs._eigenstates[0][0].amplitudes.tolist() == [1.0, 0.0]
+        assert sampling._eigenstates(gobs)[0][0].amplitudes.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("eigenvalues, message", [
         ([1.0, 0.0], "strictly increasing"),
@@ -523,6 +525,36 @@ class TestGeneralizedObservable:
                                                  ConstantDetection(0.5))
         assert gobs.a0 == -2.0
         np.testing.assert_allclose(gobs.outcomes, [-2.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("eigenvalues", [
+        [1e9, 1e9 + 1.0, 1e9 + 2.0],  # |λ_min| large: a0's match window is about 1
+        [-1e8, 0.0, 1e8],  # a spectral range of 2e8: a merge tolerance of 2
+        [1e9, 2e9],  # both: a window of about 1 and a merge tolerance of 10
+        [-1e300, 1e300],
+    ])
+    def test_default_a0_steps_farther_where_one_below_would_clash(self, eigenvalues):
+        # λ_min - 1 lies within the clash floor of each of these spectra; the
+        # default steps farther below, and passes the rule an explicit a0 must pass
+        low = min(eigenvalues)
+        tol = linalg.default_cluster_tol(np.array(eigenvalues))
+        assert not 1.0 > tol + 2.0 * _match_atol(low - 1.0)
+        gobs = GeneralizedObservable.from_matrix(np.diag(eigenvalues), ConstantDetection(0.5))
+        assert gobs.a0 < low - 1.0 and math.isfinite(gobs.a0)
+        assert GeneralizedObservable(gobs.base, gobs.a0, gobs.detection).a0 == gobs.a0
+        n = len(eigenvalues)
+        assert split_event(gobs, (gobs.a0,)).tolist() == [True] + [False] * n
+        for k, v in enumerate(eigenvalues):
+            assert split_event(gobs, (v,)).tolist() == [j == k + 1 for j in range(n + 1)]
+
+    def test_default_a0_is_one_below_wherever_that_clears(self):
+        # no default that λ_min - 1 satisfies moves: near the thresholds, on
+        # random observables and on every spectrum of the scenario stream
+        observables = [QuantumObservable.from_matrix(np.diag(v)) for v in (
+            [1.0, -1.0], [4e8, 4e8 + 1.0], [-3e7, 3e7])]
+        observables += [gobs.base for _, gobs, _ in scenario_stream(seed=41, count=20)]
+        for base in observables:
+            low = float(base.eigenvalues[0])
+            assert GeneralizedObservable(base, None, ConstantDetection(0.5)).a0 == low - 1.0
 
     def test_rejects_a0_clash(self):
         with pytest.raises(ValueError):

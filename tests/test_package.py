@@ -148,3 +148,18 @@ def test_every_public_member_is_used_by_the_library():
     used = library_references()
     assert sorted(m for m in members - set(DEMO_LEVEL)
                   if m not in used and m.split(".")[1] not in used) == []
+
+
+def test_model_imports_only_linalg_and_errors():
+    # model sits below measurement and sampling: it imports neither, not even
+    # inside a function, so the sampler's caches live in sampling
+    source = (pathlib.Path(esrsim.__file__).parent / "model.py").read_text()
+    package = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("esrsim")):
+            module = (node.module or "").removeprefix("esrsim").lstrip(".")
+            package |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            package |= {alias.name.removeprefix("esrsim.") for alias in node.names
+                        if alias.name.startswith("esrsim")}
+    assert package == {"linalg", "errors"}

@@ -130,6 +130,11 @@ def count_weights(monkeypatch):
     return calls
 
 
+def weighed(gobs):
+    """The states whose weights the sampler keeps for ``gobs``: none before its first call."""
+    return list(gobs._sampler.get("weights", {}).keys())
+
+
 def benchmark_scenario(seed, dim=8):
     """The benchmark generator's recipe: dense observable, expectation detection."""
     rng = np.random.default_rng([seed, dim])
@@ -440,7 +445,7 @@ def lueders_density(projector, psi):
 
 def assert_table_matches_lueders(gobs, psi):
     """Every rank-1 entry of the eigenstate table has the Lüders density of ``psi``."""
-    table = gobs._eigenstates
+    table = sampling._eigenstates(gobs)
     assert len(table) == gobs.base.eigenvalues.size
     for projector, entry in zip(gobs.base.projectors, table):
         assert entry is not None
@@ -466,8 +471,9 @@ class TestEigenstateTable:
 
     def test_built_once_per_observable(self):
         gobs, _ = benchmark_scenario(523)
-        assert gobs._eigenstates is gobs._eigenstates
-        for state, *_ in gobs._eigenstates:
+        table = sampling._eigenstates(gobs)
+        assert sampling._eigenstates(gobs) is table is gobs._sampler["eigenstates"]
+        for state, *_ in table:
             assert not state.amplitudes.flags.writeable
 
     @pytest.mark.parametrize("dim", [2, 8, 32])
@@ -475,7 +481,7 @@ class TestEigenstateTable:
     def test_eigenstate_weights_equal_weights_of_each_entry(self, dim, degenerate):
         rng = np.random.default_rng(dim + 900)
         gobs = random_generalized(rng, dim, degenerate=degenerate)
-        table = gobs._eigenstates
+        table = sampling._eigenstates(gobs)
         ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
         assert [entry is None for entry in table] == [r > 1 for r in ranks]
         for entry in table:
@@ -498,16 +504,16 @@ class TestEigenstateTable:
         always = random_generalized(rng, 4, detection=ConstantDetection(1.0))
         psi = random_state(rng, 4)
         for gobs in (never, always):
-            assert "_eigenstates" not in vars(gobs)
+            assert "eigenstates" not in gobs._sampler
             sample_sequence(gobs, psi, 3, RngSpec(seed=1))
-        assert "_eigenstates" not in vars(never)
-        assert "_eigenstates" in vars(always)
+        assert "eigenstates" not in never._sampler
+        assert "eigenstates" in always._sampler
 
     @pytest.mark.parametrize("dim", [4, 9, 32])
     def test_higher_ranks_take_the_per_draw_lueders_update(self, dim):
         rng = np.random.default_rng(dim + 700)
         gobs = random_generalized(rng, dim, degenerate=True, detection=ConstantDetection(1.0))
-        table = gobs._eigenstates
+        table = sampling._eigenstates(gobs)
         ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
         assert max(ranks) > 1
         assert [entry is None for entry in table] == [r > 1 for r in ranks]
@@ -645,7 +651,7 @@ class TestSampleSequence:
         # weights the observable holds, and psi's are kept after the first call,
         # so over many sequences on one state only the first computes any
         gobs, psi = benchmark_scenario(617) if case == "benchmark" else sigma_z_scenario(0.6)
-        gobs._eigenstates  # build the table before counting
+        sampling._eigenstates(gobs)  # build the table before counting
         calls = count_weights(monkeypatch)
         detected = 0
         for seed in range(200):
@@ -663,7 +669,7 @@ class TestSampleSequence:
         rng = np.random.default_rng(911)
         gobs = random_generalized(rng, 6, degenerate=True, detection=ConstantDetection(1.0))
         psi = random_state(rng, 6)
-        gobs._eigenstates  # build the table before counting
+        sampling._eigenstates(gobs)  # build the table before counting
         calls = count_weights(monkeypatch)
         rank = {float(v): round(float(np.trace(p).real))
                 for v, p in zip(gobs.base.eigenvalues, gobs.base.projectors)}
@@ -678,7 +684,7 @@ class TestSampleSequence:
                 last_higher += rank[records[-1].outcome] > 1
                 first = False
         assert last_higher > 0
-        assert list(gobs._weights_memo.keys()) == [psi]
+        assert weighed(gobs) == [psi]
 
     def test_length_validation(self):
         gobs, psi = sigma_z_scenario(0.5)
@@ -748,9 +754,9 @@ class TestSingleDrawGenerators:
         serial = {stream: spec_draws(serial_gobs, serial_psi, stream)
                   for stream in self.STREAMS}
         gobs, psi = benchmark_scenario(523)
-        assert "_weights_memo" not in vars(gobs) and "_eigenstates" not in vars(gobs)
+        assert gobs._sampler == {}
         assert threaded_draws(gobs, psi, self.STREAMS) == serial
-        assert list(gobs._weights_memo.keys()) == [psi]
+        assert weighed(gobs) == [psi]
 
     def test_spec_draws_leave_an_earlier_generator_alone(self):
         gobs, psi = benchmark_scenario(617)
@@ -789,13 +795,13 @@ class TestStartWeights:
     def test_equal_amplitudes_are_weighed_per_state_object(self, monkeypatch):
         gobs, psi = benchmark_scenario(617)
         twin = PureState(psi.amplitudes)
-        gobs._eigenstates  # build the table before counting
+        sampling._eigenstates(gobs)  # build the table before counting
         calls = count_weights(monkeypatch)
         records = [sample_sequence(gobs, state, 1, RngSpec(seed=2))[0]
                    for state in (psi, twin, psi, twin)]
         assert calls == [psi, twin]
         assert {record_key(r)[:3] for r in records} == {record_key(records[0])[:3]}
-        assert gobs._weights_memo[psi] is not gobs._weights_memo[twin]
+        assert gobs._sampler["weights"][psi] is not gobs._sampler["weights"][twin]
 
     def test_one_state_on_two_observables_gets_each_models_pd(self):
         expectation, psi = benchmark_scenario(617)
@@ -810,19 +816,19 @@ class TestStartWeights:
             records = [sample_measurement(gobs, psi, RngSpec(seed=s)) for s in range(40)]
             assert {r.probability for r in records if not r.detected} == {1.0 - pd}
             assert run_experiment(gobs, psi, 10, RngSpec(seed=1)).predicted[0] == 1.0 - pd
-            assert list(gobs._weights_memo.keys()) == [psi]
+            assert weighed(gobs) == [psi]
 
     def test_entry_dies_with_its_state(self):
         gobs, psi = benchmark_scenario(4243)
-        assert "_weights_memo" not in vars(gobs)  # filled on the first call, not at build
+        assert "weights" not in gobs._sampler  # filled on the first call, not at build
         sample_sequence(gobs, psi, 4, RngSpec(seed=0))
         run_experiment(gobs, psi, 10, RngSpec(seed=0))
-        assert list(gobs._weights_memo.keys()) == [psi]
+        assert weighed(gobs) == [psi]
         alive = weakref.ref(psi)
         del psi
         gc.collect()
         assert alive() is None
-        assert len(gobs._weights_memo) == 0
+        assert weighed(gobs) == []
 
     def test_wrong_dimension_state_raises_on_every_call_and_is_never_stored(self):
         gobs, _ = benchmark_scenario(523)
@@ -836,7 +842,7 @@ class TestStartWeights:
                 with pytest.raises(DimensionMismatchError):
                     call()
         assert philox_state(gen) == before
-        assert len(gobs._weights_memo) == 0
+        assert weighed(gobs) == []
 
     @pytest.mark.parametrize("rng", [5, None, np.random.default_rng(0)])
     def test_rng_of_another_type_raises_before_the_state_is_weighed(self, rng):
@@ -846,14 +852,14 @@ class TestStartWeights:
                 sample_sequence(gobs, psi, 2, rng)
         with pytest.raises(TypeError, match="rng must be an RngSpec, got"):
             run_experiment(gobs, psi, 10, rng)
-        assert len(gobs._weights_memo) == 0
+        assert weighed(gobs) == []
 
     @pytest.mark.parametrize("case", ["benchmark", "degenerate"])
     def test_warm_records_equal_those_of_a_fresh_observable(self, case):
         build = (lambda: benchmark_scenario(523)) if case == "benchmark" else degenerate_scenario
         gobs, psi = build()
         sample_measurement(gobs, psi, RngSpec(seed=0))  # weigh psi
-        warm_weights = gobs._weights_memo[psi]
+        warm_weights = gobs._sampler["weights"][psi]
         ranks = [round(float(np.trace(p).real)) for p in gobs.base.projectors]
         seen = set()
         for seed in range(60):
@@ -866,7 +872,7 @@ class TestStartWeights:
                 k = np.flatnonzero(gobs.base.eigenvalues == r.outcome)
                 seen.add("undetected" if not r.detected else
                          "higher rank" if ranks[k[0]] > 1 else "rank 1")
-        assert gobs._weights_memo[psi] is warm_weights
+        assert gobs._sampler["weights"][psi] is warm_weights
         assert seen == ({"undetected", "rank 1", "higher rank"} if case == "degenerate"
                         else {"undetected", "rank 1"})
         fresh_gobs, fresh_psi = build()
