@@ -60,7 +60,7 @@ class CompoundState:
     """Vector on the object⊗pointer space, object index major.
 
     Its norm is not gated: :func:`couple_and_evolve` gives a unit vector up to
-    the projectors' own defect, and ``measurement.coupling_checks`` reports
+    the eigenbasis's own defect, and ``measurement.coupling_checks`` reports
     that defect as ``coupling-norm``. The states built from it are gated.
     """
 
@@ -81,17 +81,17 @@ def couple_and_evolve(gobs: GeneralizedObservable, psi: PureState,
     """Couple the object to the ready pointer and apply the measurement evolution.
 
     The pointer has K + 1 basis states for the K distinct eigenvalues of the
-    observable: the ready state 0 and one per eigenvalue, whatever the rank
-    of its projector. The result is
-    ``alpha * sum_k (P_k psi)⊗|k> + beta * psi⊗|0>`` with
-    ``|alpha|^2 = p_d`` and ``|beta|^2 = 1 - p_d``; orthogonality of the
-    pointer states and completeness of the projectors make the norm exactly 1.
+    observable: the ready state 0 and one per eigenvalue, whatever its
+    multiplicity. The result is ``alpha * sum_k (P_k psi)⊗|k> + beta * psi⊗|0>``
+    with ``|alpha|^2 = p_d`` and ``|beta|^2 = 1 - p_d``, where ``P_k psi`` is
+    the sum of ``V_j (V_j† psi)`` over the columns j of eigenspace k; orthogonal
+    pointer states and a unitary eigenbasis V make the norm exactly 1.
     """
     alpha, beta = apparatus.branch_amplitudes(detection_probability(gobs, psi))
-    dim_pointer = gobs.base.eigenvalues.size + 1
+    v, dim_pointer = gobs.base.eigenbasis, gobs.base.eigenvalues.size + 1
     grid = np.zeros((psi.dim, dim_pointer), dtype=complex)
     grid[:, 0] = beta * psi.amplitudes
-    grid[:, 1:] = alpha * (gobs.base.projectors @ psi.amplitudes).T
+    grid[:, 1:] = alpha * np.add.reduceat(v * (v.conj().T @ psi.amplitudes), gobs.base._starts, 1)
     return CompoundState(grid.reshape(-1), psi.dim, dim_pointer)
 
 

@@ -4,8 +4,8 @@ Hermitian eigendecomposition with eigenvalue clustering and a shifted-Cholesky
 positivity test; the Hermiticity and positivity tests take one matrix or a
 ``(n, d, d)`` stack of them. A decomposition is the plain pair (distinct
 eigenvalues, one ``(d, r_k)`` orthonormal eigenspace basis per eigenvalue); the
-type that holds and checks it, and derives its projectors, is
-``model.QuantumObservable``. The clustering's merge tolerance
+type that holds and checks it, as one eigenbasis matrix whose column blocks are
+the bases, is ``model.QuantumObservable``. The clustering's merge tolerance
 is derived from the spectrum by :func:`default_cluster_tol`, never passed in.
 Everything works on plain ``numpy.ndarray`` values and is pure: inputs are
 never mutated. Intended for dense operators up to dimension of a few dozen.

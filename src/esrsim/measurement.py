@@ -16,7 +16,7 @@ The checks that ``verify`` and ``evolve`` report live here too: each is a
 :func:`failed_checks` is the one verdict rule. As in ``model``, each private
 kernel takes a stack and returns unclamped values, which the checks read: event
 checks walk ``model._stacks`` of events, an outcome kernel takes a state and a
-stack of operators (repeatability builds no family), and a stack's two update
+stack of operators (repeatability reads Born weights), and a stack's two update
 forms pass one density gate, each item with the bits and error it gets alone.
 One extra thread runs the POV-axiom pass.
 """
@@ -48,6 +48,7 @@ from .model import (
     _effects,
     _event_subsets,
     _overall,
+    _projector_sums,
     _stacks,
     _trace_forms,
     clamp_probability,
@@ -179,8 +180,8 @@ class MeasurementOperatorFamily:
 def measurement_operators(gobs: GeneralizedObservable, psi: PureState) -> MeasurementOperatorFamily:
     """Build the measurement-operator family at the given state."""
     pd = detection_probability(gobs, psi)
-    ops = [np.sqrt(1.0 - pd) * np.eye(gobs.dim, dtype=complex),
-           *(np.sqrt(pd) * gobs.base.projectors)]
+    ops = np.sqrt(pd) * _projector_sums(gobs.base, np.eye(gobs.outcomes.size, dtype=bool)[:, 1:])
+    ops[0] = np.sqrt(1.0 - pd) * np.eye(gobs.dim)
     return MeasurementOperatorFamily(gobs, psi, ops)
 
 
@@ -373,13 +374,12 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         return linalg.frobenius(mixture - weighted)
 
     def repeatability() -> float:
-        # outcome m of the family at the Lüders state phi of n: sqrt(p_d(phi)) P_m
+        # outcome m at the Lüders state phi of n: p_d(phi) w_m(phi), a sum of squares
         live = [n for n, p in enumerate(probabilities()) if n and not p < BRANCH_FLOOR]
         worst = 0.0
         for n, state in zip(live, lueders(live)):
-            ops = np.delete(gobs.base.projectors, n - 1, axis=0)
-            ops *= np.sqrt(detection_probability(gobs, state))
-            worst = max([worst, *_outcome_probabilities(state, ops)])
+            others = np.delete(_born_weights(gobs, state), n - 1)
+            worst = max([worst, *(detection_probability(gobs, state) * others).tolist()])
         return worst
 
     with ThreadPoolExecutor(max_workers=1) as pool:

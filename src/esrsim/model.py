@@ -1,9 +1,9 @@
 """Domain model for detection-conditioned measurements.
 
 A standard observable is its spectral decomposition: ascending distinct
-eigenvalues and an orthonormal basis of each eigenspace, from which its one
-``(K, d, d)`` stack of orthogonal projectors is derived once, when it is built;
-nothing converts the other way. A generalized observable adds a no-registration
+eigenvalues and a read-only ``d x d`` eigenbasis V, the eigenspaces' orthonormal
+bases side by side. Every kernel reads V; ``P(S) = V_S V_S†`` is formed only
+where a dense matrix is wanted. A generalized observable adds a no-registration
 outcome ``a0``, reported when the measured object escapes detection, and a
 detection model giving the per-state probability of being detected at all.
 That probability is event-independent, which makes the construction consistent.
@@ -14,10 +14,10 @@ over ``gobs.outcomes`` (a0 first), and one formula turns rows into effects:
 positive operators between 0 and the identity whose expectation in the state is
 the event's overall probability, from ``p_d`` and the Born weights alone. Every
 private kernel takes a stack of rows, masks or matrices, a single item being a
-stack of one, and returns unclamped values, which only the public functions
-clamp. :func:`_stacks` is the one rule that cuts a list into stacks (128 KiB of
-matrices; 1 MiB for the positivity eigensolves). The gates of
-:class:`DensityOperator` and :class:`Effect` test positivity by a shifted
+stack of one with the same bits, and returns unclamped values, which only the
+public functions clamp. :func:`_stacks` is the one rule that cuts a list into
+stacks (128 KiB of matrices; 1 MiB for the positivity eigensolves). The gates
+of :class:`DensityOperator` and :class:`Effect` test positivity by a shifted
 Cholesky factorization. For each state the effects form a commutative POV
 measure; with detection certain it is the projection-valued one.
 """
@@ -162,24 +162,25 @@ class DensityOperator:
 @dataclass(frozen=True, eq=False)
 class QuantumObservable:
     """Hermitian operator in spectral form: its distinct eigenvalues in ascending
-    order and one read-only ``(d, r_k)`` basis of each eigenspace, ``bases``.
+    order and one ``(d, r_k)`` basis of each eigenspace, ``bases``.
 
-    The spectral projectors ``P_k = B_k B_k†`` are derived from the bases once,
-    at construction, into one read-only ``(K, d, d)`` array that every kernel
-    reads, so each is Hermitian and positive semidefinite up to roundoff.
+    The bases side by side form one read-only ``d x d`` matrix ``eigenbasis``
+    (V) that every kernel reads; ``bases`` are views of its column blocks, which
+    start at ``_starts``, and ``_groups`` holds each column's eigenspace.
     Construction checks structure only: bases of unequal row counts raise
-    DimensionMismatchError, and a basis that is not 2-D, non-finite entries, a
-    count other than one basis per eigenvalue or eigenvalues that are not
-    strictly increasing ValueError. The bases of :meth:`from_matrix` are eigh's
-    eigenvectors, so its projectors are idempotent, mutually orthogonal and sum
-    to the identity within the check tolerance (``cli.DEFAULT_TOL``), and
-    ``sum(a_k * P_k)`` recovers the operator; hand-built bases are the caller's
-    responsibility.
+    DimensionMismatchError, and a basis that is not 2-D or is empty, non-finite
+    entries, a count other than one basis per eigenvalue, a column total other
+    than d or eigenvalues that are not strictly increasing ValueError. The
+    bases of :meth:`from_matrix` are eigh's eigenvectors, so V is unitary within
+    the check tolerance (``cli.DEFAULT_TOL``) and ``sum(a_k * B_k B_k†)``
+    recovers the operator; hand-built bases are the caller's responsibility.
     """
 
     eigenvalues: np.ndarray
     bases: tuple[np.ndarray, ...]
-    projectors: np.ndarray = field(init=False, repr=False)
+    eigenbasis: np.ndarray = field(init=False, repr=False)
+    _starts: np.ndarray = field(init=False, repr=False)
+    _groups: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         eigs = np.array(self.eigenvalues, dtype=float)
@@ -194,12 +195,15 @@ class QuantumObservable:
             raise ValueError("need exactly one basis per eigenvalue")
         if len({b.shape[0] for b in bases}) > 1:
             raise DimensionMismatchError("bases must share one dimension")
-        projs = np.array([b @ b.conj().T for b in bases])
-        for frozen in (eigs, *bases, projs):
+        v, widths = np.concatenate(bases, axis=1), [b.shape[1] for b in bases]
+        if v.shape[1] != v.shape[0] or 0 in widths:
+            raise ValueError(f"bases hold {widths} columns, {v.shape[1]} in all, for d = {len(v)}")
+        starts = np.cumsum([0, *widths[:-1]])
+        for name, frozen in (("eigenvalues", eigs), ("eigenbasis", v), ("_starts", starts),
+                             ("_groups", np.repeat(np.arange(eigs.size), widths))):
             frozen.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", eigs)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "projectors", projs)
+            object.__setattr__(self, name, frozen)
+        object.__setattr__(self, "bases", tuple(np.split(v, starts[1:], axis=1)))
 
     @classmethod
     def from_matrix(cls, matrix) -> "QuantumObservable":
@@ -207,7 +211,7 @@ class QuantumObservable:
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.eigenbasis.shape[0]
 
     @cached_property
     def _eigenvalue_floats(self) -> tuple[float, ...]:
@@ -352,15 +356,11 @@ def _stacks(items: np.ndarray, dim: int, size: int = 2 ** 17):
 
 
 def _projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
-    """``sum_{k in mask} P_k`` for each boolean row of ``masks``, as ``(m, d, d)``: one
-    ``sum(axis=0)`` of the row's gathered projectors, which adds them entry by entry
-    in ascending k, added into zeros so that a sum of zeros reads ``+0.0``. These are
-    the bits of adding the projectors one by one, whether a row is alone or in a stack."""
-    stack = observable.projectors
-    out = np.zeros((len(masks), observable.dim, observable.dim), dtype=complex)
-    for total, mask in zip(out, masks):
-        total += stack[mask].sum(axis=0)
-    return out
+    """``P(mask) = V_S V_S†`` for each boolean row of ``masks``, ``S`` the columns of
+    the row's eigenspaces, as ``(m, d, d)``: V with its other columns zeroed, times
+    V†, in one batched product. A row gets the same bits alone as in any stack."""
+    v = observable.eigenbasis
+    return np.where(masks[:, None, observable._groups], v, 0.0) @ v.conj().T
 
 
 def pv_projector(observable: QuantumObservable, event) -> np.ndarray:
@@ -437,9 +437,7 @@ def _effects(gobs: GeneralizedObservable, pd: float, rows: np.ndarray) -> np.nda
     boolean row over the outcomes (a0 first) of ``rows``, as ``(m, d, d)``."""
     out = _projector_sums(gobs.base, rows[:, 1:])
     out *= pd
-    shift = (1.0 - pd) * np.eye(gobs.dim)
-    for i in np.flatnonzero(rows[:, 0]):
-        out[i] += shift
+    out[rows[:, 0]] += (1.0 - pd) * np.eye(gobs.dim)
     return out
 
 
@@ -458,9 +456,9 @@ def effect(gobs: GeneralizedObservable, psi: PureState, event) -> Effect:
 
 
 def _born_weights(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
-    """Unnormalized Born weights ``<psi|P_k|psi>``, one per eigenvalue."""
-    v = psi.amplitudes
-    return ((gobs.base.projectors @ v) @ v.conj()).real
+    """Born weights ``<psi|P_k|psi>``, unnormalized: ``|V† psi|^2`` summed per eigenspace."""
+    c = gobs.base.eigenbasis.conj().T @ psi.amplitudes
+    return np.add.reduceat(c.real ** 2 + c.imag ** 2, gobs.base._starts)
 
 
 def overall_probability(gobs: GeneralizedObservable, psi: PureState, event) -> float:

@@ -20,26 +20,26 @@ fills, sorts and counts the outputs, so ``workers > 1`` speeds up large runs
 without changing which uniforms a trial uses.
 
 Single draws run one loop, ``sample_sequence``; ``sample_measurement`` is a
-sequence of one. The Born weights are ``model._born_weights``, the one stacked
-product of all projectors with the state that overall probabilities use,
-clipped at 0 and normalized. The sampler keeps two caches in each generalized
+sequence of one. The Born weights are ``model._born_weights``, the one product
+of the eigenbasis V with the state that overall probabilities use, clipped at
+0 and normalized. The sampler keeps two caches in each generalized
 observable's ``_sampler`` slot, which only this module reads: the weights of
 each prepared state, computed on its first call (``_start_weights``), and the
 rank-1 Lüders states with their weights (``_eigenstates``), built on the first
-detected draw. Higher ranks apply the Lüders rule per draw, a new state each
-time, and compute its weights only if another draw follows; those are never
-kept. An ``RngSpec`` is served by one generator per thread, reset to counter 0
-of the spec's stream on every call from one state dict of plain ints per
-thread, of which a call replaces only the key; the generator never leaves this
-module. The integer gate only range-checks an exact ``int``. A sequence
-fetches all its uniforms in one call. A draw reads only plain Python floats:
-it finds its Born bin by bisection on the cumulative weights (the
-comparisons the bulk path makes on raw outputs), and takes its outcome from
-``gobs.base._eigenvalue_floats``, the tuple the event resolver bisects, and
-its Born weight from the weights entry, where ``_weights`` keeps both weights
-and sums as tuples of floats. Each draw is one ``MeasurementOutcomeRecord``,
-a named tuple made by ``tuple.__new__`` from its fields in order, which skips
-the class's Python-level ``__new__``.
+detected draw. Higher ranks apply the Lüders rule per draw, through
+``model._projector_sums``, and compute the new state's weights only if another
+draw follows; those are never kept. An ``RngSpec`` is served by one generator
+per thread, reset to counter 0 of the spec's stream on every call from one
+state dict of plain ints per thread, of which a call replaces only the key;
+the generator never leaves this module. The integer gate only range-checks an
+exact ``int``. A sequence fetches all its uniforms in one call. A draw reads
+only plain Python floats: it finds its Born bin by bisection on the
+cumulative weights (the comparisons the bulk path makes on raw outputs), and
+takes its outcome from ``gobs.base._eigenvalue_floats``, the tuple the event
+resolver bisects, and its Born weight from the weights entry, where
+``_weights`` keeps both weights and sums as tuples of floats. Each draw is one
+``MeasurementOutcomeRecord``, a named tuple made by ``tuple.__new__`` from its
+fields in order, which skips the class's Python-level ``__new__``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .model import (
     GeneralizedObservable,
     PureState,
     _born_weights,
+    _projector_sums,
     _require_dim,
     detection_probability,
 )
@@ -269,7 +270,8 @@ def sample_sequence(gobs: GeneralizedObservable, psi: PureState, length: int,
             if entry is not None:
                 state, pd, born, cum = entry
             else:
-                state = _branch_states(pre, gobs.base.projectors[k:k + 1])[0]
+                row = np.arange(len(born))[None] == k
+                state = _branch_states(pre, _projector_sums(gobs.base, row))[0]
                 if step < length:
                     pd, born, cum = _weights(gobs, state)
         else:

@@ -1,11 +1,14 @@
 """Shared builders for randomized test scenarios, a record comparator, the
 linear-algebra oracles of the kernel tests, the per-value reference forms
 of the ``verify`` checks, the value matcher of the event-resolver tests, and
-the event complement that is the oracle of the no-branch update."""
+the event complement that is the oracle of the no-branch update. ``ORACLES``
+declares what each reference helper checks and which private kernels it
+reads; ``tests/test_oracles.py`` holds every helper to it."""
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,24 +128,16 @@ def partial_trace_second(m: np.ndarray, dim_first: int, dim_second: int) -> np.n
     return np.einsum("iaja->ij", m.reshape(dim_first, dim_second, dim_first, dim_second))
 
 
-def install_projectors(observable: QuantumObservable, projectors) -> QuantumObservable:
-    """Put the ``(K, d, d)`` stack ``projectors`` in place of the built
-    ``observable``'s own and return the observable. The library cannot build
-    such an observable: it derives each projector from an eigenspace basis as
-    ``B B†``, which is Hermitian and positive semidefinite, with the signs of
-    zero the product gives. Use it only for a corruption that no basis can
-    express."""
-    stack = np.array(projectors, dtype=complex)
-    assert stack.shape == observable.projectors.shape
-    stack.flags.writeable = False
-    object.__setattr__(observable, "projectors", stack)
-    return observable
+def projectors(observable: QuantumObservable) -> np.ndarray:
+    """The spectral projectors ``B_k B_k†``, one per eigenspace basis, as a
+    ``(K, d, d)`` stack built here: the library forms no such stack."""
+    return np.array([b @ b.conj().T for b in observable.bases])
 
 
 def reconstruct(obs: QuantumObservable) -> np.ndarray:
     """``sum(a_k * P_k)``, the matrix an observable's spectral form stands for."""
     out = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for a, p in zip(obs.eigenvalues, obs.projectors):
+    for a, p in zip(obs.eigenvalues, projectors(obs)):
         out += a * p
     return out
 
@@ -165,8 +160,8 @@ def complement_event(gobs: GeneralizedObservable, event) -> frozenset:
 
 def reference_projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
     """``model._projector_sums`` as it was first written: each row's projectors
-    added one by one, in ascending k, into zeros."""
-    stack = observable.projectors
+    ``B_k B_k†`` added one by one, in ascending k, into zeros."""
+    stack = projectors(observable)
     out = np.zeros((len(masks), observable.dim, observable.dim), dtype=complex)
     for total, mask in zip(out, masks):
         for k in np.flatnonzero(mask):
@@ -181,13 +176,13 @@ def spectral_defects(obs: QuantumObservable, source: np.ndarray | None = None) -
     ``idempotency``, ``orthogonality`` (worst cross product), and
     ``reconstruction`` when ``source`` is given.
     """
-    norm = np.linalg.norm
+    norm, stack = np.linalg.norm, projectors(obs)
     out = {
-        "completeness": norm(sum(obs.projectors) - np.eye(obs.dim)),
-        "hermiticity": max(norm(p - p.conj().T) for p in obs.projectors),
-        "idempotency": max(norm(p @ p - p) for p in obs.projectors),
-        "orthogonality": max((norm(p @ q) for i, p in enumerate(obs.projectors)
-                              for q in obs.projectors[i + 1:]), default=0.0),
+        "completeness": norm(sum(stack) - np.eye(obs.dim)),
+        "hermiticity": max(norm(p - p.conj().T) for p in stack),
+        "idempotency": max(norm(p @ p - p) for p in stack),
+        "orthogonality": max((norm(p @ q) for i, p in enumerate(stack)
+                              for q in stack[i + 1:]), default=0.0),
     }
     if source is not None:
         out["reconstruction"] = norm(reconstruct(obs) - source)
@@ -239,16 +234,15 @@ def records_close(a, b) -> bool:
 
 # Reference forms of the verify checks as they were written before events were
 # resolved to boolean rows once: every check matches its event's values again,
-# and every effect pays its own detection probability and adds its projectors
-# one by one. The resolved path must reproduce their numbers bit for bit.
+# and every effect pays its own detection probability. They read each kernel
+# on one item, through model._effect_operator, so the stacked checks must
+# reproduce their numbers bit for bit. reference_effect is the dense effect
+# with the projectors added one by one, independent of the kernels.
 
 def reference_effect(gobs: GeneralizedObservable, psi: PureState, event) -> np.ndarray:
     row = split_event(gobs, event)
     pd = detection_probability(gobs, psi)
-    summed = np.zeros((gobs.dim, gobs.dim), dtype=complex)
-    for k in np.flatnonzero(row[1:]):
-        summed += gobs.base.projectors[k]
-    op = pd * summed
+    op = pd * reference_projector_sums(gobs.base, row[None, 1:])[0]
     if row[0]:
         op += (1.0 - pd) * np.eye(gobs.dim)
     return op
@@ -271,7 +265,7 @@ def reference_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
     rng = np.random.default_rng(seed)
 
     def op(values) -> np.ndarray:
-        return reference_effect(gobs, psi, values)
+        return model._effect_operator(gobs, psi, values)
 
     normalization = float(np.linalg.norm(op(outcomes) - np.eye(gobs.dim)))
     subsets = reference_event_subsets(outcomes, rng, limit=1024)
@@ -314,7 +308,7 @@ def reference_event_checks(gobs: GeneralizedObservable, psi: PureState,
         return model._conditional(gobs, psi, split_event(gobs, s)[None, 1:])[0]
 
     def trace_form(s) -> float:
-        return model._trace_forms(psi, reference_effect(gobs, psi, s)[None])[0]
+        return model._trace_forms(psi, model._effect_operator(gobs, psi, s)[None])[0]
 
     checks["factorization"] = max(abs(overall(s) - pd * conditional(s))
                                   for s in subsets if not split_event(gobs, s)[0])
@@ -343,21 +337,22 @@ def reference_event_checks(gobs: GeneralizedObservable, psi: PureState,
     for n in range(1, len(family)):
         if outcome_probability(family, n) < 1e-9:
             continue
-        post_family = measurement_operators(gobs, state_after_outcome(family, n))
+        post = state_after_outcome(family, n)
+        weights = model._born_weights(gobs, post)
         for m in range(1, len(family)):
             if m != n:
-                worst = max(worst, outcome_probability(post_family, m))
+                worst = max(worst, detection_probability(gobs, post) * weights[m - 1])
     checks["repeatability"] = worst
     return checks
 
 
 def dense_form_gaps(gobs: GeneralizedObservable, psi: PureState, seed: int) -> dict[str, float]:
     """Over the random events of ``reference_event_checks``, the largest gap
-    between each event kernel ``verify`` reads and a dense form built here:
-    ``model._overall`` against <psi|T|psi> for the effect T of
-    ``reference_effect``, ``model._conditional`` against <psi|sum_k P_k|psi>
-    for the projectors added one by one, and ``model._trace_forms`` against
-    Tr[W T], summed entry by entry over the density W = |psi><psi|."""
+    between each event kernel ``verify`` reads and a dense form built here from
+    the projectors ``B_k B_k†`` added one by one: ``model._overall`` against
+    <psi|T|psi> for the effect T of ``reference_effect``, ``model._conditional``
+    against <psi|sum_k P_k|psi>, and ``model._trace_forms`` against Tr[W T],
+    summed entry by entry over the density W = |psi><psi|."""
     subsets = reference_event_subsets(gobs.outcomes, np.random.default_rng(seed), limit=256)
     pd, weights = detection_probability(gobs, psi), model._born_weights(gobs, psi)
     v = psi.amplitudes
@@ -381,8 +376,8 @@ def verify_cases(kind: str) -> list[tuple[GeneralizedObservable, PureState]]:
     forms: ``stream`` (d <= 8, every subset enumerated up to 1024, random ones past
     256), ``d32`` (33 outcomes, random subsets over several positivity stacks),
     ``d32-degenerate``, ``d48`` (a last positivity stack that is not full),
-    ``shifted`` (d = 20, projectors moved off the positive cone) and ``unlikely``
-    (d = 8, outcomes on either side of each branch floor)."""
+    ``scaled`` (d = 20, bases lengthened so that effects reach above 1) and
+    ``unlikely`` (d = 8, outcomes on either side of each branch floor)."""
     if kind == "stream":
         return [(gobs, psi) for _, gobs, psi in scenario_stream(seed=2311, count=8)]
     if kind == "unlikely":
@@ -394,12 +389,52 @@ def verify_cases(kind: str) -> list[tuple[GeneralizedObservable, PureState]]:
                                                  ConstantDetection(0.7))
         c = np.array([0.6, 0.5, 0.4, 0.3, 1e-5, 1e-7, 0.0, 0.0])
         return [(gobs, PureState(u @ (c / np.linalg.norm(c))))]
-    rng = np.random.default_rng({"d32": 32, "d32-degenerate": 33, "d48": 48, "shifted": 20}[kind])
-    dim = {"d48": 48, "shifted": 20}.get(kind, 32)
+    rng = np.random.default_rng({"d32": 32, "d32-degenerate": 33, "d48": 48, "scaled": 20}[kind])
+    dim = {"d48": 48, "scaled": 20}.get(kind, 32)
     gobs = random_generalized(rng, dim, degenerate=kind == "d32-degenerate")
-    if kind == "shifted":
-        # every projector lowered by 1e-9 I / K: each nonempty event's effect
-        # then has a negative eigenvalue, so positivity is decided below 0
-        base = gobs.base
-        install_projectors(base, base.projectors - 1e-9 / base.eigenvalues.size * np.eye(dim))
+    if kind == "scaled":
+        # every basis times sqrt(1 + 1e-8): each projector is 1 + 1e-8 times its
+        # own, so an event with a0 and a detected outcome has an effect
+        # eigenvalue of 1 + 1e-8 p_d, and positivity is decided above 1 (no basis
+        # gives an effect below 0: p_d V_S V_S† + (1 - p_d) [a0 in S] I is positive)
+        base = QuantumObservable(gobs.base.eigenvalues,
+                                 [b * math.sqrt(1.0 + 1e-8) for b in gobs.base.bases])
+        gobs = GeneralizedObservable(base, gobs.a0, gobs.detection)
     return [(gobs, random_state(rng, dim))]
+
+
+class Oracle(NamedTuple):
+    """What a reference helper stands in for: the library functions it checks,
+    which it never calls, directly or through another helper, and the private
+    kernels it calls on purpose, with the reason."""
+
+    checks: tuple[str, ...]
+    reads: tuple[str, ...] = ()
+    why: str = ""
+
+
+STACKING = ("it compares verify's stacked kernels with the same kernels on one item, "
+            "which must give each item its bits")
+
+ORACLES = {
+    "partial_trace_second": Oracle(("reduced_object_state",)),
+    "projectors": Oracle(("_projector_sums", "pv_projector", "measurement_operators")),
+    "reconstruct": Oracle(("hermitian_eigendecompose", "_cluster", "from_matrix")),
+    "_nearest_index": Oracle(("split_event", "_match_values"), ("_match_atol",),
+                             "the match window's width is a constant of the contract"),
+    "complement_event": Oracle(("post_measurement_state_no",)),
+    "reference_projector_sums": Oracle(("_projector_sums", "pv_projector")),
+    "spectral_defects": Oracle(("hermitian_eigendecompose", "_cluster", "from_matrix")),
+    "reference_effect": Oracle(("_effects", "_effect_operator", "effect", "_projector_sums",
+                                "pv_projector")),
+    "reference_event_subsets": Oracle(("_event_subsets",)),
+    "reference_pov_axioms": Oracle(("verify_pov_axioms",), ("_effect_operator",), STACKING),
+    "reference_event_checks": Oracle(
+        ("verification_checks", "verify_pov_axioms", "_event_subsets"),
+        ("_effect_operator", "_born_weights", "_overall", "_conditional", "_trace_forms"),
+        STACKING),
+    "dense_form_gaps": Oracle(
+        ("_effects", "_effect_operator", "_projector_sums", "_event_subsets"),
+        ("_born_weights", "_overall", "_conditional", "_trace_forms"),
+        "it measures the gap between each kernel and the dense form it builds"),
+}

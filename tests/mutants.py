@@ -46,18 +46,20 @@ class Mutant(NamedTuple):
     why: str  # the defect, printed when the mutant survives
 
 
-# the relative bias of the three kernel mutants: 2**-40, about 9.1e-13
+# the relative bias of the four kernel mutants: 2**-40, about 9.1e-13
 BIAS = "(1 + 2 ** -40)"
 
 CLI = "tests/test_cli.py::"
 LINALG = "tests/test_linalg.py::"
 MEASUREMENT = "tests/test_measurement.py::"
+METAMORPHIC = "tests/test_metamorphic.py::"
 MODEL = "tests/test_model.py::"
 RECORDS = "tests/test_records.py::"
 SAMPLING = "tests/test_sampling.py::"
 SCENARIO = "tests/test_scenario.py::"
 EVENT_CHECKS = tuple(f"{MEASUREMENT}test_event_checks_match_reference[{kind}]"
                      for kind in ("stream", "d32", "d32-degenerate", "unlikely"))
+CASES = ("8-False", "8-True", "32-False", "32-True")  # the ids of test_metamorphic's cases
 GOLDENS = tuple(f"{RECORDS}test_records_close_to_golden[{demo}]"
                 for demo in ("degenerate", "qubit", "spectral"))
 
@@ -66,7 +68,7 @@ MUTANTS = (
         "eigenstate-table-column-0", "src/esrsim/sampling.py",
         "            if b.shape[1] != 1:\n",
         "            if b.shape[1] < 1:\n",
-        (MODEL + "TestQuantumObservable::test_projectors_and_eigenstates_come_from_the_bases",
+        (MODEL + "TestQuantumObservable::test_eigenbasis_and_eigenstates_come_from_the_bases",
          *(SAMPLING + "TestEigenstateTable::test_eigenstate_weights_equal_weights_of_each_entry"
            f"[True-{d}]" for d in (2, 8, 32)),
          *(SAMPLING + "TestEigenstateTable::test_higher_ranks_take_the_per_draw_lueders_update"
@@ -129,12 +131,51 @@ MUTANTS = (
         "    return np.array(eigenvalues), bases[1:] + bases[:1]\n",
         (*(LINALG + f"TestEigendecompose::test_invariants_random[{d}]" for d in (2, 3, 5, 8)),
          LINALG + "TestEigendecompose::test_returns_eigenvalues_and_bases",
-         MODEL + "TestQuantumObservable::test_projectors_and_eigenstates_come_from_the_bases",
+         MODEL + "TestQuantumObservable::test_eigenbasis_and_eigenstates_come_from_the_bases",
          SCENARIO + "TestBuild::test_spectral_build_matches_dense",
          SCENARIO + "TestBuild::test_spectral_form_merges_near_degenerate_pair",
+         *(METAMORPHIC + f"test_reversal[{case}]" for case in CASES),
          *GOLDENS),
         "each eigenvalue gets its neighbour's eigenspace basis; verify's checks "
         "compare the projectors with one another, never with the matrix"),
+    Mutant(
+        "eigenbasis-conjugated", "src/esrsim/model.py",
+        "        v, widths = np.concatenate(bases, axis=1), [b.shape[1] for b in bases]\n",
+        "        v, widths = np.concatenate(bases, axis=1).conj(), [b.shape[1] for b in bases]\n",
+        (MODEL + "TestQuantumObservable::test_eigenbasis_and_eigenstates_come_from_the_bases",
+         *(METAMORPHIC + f"test_unitary_covariance[{case}]" for case in CASES),
+         *(LINALG + f"TestEigendecompose::test_invariants_random[{d}]" for d in (2, 3, 5, 8))),
+        "every kernel reads the conjugate eigenbasis, the model of the transposed "
+        "observable; verify's checks compare it only with itself"),
+    Mutant(
+        "born-weights-biased", "src/esrsim/model.py",
+        "    return np.add.reduceat(c.real ** 2 + c.imag ** 2, gobs.base._starts)\n",
+        f"    return np.add.reduceat(c.real ** 2 + c.imag ** 2, gobs.base._starts) * {BIAS}\n",
+        (*EVENT_CHECKS, *GOLDENS,
+         MODEL + "TestEffectGateCertificate::test_weights_effect_and_density_forms_agree",
+         SAMPLING + "TestPredictedProbabilities::test_sigma_z_values",
+         SAMPLING + "TestSampleMeasurement::test_record_probability_matches_prediction"),
+        "model._born_weights' values are off by a relative 2**-40"),
+    Mutant(
+        "overall-clamped", "src/esrsim/model.py",
+        "    return [pd * float(weights[row[1:]].sum()) + (1.0 - pd) * bool(row[0]) "
+        "for row in rows]\n",
+        "    return [clamp_probability(pd * float(weights[row[1:]].sum()) + (1.0 - pd) * "
+        "bool(row[0])) for row in rows]\n",
+        (MEASUREMENT + "test_only_the_public_probabilities_clamp",
+         MEASUREMENT + "test_outcome_probability_above_one_reads_its_size",
+         *(MEASUREMENT + f"test_skewed_model_checks_report_sizes[{delta}]"
+           for delta in ("3e-09", "1e-07", "3e-07")),
+         CLI + "TestEvolve::test_skewed_projectors_fail_both_verbs_alike"),
+        "model._overall clamps, so a check reads the clamp's range error, not the size "
+        "of its deviation"),
+    Mutant(
+        "repeatability-reads-psi-pd", "src/esrsim/measurement.py",
+        "detection_probability(gobs, state) * others",
+        "detection_probability(gobs, psi) * others",
+        (MEASUREMENT + "test_event_checks_match_reference[stream]",),
+        "repeatability scales the Lüders state's Born weights by the prepared "
+        "state's detection probability instead of its own"),
 )
 
 

@@ -27,6 +27,7 @@ from esrsim import (
 )
 from helpers import (
     partial_trace_second,
+    projectors,
     random_generalized,
     random_state,
     random_unitary,
@@ -50,7 +51,7 @@ def compound_oracle(gobs, psi, theta, phi) -> np.ndarray:
     alpha = np.sqrt(pd) * np.exp(1j * theta)
     beta = np.sqrt(1.0 - pd) * np.exp(1j * phi)
     dim_pointer = gobs.base.eigenvalues.size + 1
-    vectors = [eigenvector_of(p) for p in gobs.base.projectors]
+    vectors = [eigenvector_of(p) for p in projectors(gobs.base)]
     coefficients = [np.vdot(v, psi.amplitudes) for v in vectors]
     pointer = np.eye(dim_pointer)
 
@@ -78,7 +79,7 @@ class TestCoupleAndEvolve:
         grid = cs.amplitudes.reshape(2, 3)
         np.testing.assert_allclose(grid[:, 0], 0.0, atol=1e-15)  # no ready branch
         # each pointer column carries the matching projected component
-        for j, p in enumerate(gobs.base.projectors):
+        for j, p in enumerate(projectors(gobs.base)):
             np.testing.assert_allclose(grid[:, j + 1], p @ psi.amplitudes, atol=1e-12)
 
     def test_no_detection_leaves_product_state(self):
@@ -205,7 +206,7 @@ class TestReducedObjectState:
         reduced = reduced_object_state(cs).matrix
         expected = np.zeros_like(reduced)
         w = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        for p in gobs.base.projectors:
+        for p in projectors(gobs.base):
             expected += p @ w @ p
         np.testing.assert_allclose(reduced, expected, atol=1e-12)
 

@@ -21,6 +21,7 @@ from esrsim import (
 from esrsim.linalg import _shifted_cholesky_exists
 from helpers import (
     partial_trace_second,
+    projectors,
     random_hermitian,
     random_unitary,
     reconstruct,
@@ -66,7 +67,7 @@ class TestEigendecompose:
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         obs = QuantumObservable(*hermitian_eigendecompose(m))
         np.testing.assert_allclose(obs.eigenvalues, [-1.0, 1.0], atol=1e-12)
-        for p in obs.projectors:
+        for p in projectors(obs):
             assert abs(np.trace(p).real - 1.0) < 1e-12  # rank 1
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
         np.testing.assert_allclose(reconstruct(obs), m, atol=1e-10)

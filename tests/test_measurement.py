@@ -50,6 +50,7 @@ from esrsim.scenario import build_scenario, parse_scenario
 from helpers import (
     complement_event,
     dense_form_gaps,
+    projectors,
     random_event,
     random_generalized,
     random_state,
@@ -182,7 +183,7 @@ class TestMeasurementOperators:
         gobs, psi = sigma_z_scenario(1.0, a0=0.0)
         family = measurement_operators(gobs, psi)
         np.testing.assert_allclose(family.operators[0], np.zeros((2, 2)))
-        for m, p in zip(family.operators[1:], gobs.base.projectors):
+        for m, p in zip(family.operators[1:], projectors(gobs.base)):
             np.testing.assert_allclose(m, p, atol=1e-12)
 
     def test_never_detect_limit(self):
@@ -301,7 +302,7 @@ class TestStateAfterOutcome:
                 if outcome_probability(family, k) < 1e-9:
                     continue
                 post = state_after_outcome(family, k)
-                p = gobs.base.projectors[k - 1]
+                p = projectors(gobs.base)[k - 1]
                 # eigenvector comparison up to global phase
                 overlap = abs(np.vdot(post.amplitudes, p @ post.amplitudes))
                 assert abs(overlap - 1.0) < 1e-10
@@ -334,7 +335,7 @@ class TestNonselectiveState:
         family = measurement_operators(gobs, psi)
         w = nonselective_state(family).matrix
         expected = np.zeros_like(w)
-        for p in gobs.base.projectors:
+        for p in projectors(gobs.base):
             expected += p @ np.outer(psi.amplitudes, psi.amplitudes.conj()) @ p
         np.testing.assert_allclose(w, expected, atol=1e-12)
 

@@ -50,7 +50,7 @@ from esrsim.model import (
 from helpers import (
     _nearest_index,
     complement_event,
-    install_projectors,
+    projectors,
     random_event,
     random_generalized,
     random_observable,
@@ -169,37 +169,46 @@ class TestQuantumObservable:
         ([np.eye(2)[:, :1], np.ones(2)], ValueError, "expected a 2-D array, got ndim=1"),
         ([np.eye(2)[:, :1], np.ones((2, 1, 1))], ValueError, "expected a 2-D array, got ndim=3"),
         ([np.eye(2)[:, :1], np.full((2, 1), np.inf)], ValueError, "finite"),
+    ([[[1.0], [0.0]], np.zeros((2, 0))], ValueError, r"\[1, 0\] columns, 1 in all, for d = 2"),
+    ([np.eye(2)[:, :1], np.eye(2)], ValueError, r"\[1, 2\] columns, 3 in all, for d = 2"),
+    ([np.eye(2), np.zeros((2, 0))], ValueError, r"\[2, 0\] columns, 2 in all, for d = 2"),
     ])
     def test_rejects_malformed_bases(self, bases, error, message):
         with pytest.raises(error, match=message):
             QuantumObservable(np.array([0.0, 1.0]), bases)
 
-    def test_projectors_and_eigenstates_come_from_the_bases(self):
-        """Each projector is ``B B†`` of its basis bit for bit, read-only, and an
-        eigenspace has a table state exactly when its basis is one vector, whose
-        density is the projector normalized: on a stream, d = 32 degenerate,
-        d = 48 and a spectral-form scenario with a threefold eigenvalue."""
+    def test_eigenbasis_and_eigenstates_come_from_the_bases(self):
+        """The eigenbasis V is the bases' columns in eigenvalue order, bit for bit
+        and read-only, each basis a view of its block, and an eigenspace has a
+        table state exactly when its basis is one vector, whose density is the
+        projector normalized: on a stream, d = 32 degenerate, d = 48 and a
+        spectral-form scenario with a threefold eigenvalue, whose V is its
+        vectors sorted by eigenvalue."""
         u = random_unitary(np.random.default_rng(6), 6)
-        text = spectral_scenario_text([0.5, -1.0, 0.5, 2.0, 0.5, 3.0], u)
-        cases = [build_scenario(parse_scenario(text)).gobs]
+        values = [0.5, -1.0, 0.5, 2.0, 0.5, 3.0]
+        cases = [build_scenario(parse_scenario(spectral_scenario_text(values, u))).gobs]
+        assert np.array_equal(cases[0].base.eigenbasis, u[:, np.argsort(values, kind="stable")])
         cases += [gobs for _, gobs, _ in scenario_stream(seed=2311, count=8)]
         cases += [gobs for kind in ("d32-degenerate", "d48") for gobs, _ in verify_cases(kind)]
-        widths = set()
+        ranks = set()
         for gobs in cases:
             base = gobs.base
-            assert not base.projectors.flags.writeable
-            table = sampling._eigenstates(gobs)
-            assert len(base.bases) == len(base.projectors) == len(table)
-            for b, p, entry in zip(base.bases, base.projectors, table):
-                assert not b.flags.writeable
-                assert np.array_equal(p.view(np.uint64), (b @ b.conj().T).view(np.uint64))
+            v, table = base.eigenbasis, sampling._eigenstates(gobs)
+            assert v.shape == (base.dim, base.dim) and not v.flags.writeable
+            assert np.hstack(base.bases).tobytes() == v.tobytes()
+            assert len(base.bases) == len(table) == base.eigenvalues.size
+            widths = [b.shape[1] for b in base.bases]
+            assert base._starts.tolist() == np.cumsum([0] + widths)[:-1].tolist()
+            assert base._groups.tolist() == np.repeat(np.arange(len(widths)), widths).tolist()
+            for b, p, entry in zip(base.bases, projectors(base), table):
+                assert not b.flags.writeable and np.shares_memory(b, v)
                 assert (entry is None) == (b.shape[1] > 1)
                 if entry is not None:
-                    v = entry[0].amplitudes
-                    np.testing.assert_allclose(np.outer(v, v.conj()), p / np.trace(p).real,
+                    e = entry[0].amplitudes
+                    np.testing.assert_allclose(np.outer(e, e.conj()), p / np.trace(p).real,
                                                rtol=0, atol=1e-15)
-                widths.add(min(b.shape[1], 2))
-        assert cases[0].base.bases[1].shape == (6, 3) and widths == {1, 2}
+                ranks.add(min(b.shape[1], 2))
+        assert cases[0].base.bases[1].shape == (6, 3) and ranks == {1, 2}
 
     def test_eigenstate_of_a_vector_off_unit_norm_is_normalized(self):
         # the spectral form accepts eigenvectors orthonormal to BUILD_GATE_TOL,
@@ -242,27 +251,31 @@ class TestPvProjector:
                                    pv_projector(obs, (1.0,)))
 
 
-def test_projector_sums_match_the_loop():
-    """Each row's gathered sum has the bits of adding its projectors one by one,
-    signs of zero included: d = 1 to 48, projectors onto each column of a random
-    unitary and onto random blocks of its columns (a degenerate spectrum), and
-    diagonal projectors whose zero entries are all -0.0. Each observable's rows
-    hold the empty, the full and every singleton mask, and random masks of
-    several densities, most of them at small d, where rows are cheap."""
+# Entry gap allowed between a stacked projector sum V_S V_S† and the sum of
+# the projectors B_k B_k† added one by one, in units of d·ε.
+PROJECTOR_SUM_GAP = 2
+
+
+def test_stacked_kernels_give_each_row_its_bits_alone():
+    """Each row of ``_projector_sums`` and ``_effects`` has the same bits, signs of
+    zero included, alone as in stacks of 3, 7 and all rows: d = 1 to 48, V a
+    random unitary with each column its own eigenspace, the same V cut into
+    random blocks (a degenerate spectrum), and the identity whose zero entries
+    are all -0.0. Each observable's rows hold the empty, the full and every
+    singleton mask, and random masks of several densities, most of them at
+    small d, where rows are cheap; every projector sum is also within
+    ``PROJECTOR_SUM_GAP`` d·ε of the one-by-one sum of the projectors."""
     rng = np.random.default_rng(2026)
     rows_checked = 0
     for dim in range(1, 49):
         u = random_unitary(rng, dim)
         cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(0, max(1, dim - 1))),
                                   replace=False))
+        signed = np.eye(dim) + 0j
+        signed.view(float)[signed.view(float) == 0.0] = -0.0
         observables = [QuantumObservable(np.arange(len(blocks), dtype=float), blocks)
-                       for blocks in (np.split(u, dim, axis=1), np.split(u, cuts, axis=1))]
-        # no basis gives zeros that are all -0.0, so they are installed over a built one
-        signed = np.eye(dim)[:, None, :] * np.eye(dim)[:, :, None] + 0j
-        parts = signed.view(float)
-        parts[parts == 0.0] = -0.0
-        identity = QuantumObservable(np.arange(dim, dtype=float), np.split(np.eye(dim), dim, axis=1))
-        observables.append(install_projectors(identity, signed))
+                       for blocks in (np.split(u, dim, axis=1), np.split(u, cuts, axis=1),
+                                      np.split(signed, dim, axis=1))]
         for obs in observables:
             k = obs.eigenvalues.size
             extra = max(8, 600 // dim)
@@ -271,9 +284,17 @@ def test_projector_sums_match_the_loop():
                 np.eye(k, dtype=bool),
                 rng.random((extra, k)) < rng.choice([0.1, 0.5, 0.9], size=(extra, 1)),
             ])
-            got = model._projector_sums(obs, masks)
-            want = reference_projector_sums(obs, masks)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dim
+            gobs = GeneralizedObservable(obs, None, ConstantDetection(0.7))
+            rows = np.concatenate([rng.random((len(masks), 1)) < 0.5, masks], axis=1)
+            for kernel, items in ((lambda m: model._projector_sums(obs, m), masks),
+                                  (lambda r: model._effects(gobs, 0.7, r), rows)):
+                alone = np.array([kernel(item[None])[0] for item in items]).view(np.uint64)
+                for length in (3, 7, len(items)):
+                    stacked = np.concatenate([kernel(items[start:start + length])
+                                              for start in range(0, len(items), length)])
+                    assert np.array_equal(stacked.view(np.uint64), alone), (dim, length)
+            gap = np.abs(model._projector_sums(obs, masks) - reference_projector_sums(obs, masks))
+            assert gap.max() <= PROJECTOR_SUM_GAP * dim * np.finfo(float).eps, dim
             rows_checked += len(masks)
     assert rows_checked >= 10 ** 4
 
@@ -512,7 +533,7 @@ def test_random_degenerate_observable_beyond_nine_values(dim):
     sizes = set()
     for _ in range(8):
         obs = random_observable(rng, dim, degenerate=True)
-        ranks = [int(round(np.trace(p).real)) for p in obs.projectors]
+        ranks = [b.shape[1] for b in obs.bases]
         assert sum(ranks) == dim and max(ranks) > 1
         np.testing.assert_allclose(obs.eigenvalues, np.round(obs.eigenvalues), atol=1e-9)
         sizes.add(obs.eigenvalues.size)
@@ -632,7 +653,7 @@ class TestPovAxioms:
             assert np.linalg.norm(x @ y - y @ x) <= 1e-10
 
 
-VERIFY_CASES = ["stream", "d32", "d32-degenerate", "d48", "shifted"]
+VERIFY_CASES = ["stream", "d32", "d32-degenerate", "d48", "scaled"]
 
 
 class TestResolvedEvents:
@@ -640,12 +661,14 @@ class TestResolvedEvents:
 
     @pytest.mark.parametrize("kind", VERIFY_CASES)
     def test_effect_matches_reference(self, kind):
+        # within PROJECTOR_SUM_GAP d·ε of the effect with its projectors added one by one
         rng = np.random.default_rng(97)
         for gobs, psi in verify_cases(kind):
+            bound = PROJECTOR_SUM_GAP * gobs.dim * np.finfo(float).eps
             for _ in range(6):
                 event = random_event(rng, gobs)
-                assert np.array_equal(_effect_operator(gobs, psi, event),
-                                      reference_effect(gobs, psi, event))
+                gap = _effect_operator(gobs, psi, event) - reference_effect(gobs, psi, event)
+                assert np.abs(gap).max() <= bound
 
     @pytest.mark.parametrize("kind", VERIFY_CASES)
     def test_stacked_effects_match_single_rows(self, kind):
@@ -658,16 +681,28 @@ class TestResolvedEvents:
                 assert np.array_equal(op, model._effects(gobs, pd, row[None])[0])
 
     # d32 is compared through verify's checks in test_cli
-    @pytest.mark.parametrize("kind", ["stream", "d32-degenerate", "d48", "shifted"])
+    @pytest.mark.parametrize("kind", ["stream", "d32-degenerate", "d48", "scaled"])
     def test_pov_axioms_match_reference(self, kind):
         for gobs, psi in verify_cases(kind):
             report = verify_pov_axioms(gobs, psi, partition_trials=12, seed=5)
             assert report == reference_pov_axioms(gobs, psi, partition_trials=12, seed=5)
-        if kind == "shifted":
+        if kind == "scaled":
             assert report.positivity > 1e-10
 
+    def test_positivity_below_zero_matches_reference(self, monkeypatch):
+        # p_d V_S V_S† + (1 - p_d) [a0 in S] I is positive for every basis, so the
+        # kernel both forms call lowers every effect by 1e-9 I: the empty event's
+        # effect is then -1e-9 I, and positivity is decided below 0
+        effects = model._effects
+        monkeypatch.setattr(model, "_effects", lambda gobs, pd, rows:
+                            effects(gobs, pd, rows) - 1e-9 * np.eye(gobs.dim))
+        for gobs, psi in verify_cases("stream"):
+            report = verify_pov_axioms(gobs, psi, partition_trials=12, seed=5)
+            assert report == reference_pov_axioms(gobs, psi, partition_trials=12, seed=5)
+            assert report.positivity == pytest.approx(1e-9, rel=1e-6)
+
     def test_positivity_solves_each_event_once_in_stacks_of_at_most_1_mib(self, monkeypatch):
-        (gobs, psi), = verify_cases("shifted")
+        (gobs, psi), = verify_cases("scaled")
         stacks = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m) or eigvalsh(m))
@@ -707,15 +742,15 @@ class TestEffectGateCertificate:
         with pytest.raises(ProbabilityRangeError):
             overall_probability(gobs, psi, (0.0,))  # 0.8 * 1.5625
 
-    def test_non_hermitian_projector_still_rejected(self):
-        # no basis gives a non-Hermitian projector, so it is installed over a built one
-        gobs = _hand_built(np.split(np.eye(2), 2, axis=1))
-        install_projectors(gobs.base, [[[1.0, 0.5], [0.0, 0.0]], np.diag([0.0, 1.0])])
-        psi = PureState(np.array([1.0, 0.0]))
+    def test_non_hermitian_effect_still_rejected(self):
+        # every basis gives a Hermitian V_S V_S†, so the gate gets the matrix itself
         with pytest.raises(NotHermitianError):
-            effect(gobs, psi, (0.0,))
-        # the weights trust the decomposition, as conditional_probability does;
-        # the POV check is what reports the defect
+            Effect(np.array([[0.8, 0.4], [0.0, 0.0]]))
+        # bases that are not orthogonal: the weights trust the decomposition, as
+        # conditional_probability does; the POV check is what reports the defect
+        gobs = _hand_built([[[1.0], [0.0]], [[0.6], [0.8]]])
+        psi = PureState(np.array([1.0, 0.0]))
+        assert effect(gobs, psi, (0.0,)).operator[0, 0] == 0.8
         assert overall_probability(gobs, psi, (0.0,)) == pytest.approx(0.8)
         assert verify_pov_axioms(gobs, psi, partition_trials=5).normalization > 1e-10
 

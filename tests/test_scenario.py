@@ -15,7 +15,7 @@ from esrsim import (
     serialize_scenario,
 )
 from esrsim import scenario
-from helpers import random_unitary, reconstruct, spectral_scenario_text
+from helpers import projectors, random_unitary, reconstruct, spectral_scenario_text
 
 MINIMAL = """\
 esrsim scenario v1
@@ -251,10 +251,10 @@ class TestBuild:
         values = [0.5, 2.0, 0.5 + 1e-12]
         base = build_scenario(parse_scenario(spectral_scenario_text(values, u))).gobs.base
         assert base.eigenvalues.size == 2 and base.bases[0].shape == (3, 2)
-        assert np.trace(base.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
+        assert np.trace(projectors(base)[0]).real == pytest.approx(2.0, abs=1e-12)
         reference = QuantumObservable(*hermitian_eigendecompose(u @ np.diag(values) @ u.conj().T))
         np.testing.assert_allclose(base.eigenvalues, reference.eigenvalues, rtol=0, atol=1e-12)
-        for got, want in zip(base.projectors, reference.projectors):
+        for got, want in zip(projectors(base), projectors(reference)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_ragged_rows_rejected(self):
