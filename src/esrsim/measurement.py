@@ -14,11 +14,11 @@ amplitude real and nonnegative) so they can be compared entrywise.
 The checks that ``verify`` and ``evolve`` report live here too: each is a
 :class:`Check` value, every check runs through one guard, and
 :func:`failed_checks` is the one verdict rule. As in ``model``, each private
-kernel takes a stack and returns unclamped values, which the checks read: event
-checks walk ``model._stacks`` of events, an outcome kernel takes a state and a
-stack of operators (repeatability reads Born weights), and a stack's two update
-forms pass one density gate, each item with the bits and error it gets alone.
-One extra thread runs the POV-axiom pass.
+kernel takes a stack and returns unclamped values. Each check returns its items'
+deviations, which the guard reduces by ``model._worst``: event checks walk
+``model._each`` over stacks of events, each item with the bits and error it gets
+alone, and an outcome kernel takes a state and a stack of operators
+(repeatability reads Born weights). One extra thread runs the POV-axiom pass.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,6 @@ from . import linalg
 from .apparatus import ApparatusModel, CompoundState, couple_and_evolve, reduced_object_state
 from .errors import ZeroProbabilityBranchError
 from .model import (
-    PARTITION_TRIALS,  # verify's partition count, the default of verify_pov_axioms
     VERIFY_SEED,
     DensityOperator,
     GeneralizedObservable,
@@ -44,13 +43,14 @@ from .model import (
     _born_weights,
     _conditional,
     _density_gate,
+    _each,
     _effect_operator,
     _effects,
     _event_subsets,
     _overall,
     _projector_sums,
-    _stacks,
     _trace_forms,
+    _worst,
     clamp_probability,
     detection_probability,
     split_event,
@@ -167,14 +167,11 @@ class MeasurementOperatorFamily:
 
     def deviations(self) -> dict[str, float]:
         """Completeness and worst pairwise-commutation defects (Frobenius)."""
-        total = sum(m.conj().T @ m for m in self.operators)
-        completeness = linalg.frobenius(total - np.eye(self.gobs.dim))
-        commutation = 0.0
-        for i, a in enumerate(self.operators):
-            for rest in _stacks(self.operators[i + 1:], self.gobs.dim):
-                for defect in a @ rest - rest @ a:
-                    commutation = max(commutation, linalg.frobenius(defect))
-        return {"completeness": completeness, "commutation": commutation}
+        ops = self.operators
+        completeness = linalg.frobenius(sum(m.conj().T @ m for m in ops) - np.eye(self.gobs.dim))
+        commutation = [x for i, a in enumerate(ops) for x in _each(
+            lambda rest: map(linalg.frobenius, a @ rest - rest @ a), ops[i + 1:], self.gobs.dim)]
+        return {"completeness": completeness, "commutation": _worst(commutation)}
 
 
 def measurement_operators(gobs: GeneralizedObservable, psi: PureState) -> MeasurementOperatorFamily:
@@ -250,11 +247,11 @@ class Check(NamedTuple):
 
 
 def _guard(fn, *names: str) -> list[Check]:
-    """The checks ``names`` measured by ``fn()``: one deviation, or one per name
-    in order when there are several. An exception fails each of them."""
+    """The checks ``names`` read by ``fn()``: one value, or one per name in order, each
+    reduced by :func:`model._worst`. An exception fails each of them."""
     try:
         values = fn() if len(names) > 1 else (fn(),)
-        return [Check(name, float(v)) for name, v in zip(names, values, strict=True)]
+        return [Check(name, _worst(v)) for name, v in zip(names, values, strict=True)]
     except Exception as exc:
         return [Check(name, math.inf, f"{type(exc).__name__}: {exc}") for name in names]
 
@@ -320,18 +317,16 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
     def pov_axioms():
         return verify_pov_axioms(gobs, psi).as_dict().values()
 
-    def factorization() -> float:
+    def factorization() -> list[float]:
         rows, pd, overall, _ = events()
         detected = ~rows[:, 0]
-        conditionals = (c for block in _stacks(rows[detected, 1:], gobs.dim)
-                        for c in _conditional(gobs, psi, block))
-        return max(abs(p - pd * c) for p, c in zip(overall[detected], conditionals))
+        conditionals = _each(partial(_conditional, gobs, psi), rows[detected, 1:], gobs.dim)
+        return [abs(p - pd * c) for p, c in zip(overall[detected], conditionals)]
 
-    def form_agreement() -> float:
+    def form_agreement() -> list[float]:
         rows, pd, overall, _ = events()
-        traces = (t for block in _stacks(rows, gobs.dim)
-                  for t in _trace_forms(psi, _effects(gobs, pd, block)))
-        return max(abs(p - t) for p, t in zip(overall, traces))
+        traces = _each(lambda block: _trace_forms(psi, _effects(gobs, pd, block)), rows, gobs.dim)
+        return [abs(p - t) for p, t in zip(overall, traces)]
 
     def total_probability() -> float:
         *_, singles = events()
@@ -346,24 +341,14 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         density_forms = _density_gate(_branch_density(psi, ts))
         return [linalg.frobenius(a - b) for a, b in zip(vector_forms, density_forms)]
 
-    def update_form_agreement() -> float:
+    def update_form_agreement() -> list[float]:
         rows, _, overall, _ = events()
         # the nonempty events that can occur (a NaN probability can)
-        live = rows[rows.any(axis=1) & ~(overall < BRANCH_FLOOR)]
-        worst = 0.0
-        for block in _stacks(live, gobs.dim):
-            try:
-                deviations = update_forms(block)
-            except Exception:
-                # event by event: the first that fails, in its first failing step, names the cause
-                deviations = [x for i in range(len(block)) for x in update_forms(block[i:i + 1])]
-            for x in deviations:
-                worst = max(worst, x)
-        return worst
+        return _each(update_forms, rows[rows.any(axis=1) & ~(overall < BRANCH_FLOOR)], gobs.dim)
 
-    def singleton_consistency() -> float:
+    def singleton_consistency() -> list[float]:
         *_, singles = events()
-        return max(abs(p - q) for p, q in zip(probabilities(), singles))
+        return [abs(p - q) for p, q in zip(probabilities(), singles)]
 
     def nonselective_forms() -> float:
         mixture = nonselective_state(operators()).matrix
@@ -373,14 +358,11 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
             weighted += probabilities()[k] * to_density(state).matrix
         return linalg.frobenius(mixture - weighted)
 
-    def repeatability() -> float:
+    def repeatability() -> list[float]:
         # outcome m at the Lüders state phi of n: p_d(phi) w_m(phi), a sum of squares
         live = [n for n, p in enumerate(probabilities()) if n and not p < BRANCH_FLOOR]
-        worst = 0.0
-        for n, state in zip(live, lueders(live)):
-            others = np.delete(_born_weights(gobs, state), n - 1)
-            worst = max([worst, *(detection_probability(gobs, state) * others).tolist()])
-        return worst
+        return [x for n, state in zip(live, lueders(live)) for x in
+                detection_probability(gobs, state) * np.delete(_born_weights(gobs, state), n - 1)]
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pov = pool.submit(contextvars.copy_context().run, _guard, pov_axioms, "pov-normalization",

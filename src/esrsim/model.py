@@ -15,11 +15,11 @@ positive operators between 0 and the identity whose expectation in the state is
 the event's overall probability, from ``p_d`` and the Born weights alone. Every
 private kernel takes a stack of rows, masks or matrices, a single item being a
 stack of one with the same bits, and returns unclamped values, which only the
-public functions clamp. :func:`_stacks` is the one rule that cuts a list into
-stacks (128 KiB of matrices; 1 MiB for the positivity eigensolves). The gates
-of :class:`DensityOperator` and :class:`Effect` test positivity by a shifted
-Cholesky factorization. For each state the effects form a commutative POV
-measure; with detection certain it is the projection-valued one.
+public functions clamp. :func:`_each` is the one loop over stacks and
+:func:`_worst` the one reduction of deviations, which a NaN item wins. The
+gates of :class:`DensityOperator` and :class:`Effect` test positivity by a
+shifted Cholesky factorization. For each state the effects form a commutative
+POV measure; with detection certain it is the projection-valued one.
 """
 
 from __future__ import annotations
@@ -348,11 +348,22 @@ def _match_values(observable: QuantumObservable, values, a0: float | None) -> np
     return row
 
 
-def _stacks(items: np.ndarray, dim: int, size: int = 2 ** 17):
-    """Consecutive slices of ``items`` (event rows, masks or matrices), sized so a stack
-    of d x d complex matrices, one per item, takes at most ``size`` bytes."""
-    count = max(1, size // (16 * dim * dim))
-    return (items[start:start + count] for start in range(0, len(items), count))
+def _each(fn, items: np.ndarray, dim: int, size: int = 2 ** 17) -> list:
+    """``fn``'s values for all ``items`` (rows, masks or matrices), in order: ``fn`` maps a
+    stack of items, one d x d complex matrix each within ``size`` bytes, to one value per
+    item. A stack that raises is redone item by item, so the first failing item names the error."""
+    count, values = max(1, size // (16 * dim * dim)), []
+    for stack in (items[start:start + count] for start in range(0, len(items), count)):
+        try:
+            values += list(fn(stack))
+        except Exception:
+            values += [x for i in range(len(stack)) for x in fn(stack[i:i + 1])]
+    return values
+
+
+def _worst(deviations) -> float:
+    """Largest of ``deviations`` (a number or items): 0.0 for none, NaN if any is, never -0.0."""
+    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0)) + 0.0
 
 
 def _projector_sums(observable: QuantumObservable, masks: np.ndarray) -> np.ndarray:
@@ -552,13 +563,17 @@ def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
     full = _effects(gobs, pd, np.ones((1, n), dtype=bool))[0]
     normalization = linalg.frobenius(full - np.eye(gobs.dim))
 
-    rows = _event_subsets(n, rng, limit=1024)
-    positivity = 0.0
-    for block in _stacks(rows, gobs.dim, 2 ** 20):
-        eigs = np.linalg.eigvalsh(_effects(gobs, pd, block))
-        positivity = max(positivity, float(-eigs[:, 0].min()), float(eigs[:, -1].max()) - 1.0, 0.0)
+    def excursions(block: np.ndarray) -> np.ndarray:
+        # a non-finite effect has no spectrum, whatever eigvalsh returns: its excursion is NaN
+        ts = _effects(gobs, pd, block)
+        finite = np.isfinite(ts).all(axis=(1, 2))
+        ts[~finite] = 0.0
+        eigs = np.linalg.eigvalsh(ts)
+        return np.where(finite, np.maximum(-eigs[:, 0], eigs[:, -1] - 1.0), np.nan)
 
-    additivity = commutativity = 0.0
+    rows = _event_subsets(n, rng, limit=1024)
+    positivity = _worst(_each(excursions, rows, gobs.dim, 2 ** 20))
+    additivity, commutativity = [], []
     for _ in range(partition_trials):
         # one stack: a partition's groups, a disjoint pair's union and parts, a random pair
         labels = rng.integers(0, rng.integers(1, n + 1), size=n)
@@ -566,9 +581,8 @@ def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
         pair = np.array([rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)], dtype=bool)
         *parts, union, x, y, tx, ty = _effects(gobs, pd, np.concatenate(
             (labels == np.unique(labels)[:, None], [split < 2, split == 0, split == 1], pair)))
-        additivity = max(additivity, linalg.frobenius(sum(parts) - full),
-                         linalg.frobenius(union - x - y))
-        commutativity = max(commutativity, linalg.frobenius(tx @ ty - ty @ tx))
+        additivity += [linalg.frobenius(sum(parts) - full), linalg.frobenius(union - x - y)]
+        commutativity.append(linalg.frobenius(tx @ ty - ty @ tx))
 
-    return PovAxiomReport(normalization, positivity, additivity, commutativity,
+    return PovAxiomReport(normalization, positivity, _worst(additivity), _worst(commutativity),
                           events_checked=len(rows) + 3 * partition_trials)

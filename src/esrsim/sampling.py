@@ -21,8 +21,8 @@ without changing which uniforms a trial uses.
 
 Single draws run one loop, ``sample_sequence``; ``sample_measurement`` is a
 sequence of one. The Born weights are ``model._born_weights``, the one product
-of the eigenbasis V with the state that overall probabilities use, clipped at
-0 and normalized. The sampler keeps two caches in each generalized
+of the eigenbasis V with the state that overall probabilities use,
+normalized. The sampler keeps two caches in each generalized
 observable's ``_sampler`` slot, which only this module reads: the weights of
 each prepared state, computed on its first call (``_start_weights``), and the
 rank-1 Lüders states with their weights (``_eigenstates``), built on the first
@@ -130,7 +130,7 @@ class RngSpec:
 def born_probabilities(gobs: GeneralizedObservable, psi: PureState) -> np.ndarray:
     """Conditional (detected) outcome distribution over the eigenvalues."""
     _require_dim(gobs, psi)
-    p = np.maximum(_born_weights(gobs, psi), 0.0)
+    p = _born_weights(gobs, psi)
     return p / p.sum()
 
 

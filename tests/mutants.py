@@ -62,6 +62,13 @@ EVENT_CHECKS = tuple(f"{MEASUREMENT}test_event_checks_match_reference[{kind}]"
 CASES = ("8-False", "8-True", "32-False", "32-True")  # the ids of test_metamorphic's cases
 GOLDENS = tuple(f"{RECORDS}test_records_close_to_golden[{demo}]"
                 for demo in ("degenerate", "qubit", "spectral"))
+NAN_ITEMS = (*(f"{MEASUREMENT}test_a_nan_item_fails_its_check[{check}]" for check in (
+    "factorization", "probability-form-agreement", "singleton-consistency", "repeatability",
+    "pov-positivity", "pov-additivity", "pov-commutativity")),
+    MEASUREMENT + "test_a_nan_commutator_fails_family_commutation")
+# the cases of test_update_form_cause_is_the_first_failing_event where a whole
+# stack fails in another step than its first failing event (ids without spaces)
+REDO_CASES = ("2-5-non-finite", "2-5-trace", "2-None-trace")
 
 MUTANTS = (
     Mutant(
@@ -171,11 +178,34 @@ MUTANTS = (
         "of its deviation"),
     Mutant(
         "repeatability-reads-psi-pd", "src/esrsim/measurement.py",
-        "detection_probability(gobs, state) * others",
-        "detection_probability(gobs, psi) * others",
+        "detection_probability(gobs, state) * np.delete",
+        "detection_probability(gobs, psi) * np.delete",
         (MEASUREMENT + "test_event_checks_match_reference[stream]",),
         "repeatability scales the Lüders state's Born weights by the prepared "
         "state's detection probability instead of its own"),
+    Mutant(
+        "worst-drops-nan", "src/esrsim/model.py",
+        "    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0)) + 0.0\n",
+        "    return float(np.nanmax(np.asarray(deviations, dtype=float), initial=0.0)) + 0.0\n",
+        (*NAN_ITEMS, MEASUREMENT + "test_an_overflowing_basis_fails_every_check",
+         *(MODEL + f"test_worst_item_is_nan_if_any_is[{case}]"
+           for case in ("deviations0", "deviations1", "deviations2", "nan"))),
+        "a check's value skips its NaN items, so a check with a NaN item can pass"),
+    Mutant(
+        "each-without-redo", "src/esrsim/model.py",
+        "            values += [x for i in range(len(stack)) for x in fn(stack[i:i + 1])]\n",
+        "            raise\n",
+        tuple(MEASUREMENT + f"test_update_form_cause_is_the_first_failing_event[{case}]"
+              for case in REDO_CASES),
+        "a stack that raises names the error of its first failing step over the whole "
+        "stack, not that of its first failing item"),
+    Mutant(
+        "worst-keeps-signed-zero", "src/esrsim/model.py",
+        "initial=0.0)) + 0.0\n",
+        "initial=0.0))\n",
+        (MODEL + "test_worst_item_of_none_is_zero_and_never_negative_zero[deviations1-0.0]",
+         MODEL + "test_worst_item_of_none_is_zero_and_never_negative_zero[-0.0-0.0]"),
+        "a check whose worst item is -0.0 reads -0.0, which the records would print"),
 )
 
 

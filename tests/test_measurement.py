@@ -5,6 +5,7 @@ assemble the effect from its defining formula and renormalize by hand.
 """
 
 import ast
+import itertools
 import math
 import pathlib
 import threading
@@ -36,16 +37,10 @@ from esrsim import (
     state_after_outcome,
     to_density,
 )
-from esrsim import measurement
+from esrsim import linalg, measurement, model
 from esrsim.cli import DEFAULT_TOL
-from esrsim.measurement import (
-    PARTITION_TRIALS,
-    VERIFY_SEED,
-    Check,
-    coupling_checks,
-    failed_checks,
-    verification_checks,
-)
+from esrsim.measurement import Check, coupling_checks, failed_checks, verification_checks
+from esrsim.model import PARTITION_TRIALS, VERIFY_SEED
 from esrsim.scenario import build_scenario, parse_scenario
 from helpers import (
     complement_event,
@@ -546,6 +541,96 @@ def test_only_the_public_probabilities_clamp():
     assert not any(name.startswith("_") for name in callers)
     assert callers == {"conditional_probability", "overall_probabilities",
                        "overall_probability_density", "outcome_probability"}
+
+
+def test_checks_reduce_their_items_by_worst_alone():
+    """Every check's value is model._worst of its items' deviations, never the
+    builtin max, which drops a NaN that does not come first; and model._each is
+    the one loop over stacks (no ``_stacks`` remains)."""
+    scopes = {"verification_checks", "coupling_checks", "verify_pov_axioms",
+              "MeasurementOperatorFamily.deviations"}
+    seen = set()
+    for path in pathlib.Path(measurement.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "_stacks" not in text, path.name
+        for top in ast.parse(text).body:
+            nodes = {getattr(top, "name", None): top}
+            if isinstance(top, ast.ClassDef):
+                nodes.update((f"{top.name}.{node.name}", node) for node in top.body
+                             if isinstance(node, ast.FunctionDef))
+            for name in scopes & nodes.keys():
+                seen.add(name)
+                assert not [node for node in ast.walk(nodes[name])
+                            if isinstance(node, ast.Name) and node.id == "max"], name
+    assert seen == scopes
+
+
+# Where a test puts one NaN, for each check it must fail: item ``item`` of call
+# ``call`` of the kernel ``name`` of ``module``, neither the first nor the last
+# item of its stack, on a nondegenerate d = 4 model (five outcomes).
+NAN_SITES = {
+    "factorization": (measurement, "_conditional", 0, 1),
+    "probability-form-agreement": (measurement, "_trace_forms", 0, 1),
+    "singleton-consistency": (measurement, "_outcome_probabilities", 0, 1),
+    # call 0 weighs the prepared state, call 2 the Lüders state of outcome 2:
+    # repeatability reads its weights 0, 2 and 3
+    "repeatability": (measurement, "_born_weights", 2, 2),
+    # the POV pass: call 0 is the full effect, call 1 the one positivity stack,
+    # and call 6 a partition trial's stack, which ends x, y, tx, ty
+    "pov-positivity": (model, "_effects", 1, 1),
+    "pov-additivity": (model, "_effects", 6, -4),
+    "pov-commutativity": (model, "_effects", 6, -2),
+}
+
+
+@pytest.mark.parametrize("check", list(NAN_SITES))
+def test_a_nan_item_fails_its_check(monkeypatch, check):
+    """One NaN item amid finite ones makes its check read NaN, which fails."""
+    rng = np.random.default_rng(61)
+    gobs, psi = random_generalized(rng, 4), random_state(rng, 4)
+    module, name, call, item = NAN_SITES[check]
+    kernel, calls = getattr(module, name), itertools.count()
+
+    def poisoned(*args):
+        out = kernel(*args)
+        if next(calls) == call:
+            out = np.array(out)
+            out[(item,) + (0,) * (out.ndim - 1)] = np.nan
+        return out
+
+    monkeypatch.setattr(module, name, poisoned)
+    checks = {c.name: c for c in verification_checks(gobs, psi, ApparatusModel())}
+    assert math.isnan(checks[check].deviation) and checks[check].cause is None
+    assert check in failed_checks(list(checks.values()), DEFAULT_TOL)
+
+
+def test_a_nan_commutator_fails_family_commutation(monkeypatch):
+    """A NaN defect amid finite ones makes the family's commutation NaN: call 0
+    of frobenius is the completeness defect, call 2 the commutator of operators
+    0 and 2, the second item of the first stack."""
+    rng = np.random.default_rng(61)
+    family = measurement_operators(random_generalized(rng, 4), random_state(rng, 4))
+    frobenius, calls = linalg.frobenius, itertools.count()
+    monkeypatch.setattr(linalg, "frobenius",
+                        lambda m: math.nan if next(calls) == 2 else frobenius(m))
+    deviations = family.deviations()
+    assert math.isnan(deviations["commutation"]) and math.isfinite(deviations["completeness"])
+
+
+def test_an_overflowing_basis_fails_every_check():
+    """A hand-built basis [1e155, 0, 0] makes every effect that holds outcome 0
+    overflow. Each check then fails, and the five that read those effects
+    without raising read a value that is not finite (NaN here)."""
+    base = QuantumObservable([0.0, 1.0, 2.0], [[[1e155], [0.0], [0.0]], [[0.0], [1.0], [0.0]],
+                                               [[0.0], [0.0], [1.0]]])
+    gobs = GeneralizedObservable(base, None, ConstantDetection(0.9))
+    with np.errstate(all="ignore"):
+        checks = verification_checks(gobs, PureState([0.6, 0.8, 0.0]), ApparatusModel())
+    assert failed_checks(checks, DEFAULT_TOL) == [c.name for c in checks]
+    read = {c.name: c for c in checks}
+    for name in ("pov-positivity", "pov-additivity", "pov-commutativity", "factorization",
+                 "probability-form-agreement"):
+        assert not math.isfinite(read[name].deviation) and read[name].cause is None, read[name]
 
 
 def _per_event_update_cause(gobs, psi) -> str | None:

@@ -5,6 +5,7 @@ Derived expectations are frozen from independent arithmetic (outer products,
 explicit effect assembly) rather than from the code under test.
 """
 
+import dataclasses
 import inspect
 import math
 
@@ -711,6 +712,43 @@ class TestResolvedEvents:
         assert len(stacks) == 7 and all(m.nbytes <= 1 << 20 for m in stacks)
         everything = model._effects(gobs, detection_probability(gobs, psi), rows)
         assert np.array_equal(np.concatenate(stacks), everything)
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_positivity_of_a_non_finite_effect_is_nan(self, monkeypatch, entry):
+        """An effect with a non-finite entry has no spectrum, though LAPACK's
+        eigvalsh can return finite zeros for it: its excursion is NaN, nothing
+        raises, and the other three axioms keep their values."""
+        rng = np.random.default_rng(7)
+        gobs, psi = random_generalized(rng, 3), random_state(rng, 3)
+        clean = verify_pov_axioms(gobs, psi)
+        effects, calls = model._effects, []
+
+        def poisoned(gobs, pd, rows):
+            # call 0 is the full effect, call 1 the one positivity stack
+            out = effects(gobs, pd, rows)
+            if len(calls) == 1:
+                out[2, 0, 1] = entry
+            calls.append(len(rows))
+            return out
+
+        monkeypatch.setattr(model, "_effects", poisoned)
+        report = verify_pov_axioms(gobs, psi)
+        assert calls[1] == 16 and math.isnan(report.positivity)
+        others = [dataclasses.replace(r, positivity=0.0) for r in (report, clean)]
+        assert others[0] == others[1]
+
+
+@pytest.mark.parametrize("deviations", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0],
+                                        [1.0, 2.0, math.nan], math.nan])
+def test_worst_item_is_nan_if_any_is(deviations):
+    assert math.isnan(model._worst(deviations))
+
+
+@pytest.mark.parametrize("deviations, worst", [([], 0.0), ([-0.0], 0.0), (-0.0, 0.0),
+                                               ([0.5, 2.0, 1.0], 2.0), (np.array([3.0]), 3.0)])
+def test_worst_item_of_none_is_zero_and_never_negative_zero(deviations, worst):
+    value = model._worst(deviations)
+    assert type(value) is float and value == worst and math.copysign(1.0, value) == 1.0
 
 
 def _hand_built(bases, a0: float = -1.0, p: float = 0.8):
