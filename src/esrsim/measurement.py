@@ -18,7 +18,8 @@ kernel takes a stack and returns unclamped values. Each check returns its items'
 deviations, which the guard reduces by ``model._worst``: event checks walk
 ``model._each`` over stacks of events, each item with the bits and error it gets
 alone, and an outcome kernel takes a state and a stack of operators
-(repeatability reads Born weights). One extra thread runs the POV-axiom pass.
+(repeatability reads Born weights). A second thread solves the POV pass's
+positivity stacks; the caller takes back any not started.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .model import (
     _effects,
     _event_subsets,
     _overall,
+    _pov_passes,
     _projector_sums,
     _trace_forms,
     _worst,
@@ -55,7 +57,6 @@ from .model import (
     detection_probability,
     split_event,
     to_density,
-    verify_pov_axioms,
 )
 
 __all__ = ["MeasurementOperatorFamily", "MeasurementOutcomeRecord", "fix_phase",
@@ -293,12 +294,12 @@ def coupling_checks(gobs: GeneralizedObservable, psi: PureState,
 def verification_checks(gobs: GeneralizedObservable, psi: PureState,
                         apparatus: ApparatusModel) -> list[Check]:
     """The checks of ``verify``, in their report order: the POV axioms, the
-    probability and update forms on random events, the measurement-operator
-    family, and the apparatus coupling, :func:`coupling_checks`. A check whose
-    input cannot be built fails with that input's exception as its cause. The
-    POV axioms run on one extra thread, in a copy of the caller's context (so
-    under its numpy error state), while the caller runs the rest: they read no
-    shared input, and their eigensolves release the GIL. No number depends on it."""
+    probability and update forms on random events, the measurement-operator family,
+    and the apparatus coupling, :func:`coupling_checks`. A check whose input cannot
+    be built fails with that input's exception as its cause. One extra thread runs
+    the POV pass's positivity stacks in a copy of the caller's context (so under its
+    numpy error state); the caller runs the rest, then takes back the stacks not
+    started. No number or cause depends on which thread ran one."""
     # Inputs shared by several checks, built on first use. An input that
     # raises is not cached, so each check reading it reports its exception.
     @cache
@@ -313,9 +314,6 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
     # every outcome's probability in one product; live outcomes' Lüders states in another
     probabilities = cache(lambda: _outcome_probabilities(psi, operators().operators))
     lueders = lambda ks: _branch_states(psi, operators().operators[ks], "outcome")
-
-    def pov_axioms():
-        return verify_pov_axioms(gobs, psi).as_dict().values()
 
     def factorization() -> list[float]:
         rows, pd, overall, _ = events()
@@ -364,9 +362,22 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
         return [x for n, state in zip(live, lueders(live)) for x in
                 detection_probability(gobs, state) * np.delete(_born_weights(gobs, state), n - 1)]
 
+    def take_back() -> float:
+        # the worst excursion: cancel the stacks the worker has not started, the last first,
+        # and run them here until one raises; the worker's stacks, all earlier, are read first
+        mine = []
+        try:
+            for job, future in zip(jobs[::-1], futures[::-1]):
+                if not future.cancel():
+                    break
+                mine[:0] = job()
+        finally:
+            theirs = [x for future in futures if not future.cancelled() for x in future.result()]
+        return _worst(theirs + mine)
+
+    jobs, rest = _pov_passes(gobs, psi)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pov = pool.submit(contextvars.copy_context().run, _guard, pov_axioms, "pov-normalization",
-                          "pov-positivity", "pov-additivity", "pov-commutativity")
+        futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs]
         others = [
             *_guard(factorization, "factorization"),
             *_guard(form_agreement, "probability-form-agreement"),
@@ -379,4 +390,6 @@ def verification_checks(gobs: GeneralizedObservable, psi: PureState,
             *_guard(repeatability, "repeatability"),
             *coupling_checks(gobs, psi, apparatus).checks,
         ]
-    return [*pov.result(), *others]
+        pov = _guard(lambda: rest(take_back).as_dict().values(),
+                     "pov-normalization", "pov-positivity", "pov-additivity", "pov-commutativity")
+    return [*pov, *others]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -522,12 +522,8 @@ class PovAxiomReport:
     events_checked: int
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "normalization": self.normalization,
-            "positivity": self.positivity,
-            "additivity": self.additivity,
-            "commutativity": self.commutativity,
-        }
+        return {name: getattr(self, name)
+                for name in ("normalization", "positivity", "additivity", "commutativity")}
 
 
 def _event_subsets(n: int, rng: np.random.Generator, limit: int) -> np.ndarray:
@@ -555,34 +551,50 @@ def verify_pov_axioms(gobs: GeneralizedObservable, psi: PureState,
     bound on every enumerated event, additivity over ``partition_trials``
     random disjoint partitions of the outcome set, and pairwise
     commutativity of random event pairs. Deviations are reported, never
-    raised, so a corrupted observable shows up as numbers.
+    raised, so a corrupted observable shows up as numbers. Positivity runs first.
     """
-    pd = detection_probability(gobs, psi)
-    n = gobs.outcomes.size
+    jobs, rest = _pov_passes(gobs, psi, partition_trials, seed)
+    return rest(partial(_worst, [x for job in jobs for x in job()]))
+
+
+def _pov_passes(gobs: GeneralizedObservable, psi: PureState,
+                partition_trials: int = PARTITION_TRIALS, seed: int = VERIFY_SEED) -> tuple:
+    """:func:`verify_pov_axioms` as ``(jobs, rest)``, rows drawn first; p_d is read lazily, so
+    building them raises nothing. Each job runs :func:`_each` on one 512 KiB stack of the rows,
+    returning its excursions, by eigensolves that release the GIL. ``rest(positivity)`` runs the
+    other axioms, then ``positivity()`` even if they raise, so its first failing event wins."""
+    pd, n = cache(lambda: detection_probability(gobs, psi)), gobs.outcomes.size
     rng = np.random.default_rng(seed)
-    full = _effects(gobs, pd, np.ones((1, n), dtype=bool))[0]
-    normalization = linalg.frobenius(full - np.eye(gobs.dim))
 
     def excursions(block: np.ndarray) -> np.ndarray:
         # a non-finite effect has no spectrum, whatever eigvalsh returns: its excursion is NaN
-        ts = _effects(gobs, pd, block)
+        ts = _effects(gobs, pd(), block)
         finite = np.isfinite(ts).all(axis=(1, 2))
         ts[~finite] = 0.0
         eigs = np.linalg.eigvalsh(ts)
         return np.where(finite, np.maximum(-eigs[:, 0], eigs[:, -1] - 1.0), np.nan)
 
-    rows = _event_subsets(n, rng, limit=1024)
-    positivity = _worst(_each(excursions, rows, gobs.dim, 2 ** 20))
-    additivity, commutativity = [], []
-    for _ in range(partition_trials):
-        # one stack: a partition's groups, a disjoint pair's union and parts, a random pair
-        labels = rng.integers(0, rng.integers(1, n + 1), size=n)
-        split = rng.integers(0, 3, size=n)
-        pair = np.array([rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)], dtype=bool)
-        *parts, union, x, y, tx, ty = _effects(gobs, pd, np.concatenate(
-            (labels == np.unique(labels)[:, None], [split < 2, split == 0, split == 1], pair)))
-        additivity += [linalg.frobenius(sum(parts) - full), linalg.frobenius(union - x - y)]
-        commutativity.append(linalg.frobenius(tx @ ty - ty @ tx))
+    rows, size = _event_subsets(n, rng, limit=1024), 2 ** 19
+    jobs = _each(lambda s: [partial(_each, excursions, s, gobs.dim, size)], rows, gobs.dim, size)
 
-    return PovAxiomReport(normalization, positivity, _worst(additivity), _worst(commutativity),
-                          events_checked=len(rows) + 3 * partition_trials)
+    def rest(positivity) -> PovAxiomReport:
+        try:
+            full = _effects(gobs, pd(), np.ones((1, n), dtype=bool))[0]
+            normalization = linalg.frobenius(full - np.eye(gobs.dim))
+            additivity, commutativity = [], []
+            for _ in range(partition_trials):
+                # one stack: a partition's groups, a disjoint pair's union and parts, a random pair
+                labels = rng.integers(0, rng.integers(1, n + 1), size=n)
+                split = rng.integers(0, 3, size=n)
+                pair = np.array([rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)], bool)
+                groups = labels == np.unique(labels)[:, None]
+                *parts, union, x, y, tx, ty = _effects(gobs, pd(), np.concatenate(
+                    (groups, [split < 2, split == 0, split == 1], pair)))
+                additivity += [linalg.frobenius(sum(parts) - full), linalg.frobenius(union - x - y)]
+                commutativity.append(linalg.frobenius(tx @ ty - ty @ tx))
+        finally:
+            worst = positivity()
+        return PovAxiomReport(normalization, worst, _worst(additivity), _worst(commutativity),
+                              events_checked=len(rows) + 3 * partition_trials)
+
+    return jobs, rest

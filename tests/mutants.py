@@ -67,8 +67,12 @@ NAN_ITEMS = (*(f"{MEASUREMENT}test_a_nan_item_fails_its_check[{check}]" for chec
     "pov-positivity", "pov-additivity", "pov-commutativity")),
     MEASUREMENT + "test_a_nan_commutator_fails_family_commutation")
 # the cases of test_update_form_cause_is_the_first_failing_event where a whole
-# stack fails in another step than its first failing event (ids without spaces)
-REDO_CASES = ("2-5-non-finite", "2-5-trace", "2-None-trace")
+# stack fails in another step than its first failing event
+REDO_CASES = ("2-5-not Hermitian", "2-5-non-finite", "2-5-trace", "2-None-not PSD",
+              "2-None-trace")
+# the POV pass's positivity stacks under each schedule of verify's two threads
+SCHEDULE_TESTS = (MEASUREMENT + "test_pov_schedules_give_the_same_checks",
+                  MEASUREMENT + "test_pov_cause_is_positivitys_first_failing_event")
 
 MUTANTS = (
     Mutant(
@@ -206,6 +210,30 @@ MUTANTS = (
         (MODEL + "test_worst_item_of_none_is_zero_and_never_negative_zero[deviations1-0.0]",
          MODEL + "test_worst_item_of_none_is_zero_and_never_negative_zero[-0.0-0.0]"),
         "a check whose worst item is -0.0 reads -0.0, which the records would print"),
+    Mutant(
+        "take-back-drops-stacks", "src/esrsim/measurement.py",
+        "                mine[:0] = job()\n",
+        "                job()\n",
+        (SCHEDULE_TESTS[0],),
+        "the caller runs the positivity stacks it takes back but drops their values, so "
+        "pov-positivity reads only the stacks the POV thread ran"),
+    Mutant(
+        "take-back-reads-out-of-order", "src/esrsim/measurement.py",
+        "            theirs = [x for future in futures if not future.cancelled() "
+        "for x in future.result()]\n",
+        "            theirs = [x for future in futures[::-1] if not future.cancelled() "
+        "for x in future.result()]\n",
+        (SCHEDULE_TESTS[1],),
+        "the caller reads the POV thread's stacks back last first, so a failing "
+        "positivity pass names its last failing event, not its first"),
+    Mutant(
+        "take-back-from-the-front", "src/esrsim/measurement.py",
+        "            for job, future in zip(jobs[::-1], futures[::-1]):\n",
+        "            for job, future in zip(jobs, futures):\n",
+        (SCHEDULE_TESTS[1],),
+        "the caller takes back the first stacks the POV thread has not started, so "
+        "a stack it runs can precede one the thread runs, and a failing positivity "
+        "pass can name a later failing event than its first"),
 )
 
 
@@ -235,7 +263,13 @@ def failing(mutant: Mutant, nodes: tuple[str, ...]) -> set[str]:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *nodes],
             cwd=root, env=env, capture_output=True, text=True)
-    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", result.stdout, re.M))
+    return failed_ids(result.stdout)
+
+
+def failed_ids(report: str) -> set[str]:
+    """The node ids of pytest's ``-rfE`` summary lines, ``FAILED <id>`` or
+    ``FAILED <id> - <message>`` (or ``ERROR``); an id may hold spaces."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", report, re.M))
 
 
 def main(argv=None) -> int:

@@ -210,10 +210,11 @@ class TestVerify:
         def broken(*args, **kwargs):
             raise RuntimeError("injected fault")
 
-        # a broken input fails every check that reads it: the operator family
-        # feeds the family, singleton, nonselective, repeatability and coupling
+        # a broken input fails every check that reads it: the POV pass's effect
+        # kernel feeds the four pov checks, on both threads, and the operator
+        # family the family, singleton, nonselective, repeatability and coupling
         # checks
-        monkeypatch.setattr(measurement, "verify_pov_axioms", broken)
+        monkeypatch.setattr(model, "_effects", broken)
         monkeypatch.setattr(measurement, "measurement_operators", broken)
         monkeypatch.setattr(measurement, "_branch_density", broken)
         record_path = tmp_path / "records.jsonl"

@@ -8,8 +8,10 @@ import ast
 import itertools
 import math
 import pathlib
+import sys
 import threading
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -547,7 +549,7 @@ def test_checks_reduce_their_items_by_worst_alone():
     """Every check's value is model._worst of its items' deviations, never the
     builtin max, which drops a NaN that does not come first; and model._each is
     the one loop over stacks (no ``_stacks`` remains)."""
-    scopes = {"verification_checks", "coupling_checks", "verify_pov_axioms",
+    scopes = {"verification_checks", "coupling_checks", "verify_pov_axioms", "_pov_passes",
               "MeasurementOperatorFamily.deviations"}
     seen = set()
     for path in pathlib.Path(measurement.__file__).parent.glob("*.py"):
@@ -575,9 +577,10 @@ NAN_SITES = {
     # call 0 weighs the prepared state, call 2 the Lüders state of outcome 2:
     # repeatability reads its weights 0, 2 and 3
     "repeatability": (measurement, "_born_weights", 2, 2),
-    # the POV pass: call 0 is the full effect, call 1 the one positivity stack,
-    # and call 6 a partition trial's stack, which ends x, y, tx, ty
-    "pov-positivity": (model, "_effects", 1, 1),
+    # the POV pass, its one positivity stack run as it is submitted: call 0 is
+    # that stack, call 1 the full effect and call 6 a partition trial's stack,
+    # which ends x, y, tx, ty
+    "pov-positivity": (model, "_effects", 0, 1),
     "pov-additivity": (model, "_effects", 6, -4),
     "pov-commutativity": (model, "_effects", 6, -2),
 }
@@ -599,6 +602,7 @@ def test_a_nan_item_fails_its_check(monkeypatch, check):
         return out
 
     monkeypatch.setattr(module, name, poisoned)
+    monkeypatch.setattr(measurement, "ThreadPoolExecutor", InlinePool)
     checks = {c.name: c for c in verification_checks(gobs, psi, ApparatusModel())}
     assert math.isnan(checks[check].deviation) and checks[check].cause is None
     assert check in failed_checks(list(checks.values()), DEFAULT_TOL)
@@ -741,31 +745,158 @@ def test_update_form_cause_of_a_nan_effect_ignores_the_warning_filter(monkeypatc
 
 
 def test_pov_thread_failure_names_its_cause(monkeypatch):
-    """An exception in the POV-axiom pass, which runs on its own thread, fails
-    the four pov checks with its cause; the other checks keep their bits and
-    the report its order, the pass sees the caller's numpy error state, and
-    the thread is gone when the call returns."""
+    """An exception in a positivity stack on the POV thread fails the four pov
+    checks with its cause; the other checks keep their bits and the report its
+    order, the thread sees the caller's numpy error state, and it is gone when
+    the call returns. The caller waits until the thread has taken stack 0, the
+    first to fail, so that stack runs there."""
     rng = np.random.default_rng(41)
     gobs = random_generalized(rng, 4)
     psi = random_state(rng, 4)
     baseline = threading.active_count()
+    caller, started = threading.get_ident(), threading.Event()
+    born_weights = measurement._born_weights
+
+    def broken(*args):
+        started.set()
+        where = "the caller" if threading.get_ident() == caller else "the POV thread"
+        raise RuntimeError(f"failed on {where}, divide={np.geterr()['divide']}")
+
+    def after_the_thread_starts(*args):
+        assert started.wait(timeout=30)
+        return born_weights(*args)
+
     with np.errstate(divide="raise"):
         clean = verification_checks(gobs, psi, ApparatusModel())
-
-        def broken(*args, **kwargs):
-            raise RuntimeError(f"pov pass failed, divide={np.geterr()['divide']}")
-
-        monkeypatch.setattr(measurement, "verify_pov_axioms", broken)
+        monkeypatch.setattr(model, "_effects", broken)
+        monkeypatch.setattr(measurement, "_born_weights", after_the_thread_starts)
         checks = verification_checks(gobs, psi, ApparatusModel())
     assert threading.active_count() == baseline
     assert [c.name for c in checks] == [c.name for c in clean]
-    assert checks[:4] == [Check(c.name, math.inf, "RuntimeError: pov pass failed, divide=raise")
+    assert checks[:4] == [Check(c.name, math.inf,
+                                "RuntimeError: failed on the POV thread, divide=raise")
                           for c in clean[:4]]
     assert [c.name for c in clean[:4]] == ["pov-normalization", "pov-positivity",
                                            "pov-additivity", "pov-commutativity"]
     assert [(c.name, c.deviation.hex(), c.cause) for c in checks[4:]] == \
         [(c.name, c.deviation.hex(), c.cause) for c in clean[4:]]
     assert len(checks[4:]) == 11
+
+
+class InlinePool:
+    """Stands in for the POV thread's pool: each job runs as it is submitted,
+    so the worker takes every positivity stack and the caller none."""
+
+    def __init__(self, max_workers: int):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _Deferred(Future):
+    """A future whose job runs only when its result is read."""
+
+    def __init__(self, job):
+        super().__init__()
+        self.job = job
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.set_running_or_notify_cancel()
+            try:
+                self.set_result(self.job())
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class IdlePool(InlinePool):
+    """A pool whose worker never starts a job: the caller takes back every
+    positivity stack it can cancel, and a stack left to the worker runs only
+    when its result is read."""
+
+    def submit(self, fn, *args) -> Future:
+        return _Deferred(lambda: fn(*args))
+
+
+# who takes each positivity stack: the worker all, the caller all, or the race
+SCHEDULES = {"worker": InlinePool, "caller": IdlePool, "threads": ThreadPoolExecutor}
+
+
+def _d16():
+    """d = 16, 17 outcomes: positivity takes 1024 random events in 8 stacks of 128."""
+    rng = np.random.default_rng(16)
+    return random_generalized(rng, 16), random_state(rng, 16)
+
+
+@pytest.fixture
+def short_switches():
+    """A 1 µs switch interval, so the two threads of a real race hand over the GIL often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("short_switches")
+def test_pov_schedules_give_the_same_checks(monkeypatch):
+    """Whichever thread takes each positivity stack, verify's checks keep their
+    bits, and the four pov checks read what verify_pov_axioms reads inline."""
+    gobs, psi = _d16()
+    inline = model.verify_pov_axioms(gobs, psi).as_dict()
+    eigvalsh, reports = np.linalg.eigvalsh, {}
+    for schedule, pool in SCHEDULES.items():
+        stacks = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(len(m)) or eigvalsh(m))
+        monkeypatch.setattr(measurement, "ThreadPoolExecutor", pool)
+        checks = verification_checks(gobs, psi, ApparatusModel())
+        reports[schedule] = [(c.name, c.deviation.hex(), c.cause) for c in checks]
+        assert stacks == [128] * 8, schedule
+    assert reports["caller"] == reports["worker"] == reports["threads"]
+    assert reports["worker"][:4] == [("pov-" + name, value.hex(), None)
+                                     for name, value in inline.items()]
+
+
+@pytest.mark.usefixtures("short_switches")
+def test_pov_cause_is_positivitys_first_failing_event(monkeypatch):
+    """When two positivity stacks (of 8) and the partition pass all raise, the
+    four pov checks name positivity's first failing event under every schedule,
+    as verify_pov_axioms does, whose positivity runs first."""
+    gobs, psi = _d16()
+    rows = model._event_subsets(gobs.outcomes.size, np.random.default_rng(VERIFY_SEED), 1024)
+    poisoned = rows[[300, 900]]  # in stacks 2 and 7
+    effects = model._effects
+
+    def failing(gobs, pd, block):
+        if 1 < len(block) < 128:
+            raise RuntimeError("partition pass failed")
+        for row in block:
+            if (row == poisoned).all(axis=1).any():
+                raise ValueError(f"event {np.flatnonzero(row).tolist()}")
+        return effects(gobs, pd, block)
+
+    monkeypatch.setattr(model, "_effects", failing)
+    first = next(row for row in rows if (row == poisoned).all(axis=1).any())
+    cause = f"ValueError: event {np.flatnonzero(first).tolist()}"
+    with pytest.raises(ValueError) as inline:
+        model.verify_pov_axioms(gobs, psi)
+    assert f"ValueError: {inline.value}" == cause
+    for schedule, pool in SCHEDULES.items():
+        monkeypatch.setattr(measurement, "ThreadPoolExecutor", pool)
+        checks = verification_checks(gobs, psi, ApparatusModel())
+        assert [c.cause for c in checks[:4]] == [cause] * 4, schedule
 
 
 class TestChecks:

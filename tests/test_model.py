@@ -702,14 +702,16 @@ class TestResolvedEvents:
             assert report == reference_pov_axioms(gobs, psi, partition_trials=12, seed=5)
             assert report.positivity == pytest.approx(1e-9, rel=1e-6)
 
-    def test_positivity_solves_each_event_once_in_stacks_of_at_most_1_mib(self, monkeypatch):
+    def test_positivity_solves_each_event_once_in_stacks_of_at_most_512_kib(self, monkeypatch):
+        # d = 20: 81 events of 6400 bytes fill a stack, so 1024 events take 13
         (gobs, psi), = verify_cases("scaled")
         stacks = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m) or eigvalsh(m))
         verify_pov_axioms(gobs, psi, partition_trials=0)
         rows = model._event_subsets(gobs.outcomes.size, np.random.default_rng(0), 1024)
-        assert len(stacks) == 7 and all(m.nbytes <= 1 << 20 for m in stacks)
+        assert [len(m) for m in stacks] == [81] * 12 + [52]
+        assert all(m.nbytes <= 1 << 19 for m in stacks)
         everything = model._effects(gobs, detection_probability(gobs, psi), rows)
         assert np.array_equal(np.concatenate(stacks), everything)
 
@@ -724,16 +726,16 @@ class TestResolvedEvents:
         effects, calls = model._effects, []
 
         def poisoned(gobs, pd, rows):
-            # call 0 is the full effect, call 1 the one positivity stack
+            # positivity runs first: call 0 is its one stack, call 1 the full effect
             out = effects(gobs, pd, rows)
-            if len(calls) == 1:
+            if not calls:
                 out[2, 0, 1] = entry
             calls.append(len(rows))
             return out
 
         monkeypatch.setattr(model, "_effects", poisoned)
         report = verify_pov_axioms(gobs, psi)
-        assert calls[1] == 16 and math.isnan(report.positivity)
+        assert calls[:2] == [16, 1] and math.isnan(report.positivity)
         others = [dataclasses.replace(r, positivity=0.0) for r in (report, clean)]
         assert others[0] == others[1]
 

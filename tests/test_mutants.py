@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, ROOT, failed_ids
 
 
 def test_names_are_unique():
@@ -29,3 +29,13 @@ def test_named_tests_exist(mutant):
         for scope in scopes:
             kind = "class" if scope[0].isupper() else "def"
             assert re.search(rf"^\s*{kind} {scope}\b", source, re.M), node
+
+
+@pytest.mark.parametrize("message", ["", " - AssertionError: assert 'a - b' == 'c'"])
+@pytest.mark.parametrize("kind", ["FAILED", "ERROR"])
+def test_failed_ids_keep_spaces(kind, message):
+    """An id that holds spaces is read whole from pytest's summary line."""
+    ids = [node for mutant in MUTANTS for node in mutant.kills if " " in node]
+    assert ids
+    report = "".join(f"{kind} {node}{message}\n" for node in ids)
+    assert failed_ids("noise\n" + report + "1 failed in 0.1s\n") == set(ids)
